@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .network import (
     DenseLayer,
     NetworkParams,
@@ -20,6 +20,7 @@ from .network import (
     collect_params,
     flatten_grads,
     forward_layers,
+    grad_buffers,
     mse_loss,
 )
 
@@ -183,7 +184,7 @@ def vae_loss_and_grads(params: VaeParams, x: np.ndarray, eps: np.ndarray,
     mu_grads, dh_mu = backward_layers([params.mu_head], cache["mu"], dmu)
     lv_grads, dh_lv = backward_layers([params.logvar_head], cache["lv"], dlv)
     trunk_grads, _ = backward_layers(params.trunk_layers, cache["trunk"],
-                                     dh_mu + dh_lv)
+                                     dh_mu + dh_lv, input_grad=False)
     grads = [*trunk_grads, *mu_grads, *lv_grads, *dec_grads]
     return loss, grads, dict(mse=mse, kl_mean=kl_mean, recon=r)
 
@@ -207,8 +208,10 @@ def pretrain_ae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
     dims = spec.resolve(x.shape[1])
     rng = np.random.default_rng(cfg.seed)
     params = build_ae(dims, rng)
-    layers = params.all_layers()
-    opt = SgdMomentum(collect_params(layers), cfg.lr, cfg.momentum)
+    opt = SgdMomentum(collect_params(params.all_layers()), cfg.lr, cfg.momentum)
+    enc_grads = grad_buffers(params.encoder_layers)
+    dec_grads = grad_buffers(params.decoder_layers)
+    flat_grads = flatten_grads([*enc_grads, *dec_grads])
 
     train_idx, val_idx = _split_train_val(x.shape[0], cfg.validation_fraction, rng)
     x_train, x_val = x[train_idx], x[val_idx]
@@ -222,9 +225,14 @@ def pretrain_ae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
             z, enc_cache = forward_layers(params.encoder_layers, batch)
             r, dec_cache = forward_layers(params.decoder_layers, z)
             loss, dmse = mse_loss(batch, r)
-            dec_grads, dz = backward_layers(params.decoder_layers, dec_cache, dmse)
-            enc_grads, _ = backward_layers(params.encoder_layers, enc_cache, dz)
-            opt.step(flatten_grads([*enc_grads, *dec_grads]))
+            if not np.isfinite(loss):
+                raise NumericError(f"pretrain ae: non-finite loss {loss} at "
+                                   f"epoch {epoch}, step {n_batches}")
+            _, dz = backward_layers(params.decoder_layers, dec_cache, dmse,
+                                    out=dec_grads)
+            backward_layers(params.encoder_layers, enc_cache, dz,
+                            out=enc_grads, input_grad=False)
+            opt.step(flat_grads)
             epoch_loss += loss
             n_batches += 1
         val_loss = float("nan")
@@ -255,6 +263,9 @@ def pretrain_vae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
             eps = rng.standard_normal((batch.shape[0], dims[-1]))
             loss, grads, _ = vae_loss_and_grads(params, batch, eps,
                                                 cfg.vae_recon_weight)
+            if not np.isfinite(loss):
+                raise NumericError(f"pretrain vae: non-finite loss {loss} at "
+                                   f"epoch {epoch}, step {n_batches}")
             opt.step(flatten_grads(grads))
             epoch_loss += loss
             n_batches += 1

@@ -161,8 +161,11 @@ def cmd_pretrain(args, cfg):
     if args.history:
         _write_history(args.history, history, "epoch,train_loss,val_loss")
     write_manifest(args.out, "pretrain", [args.data],
-                   dict(kind=args.kind, epochs=pcfg.epochs, lr=pcfg.lr,
-                        batch_size=pcfg.batch_size, seed=seed))
+                   dict(kind=args.kind, dims=spec.resolve(ds.n_features),
+                        epochs=pcfg.epochs, lr=pcfg.lr, momentum=pcfg.momentum,
+                        batch_size=pcfg.batch_size,
+                        vae_recon_weight=pcfg.vae_recon_weight,
+                        validation_fraction=pcfg.validation_fraction, seed=seed))
     final = history[-1][1] if history else float("nan")
     print(f"pretrained {args.kind} for {pcfg.epochs} epochs; "
           f"final train loss {final:.6g}")
@@ -216,7 +219,7 @@ def cmd_train_derc(args, cfg):
     write_manifest(args.out, "derc", [args.model, args.centroids, args.data],
                    dict(beta=dcfg.beta, epochs=dcfg.epochs, lr=dcfg.lr,
                         momentum=dcfg.momentum, batch_size=dcfg.batch_size,
-                        target_interval=dcfg.target_interval, seed=seed))
+                        target_interval=dcfg.target_interval, k=dcfg.k, seed=seed))
     sizes = np.bincount(result.cluster_ids, minlength=dcfg.k)
     print(f"trained DERC (beta={dcfg.beta}); cluster sizes {sizes.tolist()}")
 
@@ -368,7 +371,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config) if args.config else {}
-        args.func(args, cfg)
+        # a diverging run is reported once, by the trainers' non-finite loss
+        # check (exit 3), not also by numpy's floating-point warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            args.func(args, cfg)
     except SystemExit as exc:
         return int(exc.code or 0)
     except NumericError as exc:

@@ -26,6 +26,7 @@ from .network import (
     collect_params,
     flatten_grads,
     forward_layers,
+    grad_buffers,
     mse_loss,
 )
 
@@ -149,6 +150,9 @@ def train_derc(values: np.ndarray, params: NetworkParams,
     rng = np.random.default_rng(cfg.seed)
     layers = params.all_layers()
     opt = SgdMomentum([*collect_params(layers), centroids], cfg.lr, cfg.momentum)
+    enc_grads = grad_buffers(params.encoder_layers)
+    dec_grads = grad_buffers(params.decoder_layers)
+    flat_grads = flatten_grads([*enc_grads, *dec_grads])
 
     p_full = None
     prev_hard = None
@@ -178,16 +182,19 @@ def train_derc(values: np.ndarray, params: NetworkParams,
             rec_loss, dmse = mse_loss(batch, r)
             q_b = soft_assign(z, centroids)
             cl_loss, dz_cl, dmu = cluster_kl_loss(p_full[idx], q_b, z, centroids)
+            total = cl_loss / bs + cfg.beta * rec_loss
+            if not np.isfinite(total):
+                raise NumericError(f"train-derc: non-finite loss {total} at "
+                                   f"step {ite}")
 
-            dec_grads, dz_rec = backward_layers(params.decoder_layers, dec_cache,
-                                                cfg.beta * dmse)
-            enc_grads, _ = backward_layers(params.encoder_layers, enc_cache,
-                                           cfg.beta * dz_rec + dz_cl / bs)
-            grads = flatten_grads([*enc_grads, *dec_grads])
-            opt.step([*grads, dmu / bs])
+            _, dz_rec = backward_layers(params.decoder_layers, dec_cache,
+                                        cfg.beta * dmse, out=dec_grads)
+            backward_layers(params.encoder_layers, enc_cache,
+                            cfg.beta * dz_rec + dz_cl / bs,
+                            out=enc_grads, input_grad=False)
+            opt.step([*flat_grads, dmu / bs])
 
-            history.append((ite, cl_loss / bs, rec_loss,
-                            cl_loss / bs + cfg.beta * rec_loss))
+            history.append((ite, cl_loss / bs, rec_loss, total))
             ite += 1
 
     q_final = soft_assign(encode(params, x), centroids)

@@ -12,6 +12,9 @@ import numpy as np
 from .errors import ValidationError
 
 INIT_SCALE = 1.0 / 3.0  # s in the uniform bound l = sqrt(3 * s / n_input)
+# elements per optimizer update block: 256 KiB of float64, small enough that
+# the scratch product and the slices it touches stay in cache
+UPDATE_BLOCK = 1 << 15
 
 
 def init_bound(n_input: int) -> float:
@@ -125,18 +128,31 @@ def forward_layers(layers: list[DenseLayer], x: np.ndarray):
     return a, cache
 
 
-def backward_layers(layers: list[DenseLayer], cache, grad_out: np.ndarray):
+def grad_buffers(layers: list[DenseLayer]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Uninitialised (dW, db) arrays shaped like each layer's weights and bias."""
+    return [(np.empty(layer.weights.shape), np.empty(layer.bias.shape))
+            for layer in layers]
+
+
+def backward_layers(layers: list[DenseLayer], cache, grad_out: np.ndarray,
+                    out=None, input_grad: bool = True):
     """Reverse-mode gradients for a stack.
 
     Returns ([(dW, db)] aligned with layers, gradient w.r.t. the stack input).
+    The gradients are written into `out`, a list from grad_buffers(layers),
+    which is returned; without it a fresh one is allocated. With
+    input_grad=False the bottom layer's input gradient is skipped and None is
+    returned in its place.
     """
-    grads = [None] * len(layers)
+    grads = grad_buffers(layers) if out is None else out
     g = grad_out
     for idx in range(len(layers) - 1, -1, -1):
         x_in, z, a = cache[idx]
         dz = g * _activation_grad(z, a, layers[idx].activation)
-        grads[idx] = (dz.T @ x_in, dz.sum(axis=0))
-        g = dz @ layers[idx].weights
+        dw, db = grads[idx]
+        np.matmul(dz.T, x_in, out=dw)
+        np.sum(dz, axis=0, out=db)
+        g = dz @ layers[idx].weights if idx or input_grad else None
     return grads, g
 
 
@@ -151,25 +167,45 @@ def mse_loss(x: np.ndarray, r: np.ndarray):
 
 
 class SgdMomentum:
-    """Classical-momentum SGD: v <- m*v - lr*g; p <- p + v."""
+    """Classical-momentum SGD: v <- m*v - lr*g; p <- p + v.
+
+    Parameters are updated in place, UPDATE_BLOCK elements at a time, through
+    one reusable scratch buffer, so a step allocates nothing and leaves the
+    gradients untouched. With momentum 0 the velocity would always equal
+    -lr*g, so none is kept (velocity is None) and the update is p <- p - lr*g.
+    """
 
     def __init__(self, params: list[np.ndarray], lr: float, momentum: float = 0.0):
+        for p in params:
+            if not p.flags.c_contiguous:
+                raise ValidationError("parameters must be C-contiguous arrays")
         self.params = params
         self.lr = lr
         self.momentum = momentum
-        self.velocity = [np.zeros_like(p) for p in params]
+        self.velocity = [np.zeros_like(p) for p in params] if momentum else None
+        self._scratch = np.empty(UPDATE_BLOCK)
 
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise ValidationError("gradient list does not match parameter list")
-        for p, v, g in zip(self.params, self.velocity, grads):
+        for i, (p, g) in enumerate(zip(self.params, grads)):
             if g.shape != p.shape:
                 raise ValidationError(
                     f"gradient shape {g.shape} does not match parameter {p.shape}"
                 )
-            v *= self.momentum
-            v -= self.lr * g
-            p += v
+            p_flat, g_flat = p.reshape(-1), g.reshape(-1)
+            v_flat = None if self.velocity is None else self.velocity[i].reshape(-1)
+            for start in range(0, p_flat.size, UPDATE_BLOCK):
+                block = slice(start, start + UPDATE_BLOCK)
+                g_block = g_flat[block]
+                t = np.multiply(g_block, self.lr, out=self._scratch[:g_block.size])
+                if v_flat is None:
+                    p_flat[block] -= t
+                else:
+                    v = v_flat[block]
+                    v *= self.momentum
+                    v -= t
+                    p_flat[block] += v
 
 
 def collect_params(layers: list[DenseLayer]) -> list[np.ndarray]:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -120,6 +125,21 @@ class TestErrors:
         assert run(["pretrain", "ae", "--data", bad,
                     "--out", tmp_path / "m.derc"]) == 2
 
+    def test_non_finite_loss_exit_3(self, tmp_path):
+        # a fresh interpreter, so the stderr checked is exactly what a user sees
+        raw, _ = synth_csv(tmp_path, n=24, d=12, informative=4)
+        src = Path(data.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "derc.cli", "pretrain", "ae", "--data", str(raw),
+             "--out", str(tmp_path / "m.derc"), "--dims", "12,8,4",
+             "--epochs", "2", "--lr", "1e200"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 3
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "non-finite loss" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "m.derc").exists()
+
 
 class TestUtilities:
     def test_synth_deterministic(self, tmp_path):
@@ -165,3 +185,17 @@ class TestUtilities:
         manifest = json.loads((tmp_path / "m.derc.manifest.json").read_text())
         assert manifest["stage"] == "pretrain"
         assert str(raw) in manifest["inputs"]
+        settings = manifest["settings"]
+        assert settings["dims"] == [12, 8, 4]
+        for key in ("momentum", "vae_recon_weight", "validation_fraction"):
+            assert key in settings
+
+        cents = tmp_path / "c.derc"
+        assert run(["cluster-init", "--model", model, "--data", raw,
+                    "--out", cents, "--k", "3", "--restarts", "2"]) == 0
+        trained = tmp_path / "t.derc"
+        assert run(["train-derc", "--model", model, "--centroids", cents,
+                    "--data", raw, "--out", trained, "--pred", tmp_path / "p.csv",
+                    "--epochs", "1"]) == 0
+        manifest = json.loads((tmp_path / "t.derc.manifest.json").read_text())
+        assert manifest["settings"]["k"] == 3

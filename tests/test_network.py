@@ -120,6 +120,27 @@ class TestBackward:
                           nw.flatten_grads([*eg, *dg]))
         assert err <= 1e-4
 
+    def test_out_buffers_match_allocating_call(self):
+        rng = np.random.default_rng(7)
+        params = build_ae([9, 6, 3], rng)
+        jitter_biases(params.all_layers(), rng)
+        layers = params.encoder_layers
+        _, cache = nw.forward_layers(layers, rng.uniform(size=(5, 9)))
+        grad_out = rng.normal(size=(5, 3))
+        ref, ref_in = nw.backward_layers(layers, cache, grad_out)
+        buffers = nw.grad_buffers(layers)
+        got, got_in = nw.backward_layers(layers, cache, grad_out, out=buffers)
+        assert got is buffers
+        assert np.array_equal(got_in, ref_in)
+        for (dw, db), (rw, rb) in zip(got, ref):
+            assert np.array_equal(dw, rw) and np.array_equal(db, rb)
+
+        skipped, none_in = nw.backward_layers(layers, cache, grad_out,
+                                              input_grad=False)
+        assert none_in is None
+        for (dw, db), (rw, rb) in zip(skipped, ref):
+            assert np.array_equal(dw, rw) and np.array_equal(db, rb)
+
     def test_zero_output_grad(self):
         rng = np.random.default_rng(6)
         layers = [nw.DenseLayer.create(4, 3, "relu", rng)]
@@ -128,7 +149,38 @@ class TestBackward:
         assert not grads[0][0].any() and not grads[0][1].any() and not gin.any()
 
 
+def reference_sgd_step(params, velocity, grads, lr, momentum):
+    """The whole-array update the blocked SgdMomentum.step must reproduce."""
+    for p, v, g in zip(params, velocity, grads):
+        v *= momentum
+        v -= lr * g
+        p += v
+
+
 class TestSgdMomentum:
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_blocked_update_matches_reference(self, momentum):
+        rng = np.random.default_rng(8)
+        shapes = [(3 * nw.UPDATE_BLOCK + 17,), (7, 5), (4,)]
+        params = [rng.normal(size=s) for s in shapes]
+        ref_params = [p.copy() for p in params]
+        ref_velocity = [np.zeros_like(p) for p in params]
+        opt = nw.SgdMomentum(params, lr=0.05, momentum=momentum)
+        if momentum == 0.0:
+            assert opt.velocity is None
+        for _ in range(4):
+            grads = [rng.normal(size=s) for s in shapes]
+            grads_before = [g.copy() for g in grads]
+            opt.step(grads)
+            reference_sgd_step(ref_params, ref_velocity, grads, 0.05, momentum)
+            for g, before in zip(grads, grads_before):
+                assert np.array_equal(g, before)
+            for p, ref in zip(params, ref_params):
+                assert np.array_equal(p, ref)
+            if momentum:
+                for v, ref in zip(opt.velocity, ref_velocity):
+                    assert np.array_equal(v, ref)
+
     def test_vanilla_step(self):
         p = np.array([0.0])
         opt = nw.SgdMomentum([p], lr=0.1, momentum=0.0)
