@@ -1,8 +1,9 @@
 """Stacked conventional autoencoder and variational autoencoder pretraining.
 
 Both reduce prescreened beta-value matrices to a low-dimensional latent
-space; the encoder (AE) or the mean head (VAE) is the deterministic map
-used downstream for clustering.
+space. Both are a network.NetworkParams; its encoder stack, which ends in
+the mean head for a VAE, is the deterministic map used downstream for
+clustering.
 """
 
 from __future__ import annotations
@@ -68,67 +69,38 @@ class PretrainConfig:
             raise ValidationError("vae_recon_weight must be in [0, 1]")
 
 
-@dataclass
-class VaeParams:
-    """Encoder trunk plus linear mean / log-variance heads and the decoder."""
-
-    trunk_layers: list[DenseLayer]
-    mu_head: DenseLayer
-    logvar_head: DenseLayer
-    decoder_layers: list[DenseLayer]
-
-    @property
-    def input_dim(self) -> int:
-        return self.trunk_layers[0].n_in
-
-    @property
-    def latent_dim(self) -> int:
-        return self.mu_head.n_out
-
-    def all_layers(self) -> list[DenseLayer]:
-        return [*self.trunk_layers, self.mu_head, self.logvar_head,
-                *self.decoder_layers]
-
-
-def build_ae(dims: list[int], rng: np.random.Generator) -> NetworkParams:
+def _build(dims: list[int], rng: np.random.Generator, vae: bool) -> NetworkParams:
+    # draw order: encoder trunk, last encoder (mean) layer, log-variance head,
+    # decoder; changing it changes every trained model
     encoder = [
-        DenseLayer.create(dims[i], dims[i + 1], "relu", rng)
-        for i in range(len(dims) - 1)
-    ]
-    rev = dims[::-1]
-    decoder = [
-        DenseLayer.create(rev[i], rev[i + 1],
-                          "sigmoid" if i == len(rev) - 2 else "relu", rng)
-        for i in range(len(rev) - 1)
-    ]
-    return NetworkParams(encoder_layers=encoder, decoder_layers=decoder)
-
-
-def build_vae(dims: list[int], rng: np.random.Generator) -> VaeParams:
-    trunk = [
         DenseLayer.create(dims[i], dims[i + 1], "relu", rng)
         for i in range(len(dims) - 2)
     ]
-    mu_head = DenseLayer.create(dims[-2], dims[-1], "linear", rng)
-    logvar_head = DenseLayer.create(dims[-2], dims[-1], "linear", rng)
+    encoder.append(DenseLayer.create(dims[-2], dims[-1],
+                                     "linear" if vae else "relu", rng))
+    logvar_head = DenseLayer.create(dims[-2], dims[-1], "linear", rng) if vae else None
     rev = dims[::-1]
     decoder = [
         DenseLayer.create(rev[i], rev[i + 1],
                           "sigmoid" if i == len(rev) - 2 else "relu", rng)
         for i in range(len(rev) - 1)
     ]
-    return VaeParams(trunk_layers=trunk, mu_head=mu_head,
-                     logvar_head=logvar_head, decoder_layers=decoder)
+    return NetworkParams(encoder_layers=encoder, decoder_layers=decoder,
+                         logvar_head=logvar_head)
 
 
-def encode(params: NetworkParams | VaeParams, x: np.ndarray) -> np.ndarray:
+def build_ae(dims: list[int], rng: np.random.Generator) -> NetworkParams:
+    return _build(dims, rng, vae=False)
+
+
+def build_vae(dims: list[int], rng: np.random.Generator) -> NetworkParams:
+    """An encoder ending in a linear mean head, a log-variance head, a decoder."""
+    return _build(dims, rng, vae=True)
+
+
+def encode(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Deterministic latent map: encoder output (AE) or mean vector (VAE)."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(params, VaeParams):
-        h, _ = forward_layers(params.trunk_layers, x)
-        mu, _ = forward_layers([params.mu_head], h)
-        return mu
-    z, _ = forward_layers(params.encoder_layers, x)
+    z, _ = forward_layers(params.encoder_layers, np.asarray(x, dtype=float))
     return z
 
 
@@ -150,23 +122,25 @@ def vae_kl(mu: np.ndarray, log_var: np.ndarray) -> float:
     return float(-0.5 * np.sum(1.0 + log_var - mu * mu - np.exp(log_var)))
 
 
-def vae_forward(params: VaeParams, x: np.ndarray, eps: np.ndarray):
+def vae_forward(params: NetworkParams, x: np.ndarray, eps: np.ndarray):
     """Reparameterised forward pass; returns reconstruction and caches."""
-    h, trunk_cache = forward_layers(params.trunk_layers, x)
-    mu, mu_cache = forward_layers([params.mu_head], h)
-    lv, lv_cache = forward_layers([params.logvar_head], h)
+    mu, enc_cache = forward_layers(params.encoder_layers, x)
+    # the log-variance head reads the mean head's input
+    lv, lv_cache = forward_layers([params.logvar_head], enc_cache[-1][0])
     z = mu + np.exp(0.5 * lv) * eps
     r, dec_cache = forward_layers(params.decoder_layers, z)
-    cache = dict(trunk=trunk_cache, mu=mu_cache, lv=lv_cache, dec=dec_cache,
+    cache = dict(enc=enc_cache, lv=lv_cache, dec=dec_cache,
                  mu_val=mu, lv_val=lv, eps=eps, z=z)
     return r, cache
 
 
-def vae_loss_and_grads(params: VaeParams, x: np.ndarray, eps: np.ndarray,
-                       recon_weight: float):
+def vae_loss_and_grads(params: NetworkParams, x: np.ndarray, eps: np.ndarray,
+                       recon_weight: float, out=None):
     """Weighted loss w*MSE + (1-w)*mean-KL and gradients for every tensor.
 
-    Gradient order matches params.all_layers().
+    Gradient order matches params.all_layers(). The gradients are written
+    into `out`, a list from grad_buffers(params.all_layers()), which is
+    returned; without it a fresh one is allocated.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -177,15 +151,20 @@ def vae_loss_and_grads(params: VaeParams, x: np.ndarray, eps: np.ndarray,
     w = recon_weight
     loss = w * mse + (1.0 - w) * kl_mean
 
-    dec_grads, dz = backward_layers(params.decoder_layers, cache["dec"], w * dmse)
+    grads = grad_buffers(params.all_layers()) if out is None else out
+    enc, enc_cache = params.encoder_layers, cache["enc"]
+    n_enc = len(enc)
+    _, dz = backward_layers(params.decoder_layers, cache["dec"], w * dmse,
+                            out=grads[n_enc + 1:])
     dmu = dz + (1.0 - w) * mu / n
     dlv = dz * cache["eps"] * 0.5 * np.exp(0.5 * lv) \
         + (1.0 - w) * (np.exp(lv) - 1.0) / (2.0 * n)
-    mu_grads, dh_mu = backward_layers([params.mu_head], cache["mu"], dmu)
-    lv_grads, dh_lv = backward_layers([params.logvar_head], cache["lv"], dlv)
-    trunk_grads, _ = backward_layers(params.trunk_layers, cache["trunk"],
-                                     dh_mu + dh_lv, input_grad=False)
-    grads = [*trunk_grads, *mu_grads, *lv_grads, *dec_grads]
+    _, dh_mu = backward_layers(enc[-1:], enc_cache[-1:], dmu,
+                               out=grads[n_enc - 1:n_enc])
+    _, dh_lv = backward_layers([params.logvar_head], cache["lv"], dlv,
+                               out=grads[n_enc:n_enc + 1])
+    backward_layers(enc[:-1], enc_cache[:-1], dh_mu + dh_lv,
+                    out=grads[:n_enc - 1], input_grad=False)
     return loss, grads, dict(mse=mse, kl_mean=kl_mean, recon=r)
 
 
@@ -197,88 +176,92 @@ def _split_train_val(n: int, fraction: float, rng: np.random.Generator):
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
+def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
+              batch_loss, val_loss):
+    """The mini-batch SGD loop both pretrainers share; returns (params, history).
+
+    build(dims, rng) makes the model. batch_loss(params, batch, grads, rng)
+    returns a batch's loss and writes its gradients into grads, ordered as
+    params.all_layers(). val_loss(params, x_val, rng) scores the validation
+    split after each epoch. All draws come from one generator seeded by
+    cfg.seed: build, split, then per epoch the permutation, the batches' and
+    the validation draws.
+    """
+    cfg.validate()
+    x = np.asarray(values, dtype=float)
+    dims = spec.resolve(x.shape[1])
+    rng = np.random.default_rng(cfg.seed)
+    params = build(dims, rng)
+    layers = params.all_layers()
+    opt = SgdMomentum(collect_params(layers), cfg.lr, cfg.momentum)
+    grads = grad_buffers(layers)
+    flat_grads = flatten_grads(grads)
+
+    train_idx, val_idx = _split_train_val(x.shape[0], cfg.validation_fraction, rng)
+    x_train, x_val = x[train_idx], x[val_idx]
+    history = []
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(len(x_train))
+        epoch_loss = 0.0
+        n_batches = 0
+        for start in range(0, len(perm), cfg.batch_size):
+            batch = x_train[perm[start:start + cfg.batch_size]]
+            loss = batch_loss(params, batch, grads, rng)
+            if not np.isfinite(loss):
+                raise NumericError(f"pretrain {kind}: non-finite loss {loss} at "
+                                   f"epoch {epoch}, step {n_batches}")
+            opt.step(flat_grads)
+            epoch_loss += loss
+            n_batches += 1
+        val = val_loss(params, x_val, rng) if len(x_val) else float("nan")
+        history.append((epoch, epoch_loss / max(n_batches, 1), val))
+    return params, history
+
+
+def _ae_batch_loss(params: NetworkParams, batch, grads, rng) -> float:
+    n_enc = len(params.encoder_layers)
+    z, enc_cache = forward_layers(params.encoder_layers, batch)
+    r, dec_cache = forward_layers(params.decoder_layers, z)
+    loss, dmse = mse_loss(batch, r)
+    _, dz = backward_layers(params.decoder_layers, dec_cache, dmse,
+                            out=grads[n_enc:])
+    backward_layers(params.encoder_layers, enc_cache, dz,
+                    out=grads[:n_enc], input_grad=False)
+    return loss
+
+
+def _ae_val_loss(params: NetworkParams, x_val, rng) -> float:
+    return mse_loss(x_val, reconstruct(params, x_val))[0]
+
+
 def pretrain_ae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
     """Train the conventional autoencoder; returns (params, history).
 
     History rows are (epoch, train_loss, val_loss); val_loss is NaN when
     no validation split is configured.
     """
-    cfg.validate()
-    x = np.asarray(values, dtype=float)
-    dims = spec.resolve(x.shape[1])
-    rng = np.random.default_rng(cfg.seed)
-    params = build_ae(dims, rng)
-    opt = SgdMomentum(collect_params(params.all_layers()), cfg.lr, cfg.momentum)
-    enc_grads = grad_buffers(params.encoder_layers)
-    dec_grads = grad_buffers(params.decoder_layers)
-    flat_grads = flatten_grads([*enc_grads, *dec_grads])
-
-    train_idx, val_idx = _split_train_val(x.shape[0], cfg.validation_fraction, rng)
-    x_train, x_val = x[train_idx], x[val_idx]
-    history = []
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(len(x_train))
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(perm), cfg.batch_size):
-            batch = x_train[perm[start:start + cfg.batch_size]]
-            z, enc_cache = forward_layers(params.encoder_layers, batch)
-            r, dec_cache = forward_layers(params.decoder_layers, z)
-            loss, dmse = mse_loss(batch, r)
-            if not np.isfinite(loss):
-                raise NumericError(f"pretrain ae: non-finite loss {loss} at "
-                                   f"epoch {epoch}, step {n_batches}")
-            _, dz = backward_layers(params.decoder_layers, dec_cache, dmse,
-                                    out=dec_grads)
-            backward_layers(params.encoder_layers, enc_cache, dz,
-                            out=enc_grads, input_grad=False)
-            opt.step(flat_grads)
-            epoch_loss += loss
-            n_batches += 1
-        val_loss = float("nan")
-        if len(x_val):
-            val_loss = mse_loss(x_val, reconstruct(params, x_val))[0]
-        history.append((epoch, epoch_loss / max(n_batches, 1), val_loss))
-    return params, history
+    return _pretrain(values, spec, cfg, "ae", build_ae, _ae_batch_loss, _ae_val_loss)
 
 
 def pretrain_vae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
-    """Train the variational autoencoder; returns (params, history)."""
-    cfg.validate()
-    x = np.asarray(values, dtype=float)
-    dims = spec.resolve(x.shape[1])
-    rng = np.random.default_rng(cfg.seed)
-    params = build_vae(dims, rng)
-    opt = SgdMomentum(collect_params(params.all_layers()), cfg.lr, cfg.momentum)
+    """Train the variational autoencoder; returns (params, history).
 
-    train_idx, val_idx = _split_train_val(x.shape[0], cfg.validation_fraction, rng)
-    x_train, x_val = x[train_idx], x[val_idx]
-    history = []
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(len(x_train))
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(perm), cfg.batch_size):
-            batch = x_train[perm[start:start + cfg.batch_size]]
-            eps = rng.standard_normal((batch.shape[0], dims[-1]))
-            loss, grads, _ = vae_loss_and_grads(params, batch, eps,
-                                                cfg.vae_recon_weight)
-            if not np.isfinite(loss):
-                raise NumericError(f"pretrain vae: non-finite loss {loss} at "
-                                   f"epoch {epoch}, step {n_batches}")
-            opt.step(flatten_grads(grads))
-            epoch_loss += loss
-            n_batches += 1
-        val_loss = float("nan")
-        if len(x_val):
-            eps_val = rng.standard_normal((x_val.shape[0], dims[-1]))
-            r_val, _ = vae_forward(params, x_val, eps_val)
-            val_loss = mse_loss(x_val, r_val)[0]
-        history.append((epoch, epoch_loss / max(n_batches, 1), val_loss))
-    return params, history
+    History rows are as in pretrain_ae; val_loss is the reconstruction MSE
+    with sampled latents.
+    """
+    def batch_loss(params, batch, grads, rng):
+        eps = rng.standard_normal((batch.shape[0], params.latent_dim))
+        return vae_loss_and_grads(params, batch, eps, cfg.vae_recon_weight,
+                                  out=grads)[0]
+
+    def val_loss(params, x_val, rng):
+        eps = rng.standard_normal((x_val.shape[0], params.latent_dim))
+        return mse_loss(x_val, vae_forward(params, x_val, eps)[0])[0]
+
+    return _pretrain(values, spec, cfg, "vae", build_vae, batch_loss, val_loss)
 
 
-def vae_reconstruction_loss(params: VaeParams, x: np.ndarray,
+def vae_reconstruction_loss(params: NetworkParams, x: np.ndarray,
                             seed: int = 0, use_mean: bool = False) -> float:
     """Reconstruction MSE with sampled z (training-like) or the mean vector."""
     x = np.asarray(x, dtype=float)

@@ -226,13 +226,17 @@ def cmd_train_derc(args, cfg):
 
 def cmd_evaluate(args, cfg):
     with open(args.pred, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "sample_id,cluster":
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or lines[0][1] != "sample_id,cluster":
         raise ParseError(f"{args.pred}: expected header 'sample_id,cluster'")
     pred = {}
-    for ln in lines[1:]:
-        sid, cid = ln.split(",")
-        pred[sid] = int(cid)
+    for no, ln in lines[1:]:
+        try:
+            sid, cid = ln.split(",")
+            pred[sid] = int(cid)
+        except ValueError:
+            raise ParseError(f"{args.pred}: line {no}: expected "
+                             f"'sample_id,cluster' with an integer cluster, got {ln!r}")
     ds = _load_dataset(args.data, need_labels=True, labels_path=args.labels)
     missing = [sid for sid in ds.sample_ids if sid not in pred]
     if missing:
@@ -386,7 +390,7 @@ def main(argv=None) -> int:
     except DercError as exc:
         print(f"derc: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"derc: {exc}", file=sys.stderr)
         return 2
     return 0

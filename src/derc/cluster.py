@@ -132,7 +132,8 @@ def train_derc(values: np.ndarray, params: NetworkParams,
 
     Targets P are refreshed on the full dataset at iteration 0 and then
     every cfg.target_interval mini-batch steps. History rows are
-    (iteration, cluster_loss_per_sample, recon_loss, total).
+    (iteration, cluster_loss_per_sample, recon_loss, total). A VAE model is
+    trained through its mean encoding; its log-variance head is not updated.
     """
     from .autoencoder import encode
 
@@ -148,7 +149,7 @@ def train_derc(values: np.ndarray, params: NetworkParams,
         )
 
     rng = np.random.default_rng(cfg.seed)
-    layers = params.all_layers()
+    layers = [*params.encoder_layers, *params.decoder_layers]
     opt = SgdMomentum([*collect_params(layers), centroids], cfg.lr, cfg.momentum)
     enc_grads = grad_buffers(params.encoder_layers)
     dec_grads = grad_buffers(params.decoder_layers)

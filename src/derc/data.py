@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .network import DenseLayer, NetworkParams
 
 logger = logging.getLogger(__name__)
 
@@ -277,21 +278,21 @@ def save_container(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
 
 def save_model(path, params, centroids: np.ndarray | None = None,
                extra_meta: dict | None = None) -> None:
-    """Persist trained network parameters (AE or VAE) and optional centroids."""
-    from .autoencoder import VaeParams
-    from .network import NetworkParams
+    """Persist trained network parameters (AE or VAE) and optional centroids.
 
+    An AE is stored as enc*/dec* arrays; a VAE as trunk*/dec*/mu0/lv0, its
+    encoder split into trunk and mean head.
+    """
     arrays: dict[str, np.ndarray] = {}
     meta: dict = dict(extra_meta or {})
-    if isinstance(params, VaeParams):
-        meta["kind"] = "vae"
-        stacks = {"trunk": params.trunk_layers, "dec": params.decoder_layers,
-                  "mu": [params.mu_head], "lv": [params.logvar_head]}
-    elif isinstance(params, NetworkParams):
+    enc = params.encoder_layers
+    if params.logvar_head is None:
         meta["kind"] = "ae"
-        stacks = {"enc": params.encoder_layers, "dec": params.decoder_layers}
+        stacks = {"enc": enc, "dec": params.decoder_layers}
     else:
-        raise ValidationError(f"cannot serialise model of type {type(params).__name__}")
+        meta["kind"] = "vae"
+        stacks = {"trunk": enc[:-1], "dec": params.decoder_layers,
+                  "mu": enc[-1:], "lv": [params.logvar_head]}
     activations: dict[str, list[str]] = {}
     for name, layers in stacks.items():
         activations[name] = [ly.activation for ly in layers]
@@ -308,10 +309,11 @@ def save_model(path, params, centroids: np.ndarray | None = None,
 
 def load_model(path):
     """Inverse of save_model; returns (params, centroids-or-None, meta)."""
-    from .autoencoder import VaeParams
-    from .network import DenseLayer, NetworkParams
-
     arrays, meta = load_container(path)
+    kind = meta.get("kind")
+    if kind not in ("ae", "vae"):
+        raise ValidationError(
+            f"{path}: container holds {kind!r}, not a model ('ae' or 'vae')")
 
     def stack(name):
         acts = meta["activations"][name]
@@ -321,9 +323,10 @@ def load_model(path):
             for i in range(len(acts))
         ]
 
-    if meta["kind"] == "vae":
-        params = VaeParams(trunk_layers=stack("trunk"), mu_head=stack("mu")[0],
-                           logvar_head=stack("lv")[0], decoder_layers=stack("dec"))
+    if kind == "vae":
+        params = NetworkParams(encoder_layers=[*stack("trunk"), *stack("mu")],
+                               decoder_layers=stack("dec"),
+                               logvar_head=stack("lv")[0])
     else:
         params = NetworkParams(encoder_layers=stack("enc"),
                                decoder_layers=stack("dec"))

@@ -92,10 +92,16 @@ class DenseLayer:
 
 @dataclass
 class NetworkParams:
-    """Encoder/decoder stacks of dense layers with chained shapes."""
+    """The model of both kinds: encoder/decoder stacks with chained shapes.
+
+    An AE has no logvar_head. In a VAE the last encoder layer is the linear
+    mean head and logvar_head is a linear layer reading the same input, so
+    the encoder stack alone is the deterministic (mean) latent map.
+    """
 
     encoder_layers: list[DenseLayer] = field(default_factory=list)
     decoder_layers: list[DenseLayer] = field(default_factory=list)
+    logvar_head: DenseLayer | None = None
 
     @property
     def input_dim(self) -> int:
@@ -106,7 +112,8 @@ class NetworkParams:
         return self.encoder_layers[-1].n_out
 
     def all_layers(self) -> list[DenseLayer]:
-        return [*self.encoder_layers, *self.decoder_layers]
+        heads = [] if self.logvar_head is None else [self.logvar_head]
+        return [*self.encoder_layers, *heads, *self.decoder_layers]
 
 
 def forward_layers(layers: list[DenseLayer], x: np.ndarray):

@@ -24,7 +24,7 @@ def synth_csv(tmp_path, name="synth.csv", seed=0, n=40, d=30, informative=8):
     return path, ds
 
 
-def pipeline(tmp_path, seed=7):
+def pipeline(tmp_path, seed=7, kind="ae"):
     """prescreen -> pretrain -> cluster-init -> train-derc -> evaluate."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     raw, ds = synth_csv(tmp_path)
@@ -39,7 +39,7 @@ def pipeline(tmp_path, seed=7):
                 "--out-report", tmp_path / "ps.csv",
                 "--out-kept", tmp_path / "kept.txt"]) == 0
     width = len(data.load_csv(filtered, has_labels=True).feature_ids)
-    assert run(["pretrain", "ae", "--data", filtered, "--out", model,
+    assert run(["pretrain", kind, "--data", filtered, "--out", model,
                 "--history", tmp_path / "hist.csv", "--seed", seed,
                 "--dims", f"{width},16,4", "--epochs", "20"]) == 0
     assert run(["cluster-init", "--model", model, "--data", filtered,
@@ -59,6 +59,16 @@ class TestPipeline:
         report, _ = pipeline(tmp_path)
         text = report.read_text()
         assert "ACC:" in text and "FP:" in text
+
+    def test_vae_pipeline_runs(self, tmp_path):
+        # train-derc clusters a VAE on its mean encoding
+        pipeline(tmp_path, kind="vae")
+        out = tmp_path / "latent.csv"
+        assert run(["export-latent", "--model", tmp_path / "trained.derc",
+                    "--data", tmp_path / "filtered.csv", "--out", out]) == 0
+        assert len(out.read_text().splitlines()) == 41
+        _, _, meta = data.load_model(tmp_path / "trained.derc")
+        assert meta["kind"] == "vae"
 
     def test_pipeline_deterministic(self, tmp_path):
         report_a, pred_a = pipeline(tmp_path / "a", seed=7)
@@ -86,7 +96,68 @@ class TestPipeline:
         assert "f5" not in kept  # duplicate of f0 (higher index removed)
 
 
+def _missing_file(tmp_path):
+    return ["pretrain", "ae", "--data", tmp_path / "nope.csv",
+            "--out", tmp_path / "m.derc"]
+
+
+def _width_mismatch(tmp_path):
+    raw, _ = synth_csv(tmp_path, d=30)
+    other, _ = synth_csv(tmp_path, name="other.csv", d=20)
+    model = tmp_path / "model.derc"
+    assert run(["pretrain", "ae", "--data", raw, "--out", model,
+                "--dims", "30,16,8", "--epochs", "2"]) == 0
+    return ["export-latent", "--model", model, "--data", other,
+            "--out", tmp_path / "z.csv"]
+
+
+def _centroids_as_model(tmp_path):
+    raw, _ = synth_csv(tmp_path)
+    cents = tmp_path / "centroids.derc"
+    data.save_container(cents, dict(centroids=np.zeros((2, 4))),
+                        dict(kind="centroids", k=2))
+    return ["export-latent", "--model", cents, "--data", raw,
+            "--out", tmp_path / "z.csv"]
+
+
+def _directory_as_data(tmp_path):
+    return ["pretrain", "ae", "--data", tmp_path, "--out", tmp_path / "m.derc"]
+
+
+def _bad_pred_line(line):
+    def argv(tmp_path):
+        raw, _ = synth_csv(tmp_path)
+        pred = tmp_path / "pred.csv"
+        pred.write_text(f"sample_id,cluster\n{line}\n")
+        return ["evaluate", "--pred", pred, "--data", raw,
+                "--out", tmp_path / "report.txt"]
+    return argv
+
+
+# bad input -> (argv builder, exit code, substrings of the one stderr line)
+BAD_INPUTS = {
+    "missing-file": (_missing_file, 2, ["nope.csv"]),
+    "width-mismatch": (_width_mismatch, 2, ["30", "20"]),
+    "centroids-as-model": (_centroids_as_model, 2, ["not a model"]),
+    "directory-as-data": (_directory_as_data, 2, ["directory"]),
+    "pred-three-fields": (_bad_pred_line("s0,1,2"), 2, ["pred.csv", "line 2"]),
+    "pred-non-integer-cluster": (_bad_pred_line("s0,one"), 2, ["pred.csv", "line 2"]),
+}
+
+
 class TestErrors:
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_bad_input_one_line_error(self, case, tmp_path, capsys):
+        make_argv, code, needles = BAD_INPUTS[case]
+        argv = make_argv(tmp_path)
+        capsys.readouterr()  # drop what building the inputs printed
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        for needle in needles:
+            assert needle in err
+
     def test_missing_labels_exit_2(self, tmp_path, capsys):
         ds = data.generate_synthetic(data.SynthSpec(n_samples=20, n_features=10,
                                                     n_informative=2, seed=0))
@@ -102,22 +173,6 @@ class TestErrors:
     def test_usage_error_exit_1(self):
         assert run(["prescreen"]) == 1
         assert run(["no-such-command"]) == 1
-
-    def test_width_mismatch_exit_2(self, tmp_path, capsys):
-        raw, _ = synth_csv(tmp_path, d=30)
-        other, _ = synth_csv(tmp_path, name="other.csv", d=20)
-        model = tmp_path / "model.derc"
-        assert run(["pretrain", "ae", "--data", raw, "--out", model,
-                    "--dims", "30,16,8", "--epochs", "2"]) == 0
-        code = run(["export-latent", "--model", model, "--data", other,
-                    "--out", tmp_path / "z.csv"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "30" in err and "20" in err
-
-    def test_missing_file_exit_2(self, tmp_path):
-        assert run(["pretrain", "ae", "--data", tmp_path / "nope.csv",
-                    "--out", tmp_path / "m.derc"]) == 2
 
     def test_out_of_range_value_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -168,6 +168,24 @@ class TestTrainDerc:
             cl.train_derc(ds.values[:1], params, np.zeros((2, 4)),
                           cl.DercConfig(k=2, epochs=1))
 
+    def test_vae_trains_on_mean_encoding(self, tmp_path):
+        ds = data.generate_synthetic(
+            data.SynthSpec(n_samples=40, n_features=12, n_informative=6, seed=8))
+        params = ae.build_vae([12, 8, 4], np.random.default_rng(8))
+        lv_w, lv_b = params.logvar_head.weights.copy(), params.logvar_head.bias.copy()
+        mu_w = params.encoder_layers[-1].weights.copy()
+        km = kmeans.kmeans_fit(ae.encode(params, ds.values), k=2, restarts=5, seed=8)
+        result = cl.train_derc(ds.values, params, km.centroids,
+                               cl.DercConfig(epochs=3, seed=8))
+        assert np.array_equal(params.logvar_head.weights, lv_w)
+        assert np.array_equal(params.logvar_head.bias, lv_b)
+        assert not np.array_equal(params.encoder_layers[-1].weights, mu_w)
+        path = tmp_path / "trained.derc"
+        data.save_model(path, result.params, centroids=result.state.centroids)
+        loaded, _, meta = data.load_model(path)
+        assert meta["kind"] == "vae"
+        assert np.array_equal(loaded.logvar_head.weights, lv_w)
+
     def test_determinism(self):
         import copy
 

@@ -153,6 +153,22 @@ class TestModelContainer:
         assert np.array_equal(encode(params, x), encode(loaded, x))
         assert meta["kind"] == "vae"
 
+    @pytest.mark.parametrize("kind, names, stacks", [
+        ("ae", ["enc0", "enc1", "dec0", "dec1"], ["enc", "dec"]),
+        ("vae", ["trunk0", "dec0", "dec1", "mu0", "lv0"], ["trunk", "dec", "mu", "lv"]),
+    ])
+    def test_on_disk_layout(self, tmp_path, kind, names, stacks):
+        # files written by earlier versions must keep loading: pin the layout
+        from derc import autoencoder
+
+        build = autoencoder.build_ae if kind == "ae" else autoencoder.build_vae
+        path = tmp_path / "model.derc"
+        data.save_model(path, build([6, 4, 2], np.random.default_rng(0)))
+        arrays, meta = data.load_container(path)
+        assert list(arrays) == [f"{n}_{t}" for n in names for t in "wb"]
+        assert list(meta) == ["kind", "activations", "input_dim", "latent_dim"]
+        assert meta["kind"] == kind and list(meta["activations"]) == stacks
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.derc"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
