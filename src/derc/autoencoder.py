@@ -63,6 +63,8 @@ class PretrainConfig:
     validation_fraction: float = 0.0
 
     def validate(self) -> None:
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValidationError("epochs and batch_size must be >= 1")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValidationError("validation_fraction must be in [0, 1)")
         if not 0.0 <= self.vae_recon_weight <= 1.0:

@@ -7,6 +7,7 @@ Exit codes: 1 usage error, 2 parse/validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -22,6 +23,10 @@ from .errors import DercError, NumericError, ParseError, ValidationError
 
 
 class CliParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # a config key that is only a prefix of a flag must not match it
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -73,14 +78,22 @@ def _check_width(meta: dict, ds: data_io.Dataset, what: str) -> None:
         )
 
 
-def _resolve(args, cfg: dict, key: str, default, cast):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in cfg:
-        raw = cfg[key]
-        return cast(raw) if cast is not bool else raw.lower() in ("1", "true", "yes")
-    return default
+def _stage_config(cls, args, **fixed):
+    """`cls` built from the flags set on the command line or in the config file.
+
+    Fields that no flag set keep their dataclass default; `fixed` sets the
+    values the command works out itself (k from the centroids, the stage
+    seed). Also returns the manifest settings: every field a flag or `fixed`
+    sets, with the global seed in place of the stage seed.
+    """
+    names = [f.name for f in dataclasses.fields(cls)]
+    flags = [n for n in names if hasattr(args, n)]
+    given = {n: getattr(args, n) for n in flags if getattr(args, n) is not None}
+    cfg = cls(**{**given, **fixed})
+    settings = {n: getattr(cfg, n) for n in names if n in flags or n in fixed}
+    if "seed" in settings:
+        settings["seed"] = args.seed
+    return cfg, settings
 
 
 def _write_history(path, rows, header) -> None:
@@ -94,13 +107,9 @@ def _write_history(path, rows, header) -> None:
 # --- subcommands -----------------------------------------------------------
 
 
-def cmd_prescreen(args, cfg):
+def cmd_prescreen(args):
     ds = _load_dataset(args.data, need_labels=True, labels_path=args.labels)
-    pcfg = ps.PrescreenConfig(
-        alpha=_resolve(args, cfg, "alpha", 0.05, float),
-        rho_threshold=_resolve(args, cfg, "rho-threshold", 0.90, float),
-        normality_alpha=_resolve(args, cfg, "normality-alpha", 0.05, float),
-    )
+    pcfg, settings = _stage_config(ps.PrescreenConfig, args)
     report = ps.discriminative_filter(ds, pcfg)
     filtered = ds.subset_features(report.kept_indices)
     filtered.labels = ds.labels
@@ -122,17 +131,21 @@ def cmd_prescreen(args, cfg):
         for fid in report.kept_feature_ids:
             fh.write(fid + "\n")
 
-    write_manifest(args.out_data, "prescreen", [args.data],
-                   dict(alpha=pcfg.alpha, rho_threshold=pcfg.rho_threshold,
-                        normality_alpha=pcfg.normality_alpha))
+    write_manifest(args.out_data, "prescreen", [args.data], settings)
     print(f"kept {len(report.kept_feature_ids)} of {ds.n_features} features "
           f"({len(report.removed_by_correlation)} by correlation, "
           f"{len(report.removed_by_class_test)} by class test)")
 
 
-def _parse_dims(raw: str | None, d_in: int, latent: int | None):
-    if raw:
-        dims = [int(t) for t in raw.split(",")]
+def _int_list(raw: str) -> list[int]:
+    try:
+        return [int(t) for t in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {raw!r}")
+
+
+def _ae_spec(dims: list[int] | None, d_in: int, latent: int | None):
+    if dims:
         if latent is not None:
             dims[-1] = latent
         return ae.AeSpec(layer_dims=dims)
@@ -141,71 +154,49 @@ def _parse_dims(raw: str | None, d_in: int, latent: int | None):
     return ae.AeSpec()
 
 
-def cmd_pretrain(args, cfg):
+def cmd_pretrain(args):
     ds = _load_dataset(args.data)
-    seed = _resolve(args, cfg, "seed", 0, int)
-    pcfg = ae.PretrainConfig(
-        epochs=_resolve(args, cfg, "epochs", 300, int),
-        lr=_resolve(args, cfg, "lr", 1.0, float),
-        momentum=_resolve(args, cfg, "momentum", 0.0, float),
-        batch_size=_resolve(args, cfg, "batch-size", 8, int),
-        seed=stage_seed(seed, "pretrain"),
-        vae_recon_weight=_resolve(args, cfg, "vae-recon-weight", 0.8, float),
-        validation_fraction=_resolve(args, cfg, "validation-fraction", 0.0, float),
-    )
-    spec = _parse_dims(_resolve(args, cfg, "dims", None, str), ds.n_features,
-                       args.latent_dim)
+    pcfg, settings = _stage_config(ae.PretrainConfig, args,
+                                   seed=stage_seed(args.seed, "pretrain"))
+    spec = _ae_spec(args.dims, ds.n_features, args.latent_dim)
     train = ae.pretrain_ae if args.kind == "ae" else ae.pretrain_vae
     params, history = train(ds.values, spec, pcfg)
     data_io.save_model(args.out, params)
     if args.history:
         _write_history(args.history, history, "epoch,train_loss,val_loss")
     write_manifest(args.out, "pretrain", [args.data],
-                   dict(kind=args.kind, dims=spec.resolve(ds.n_features),
-                        epochs=pcfg.epochs, lr=pcfg.lr, momentum=pcfg.momentum,
-                        batch_size=pcfg.batch_size,
-                        vae_recon_weight=pcfg.vae_recon_weight,
-                        validation_fraction=pcfg.validation_fraction, seed=seed))
-    final = history[-1][1] if history else float("nan")
+                   dict(settings, kind=args.kind, dims=spec.resolve(ds.n_features)))
     print(f"pretrained {args.kind} for {pcfg.epochs} epochs; "
-          f"final train loss {final:.6g}")
+          f"final train loss {history[-1][1]:.6g}")
 
 
-def cmd_cluster_init(args, cfg):
+def cmd_cluster_init(args):
     params, _, meta = data_io.load_model(args.model)
     ds = _load_dataset(args.data)
     _check_width(meta, ds, "cluster-init")
-    seed = _resolve(args, cfg, "seed", 0, int)
-    k = _resolve(args, cfg, "k", 2, int)
-    restarts = _resolve(args, cfg, "restarts", 80, int)
     z = ae.encode(params, ds.values)
-    result = km.kmeans_fit(z, k=k, restarts=restarts,
-                           seed=stage_seed(seed, "cluster_init"))
+    result = km.kmeans_fit(z, k=args.k, restarts=args.restarts,
+                           seed=stage_seed(args.seed, "cluster_init"))
     data_io.save_container(args.out, dict(centroids=result.centroids),
-                           dict(kind="centroids", k=k, inertia=result.inertia,
-                                restarts=restarts))
+                           dict(kind="centroids", k=args.k, inertia=result.inertia,
+                                restarts=args.restarts))
     write_manifest(args.out, "cluster_init", [args.model, args.data],
-                   dict(k=k, restarts=restarts, seed=seed))
-    print(f"k-means: k={k}, restarts={restarts}, best inertia {result.inertia:.6g}")
+                   dict(k=args.k, restarts=args.restarts, seed=args.seed))
+    print(f"k-means: k={args.k}, restarts={args.restarts}, "
+          f"best inertia {result.inertia:.6g}")
 
 
-def cmd_train_derc(args, cfg):
+def cmd_train_derc(args):
     params, _, meta = data_io.load_model(args.model)
-    arrays, cmeta = data_io.load_container(args.centroids)
+    arrays, _ = data_io.load_container(args.centroids)
+    if "centroids" not in arrays:
+        raise ValidationError(f"{args.centroids}: container holds no centroids")
     centroids = arrays["centroids"]
     ds = _load_dataset(args.data)
     _check_width(meta, ds, "train-derc")
-    seed = _resolve(args, cfg, "seed", 0, int)
-    dcfg = derc_cluster.DercConfig(
-        beta=_resolve(args, cfg, "beta", 0.75, float),
-        target_interval=_resolve(args, cfg, "target-interval", 10, int),
-        epochs=_resolve(args, cfg, "epochs", 50, int),
-        batch_size=_resolve(args, cfg, "batch-size", 8, int),
-        lr=_resolve(args, cfg, "lr", 0.01, float),
-        momentum=_resolve(args, cfg, "momentum", 0.9, float),
-        k=centroids.shape[0],
-        seed=stage_seed(seed, "derc"),
-    )
+    dcfg, settings = _stage_config(derc_cluster.DercConfig, args,
+                                   k=centroids.shape[0],
+                                   seed=stage_seed(args.seed, "derc"))
     result = derc_cluster.train_derc(ds.values, params, centroids, dcfg)
     data_io.save_model(args.out, result.params, centroids=result.state.centroids,
                        extra_meta=dict(beta=dcfg.beta))
@@ -216,15 +207,12 @@ def cmd_train_derc(args, cfg):
         fh.write("sample_id,cluster\n")
         for sid, cid in zip(ds.sample_ids, result.cluster_ids):
             fh.write(f"{sid},{cid}\n")
-    write_manifest(args.out, "derc", [args.model, args.centroids, args.data],
-                   dict(beta=dcfg.beta, epochs=dcfg.epochs, lr=dcfg.lr,
-                        momentum=dcfg.momentum, batch_size=dcfg.batch_size,
-                        target_interval=dcfg.target_interval, k=dcfg.k, seed=seed))
+    write_manifest(args.out, "derc", [args.model, args.centroids, args.data], settings)
     sizes = np.bincount(result.cluster_ids, minlength=dcfg.k)
     print(f"trained DERC (beta={dcfg.beta}); cluster sizes {sizes.tolist()}")
 
 
-def cmd_evaluate(args, cfg):
+def cmd_evaluate(args):
     with open(args.pred, "r", encoding="utf-8") as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines or lines[0][1] != "sample_id,cluster":
@@ -255,7 +243,7 @@ def cmd_evaluate(args, cfg):
     print(report.csv_row(args.method))
 
 
-def cmd_export_latent(args, cfg):
+def cmd_export_latent(args):
     params, _, meta = data_io.load_model(args.model)
     ds = _load_dataset(args.data)
     _check_width(meta, ds, "export-latent")
@@ -267,14 +255,9 @@ def cmd_export_latent(args, cfg):
     print(f"wrote {z.shape[0]}x{z.shape[1]} latent matrix to {args.out}")
 
 
-def cmd_synth(args, cfg):
-    spec = data_io.SynthSpec(
-        n_samples=_resolve(args, cfg, "n-samples", 100, int),
-        n_features=_resolve(args, cfg, "n-features", 500, int),
-        n_informative=_resolve(args, cfg, "n-informative", 50, int),
-        class_ratio=_resolve(args, cfg, "class-ratio", 0.5, float),
-        seed=stage_seed(_resolve(args, cfg, "seed", 0, int), "synth"),
-    )
+def cmd_synth(args):
+    spec, _ = _stage_config(data_io.SynthSpec, args,
+                            seed=stage_seed(args.seed, "synth"))
     ds = data_io.generate_synthetic(spec)
     data_io.save_csv(ds, args.out)
     print(f"wrote synthetic dataset {ds.n_samples}x{ds.n_features} to {args.out}")
@@ -287,12 +270,14 @@ def build_parser() -> CliParser:
     parser = CliParser(prog="derc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, help="global seed (default 0)")
+        p.add_argument("--seed", type=int, default=0, help="global seed")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("prescreen", help="statistical feature filtering")
-    common(p)
+    p = command("prescreen", cmd_prescreen, "statistical feature filtering")
     p.add_argument("--data", required=True)
     p.add_argument("--labels", help="labels file when the dataset has no label column")
     p.add_argument("--out-data", required=True)
@@ -300,10 +285,9 @@ def build_parser() -> CliParser:
     p.add_argument("--out-kept", required=True)
     p.add_argument("--alpha", type=float)
     p.add_argument("--rho-threshold", type=float)
-    p.set_defaults(func=cmd_prescreen)
+    p.add_argument("--normality-alpha", type=float)
 
-    p = sub.add_parser("pretrain", help="train the AE or VAE")
-    common(p)
+    p = command("pretrain", cmd_pretrain, "train the AE or VAE")
     p.add_argument("kind", choices=["ae", "vae"])
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -312,21 +296,21 @@ def build_parser() -> CliParser:
     p.add_argument("--lr", type=float)
     p.add_argument("--momentum", type=float)
     p.add_argument("--batch-size", type=int)
+    p.add_argument("--vae-recon-weight", type=float)
+    p.add_argument("--validation-fraction", type=float)
     p.add_argument("--latent-dim", type=int)
-    p.add_argument("--dims", help="comma list of layer widths, input first")
-    p.set_defaults(func=cmd_pretrain)
+    p.add_argument("--dims", type=_int_list,
+                   help="comma list of layer widths, input first")
 
-    p = sub.add_parser("cluster-init", help="K-means centroids on the latent space")
-    common(p)
+    p = command("cluster-init", cmd_cluster_init,
+                "K-means centroids on the latent space")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--restarts", type=int)
-    p.set_defaults(func=cmd_cluster_init)
+    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--restarts", type=int, default=80)
 
-    p = sub.add_parser("train-derc", help="joint clustering + reconstruction")
-    common(p)
+    p = command("train-derc", cmd_train_derc, "joint clustering + reconstruction")
     p.add_argument("--model", required=True)
     p.add_argument("--centroids", required=True)
     p.add_argument("--data", required=True)
@@ -339,58 +323,50 @@ def build_parser() -> CliParser:
     p.add_argument("--momentum", type=float)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--target-interval", type=int)
-    p.set_defaults(func=cmd_train_derc)
 
-    p = sub.add_parser("evaluate", help="score predictions against labels")
-    common(p)
+    p = command("evaluate", cmd_evaluate, "score predictions against labels")
     p.add_argument("--pred", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--labels")
     p.add_argument("--out", required=True)
     p.add_argument("--method", default="derc")
     p.add_argument("--positive-label", type=int, default=1)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("export-latent", help="write the latent matrix as CSV")
-    common(p)
+    p = command("export-latent", cmd_export_latent, "write the latent matrix as CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_latent)
 
-    p = sub.add_parser("synth", help="generate a synthetic cohort")
-    common(p)
+    p = command("synth", cmd_synth, "generate a synthetic cohort")
     p.add_argument("--out", required=True)
     p.add_argument("--n-samples", type=int)
     p.add_argument("--n-features", type=int)
     p.add_argument("--n-informative", type=int)
     p.add_argument("--class-ratio", type=float)
-    p.set_defaults(func=cmd_synth)
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config) if args.config else {}
+        if args.config:
+            # each `key = value` line becomes --key=value ahead of the command
+            # line's own flags, so those win and one parser checks every key
+            flags = [f"--{k}={v}" for k, v in load_config(args.config).items()]
+            args = parser.parse_args([argv[0], *flags, *argv[1:]])
         # a diverging run is reported once, by the trainers' non-finite loss
         # check (exit 3), not also by numpy's floating-point warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            args.func(args, cfg)
+            args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except NumericError as exc:
         print(f"derc: numeric error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValidationError) as exc:
-        print(f"derc: {exc}", file=sys.stderr)
-        return 2
-    except DercError as exc:
-        print(f"derc: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DercError, OSError) as exc:
         print(f"derc: {exc}", file=sys.stderr)
         return 2
     return 0

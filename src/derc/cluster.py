@@ -50,6 +50,8 @@ class DercConfig:
             raise ValidationError("beta must be >= 0")
         if self.target_interval < 1:
             raise ValidationError("target_interval must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValidationError("epochs and batch_size must be >= 1")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
 

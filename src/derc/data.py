@@ -323,13 +323,16 @@ def load_model(path):
             for i in range(len(acts))
         ]
 
-    if kind == "vae":
-        params = NetworkParams(encoder_layers=[*stack("trunk"), *stack("mu")],
-                               decoder_layers=stack("dec"),
-                               logvar_head=stack("lv")[0])
-    else:
-        params = NetworkParams(encoder_layers=stack("enc"),
-                               decoder_layers=stack("dec"))
+    try:
+        if kind == "vae":
+            params = NetworkParams(encoder_layers=[*stack("trunk"), *stack("mu")],
+                                   decoder_layers=stack("dec"),
+                                   logvar_head=stack("lv")[0])
+        else:
+            params = NetworkParams(encoder_layers=stack("enc"),
+                                   decoder_layers=stack("dec"))
+    except KeyError as exc:
+        raise ValidationError(f"{path}: {kind} model container lacks {exc}")
     centroids = arrays.get("centroids")
     return params, centroids, meta
 

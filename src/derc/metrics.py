@@ -67,7 +67,14 @@ def confusion_counts(y, c, mapping: dict[int, int], positive_label: int = 1):
 
 
 def evaluate(y, c, positive_label: int = 1) -> MetricsReport:
+    """ACC, error rate and FP/FN; each cluster id must be a label class
+    0..max(y), because FP/FN count the clusters mapped onto real classes."""
     acc, mapping = clustering_accuracy(y, c)
+    classes = set(range(int(np.max(y)) + 1))
+    outside = sorted(set(np.asarray(c, dtype=int).tolist()) - classes)
+    if outside:
+        raise ValidationError(f"cluster ids {outside} are outside the label "
+                              f"classes 0..{len(classes) - 1}")
     fp, fn, confusion = confusion_counts(y, c, mapping, positive_label)
     return MetricsReport(
         acc=acc,

@@ -120,6 +120,52 @@ def _centroids_as_model(tmp_path):
             "--out", tmp_path / "z.csv"]
 
 
+def _ae_container_without_layers(tmp_path):
+    raw, _ = synth_csv(tmp_path)
+    empty = tmp_path / "empty.derc"
+    data.save_container(empty, {}, dict(kind="ae"))
+    return ["export-latent", "--model", empty, "--data", raw,
+            "--out", tmp_path / "z.csv"]
+
+
+def _small_model(tmp_path):
+    raw, _ = synth_csv(tmp_path)
+    model = tmp_path / "model.derc"
+    assert run(["pretrain", "ae", "--data", raw, "--out", model,
+                "--dims", "30,16,4", "--epochs", "2"]) == 0
+    return raw, model
+
+
+def _model_as_centroids(tmp_path):
+    raw, model = _small_model(tmp_path)
+    return ["train-derc", "--model", model, "--centroids", model, "--data", raw,
+            "--out", tmp_path / "t.derc", "--pred", tmp_path / "p.csv"]
+
+
+def _zero_batch_size(tmp_path):
+    raw, _ = synth_csv(tmp_path)
+    return ["pretrain", "ae", "--data", raw, "--out", tmp_path / "m.derc",
+            "--dims", "30,16,4", "--batch-size", "0"]
+
+
+def _negative_derc_epochs(tmp_path):
+    raw, model = _small_model(tmp_path)
+    cents = tmp_path / "c.derc"
+    assert run(["cluster-init", "--model", model, "--data", raw,
+                "--out", cents, "--restarts", "2"]) == 0
+    return ["train-derc", "--model", model, "--centroids", cents, "--data", raw,
+            "--out", tmp_path / "t.derc", "--pred", tmp_path / "p.csv",
+            "--epochs", "-1"]
+
+
+def _more_clusters_than_classes(tmp_path):
+    raw, ds = synth_csv(tmp_path)
+    pred = tmp_path / "pred.csv"
+    pred.write_text("sample_id,cluster\n" + "".join(
+        f"{sid},{i % 3}\n" for i, sid in enumerate(ds.sample_ids)))
+    return ["evaluate", "--pred", pred, "--data", raw, "--out", tmp_path / "r.txt"]
+
+
 def _directory_as_data(tmp_path):
     return ["pretrain", "ae", "--data", tmp_path, "--out", tmp_path / "m.derc"]
 
@@ -142,6 +188,13 @@ BAD_INPUTS = {
     "directory-as-data": (_directory_as_data, 2, ["directory"]),
     "pred-three-fields": (_bad_pred_line("s0,1,2"), 2, ["pred.csv", "line 2"]),
     "pred-non-integer-cluster": (_bad_pred_line("s0,one"), 2, ["pred.csv", "line 2"]),
+    "ae-container-without-layers": (_ae_container_without_layers, 2,
+                                    ["empty.derc", "activations"]),
+    "model-as-centroids": (_model_as_centroids, 2, ["model.derc", "no centroids"]),
+    "pretrain-batch-size-zero": (_zero_batch_size, 2, ["batch_size", ">= 1"]),
+    "derc-epochs-negative": (_negative_derc_epochs, 2, ["epochs", ">= 1"]),
+    "more-clusters-than-classes": (_more_clusters_than_classes, 2,
+                                   ["[2]", "outside the label classes"]),
 }
 
 
@@ -254,3 +307,94 @@ class TestUtilities:
                     "--epochs", "1"]) == 0
         manifest = json.loads((tmp_path / "t.derc.manifest.json").read_text())
         assert manifest["settings"]["k"] == 3
+
+
+# stage argv without settings -> the settings, given once as flags and once as
+# `key = value` lines of a --config file
+CONFIGURED_STAGES = (
+    (["prescreen", "--data", "raw.csv", "--out-data", "filtered.csv",
+      "--out-report", "screen.csv", "--out-kept", "kept.txt"],
+     {"alpha": "0.1", "rho-threshold": "0.95", "normality-alpha": "0.01"}),
+    (["pretrain", "vae", "--data", "raw.csv", "--out", "vae.derc",
+      "--history", "vae_hist.csv"],
+     {"dims": "30,16,4", "epochs": "3", "lr": "0.5", "momentum": "0.1",
+      "batch-size": "4", "vae-recon-weight": "0.6",
+      "validation-fraction": "0.25", "seed": "5"}),
+    (["cluster-init", "--model", "vae.derc", "--data", "raw.csv",
+      "--out", "centroids.derc"],
+     {"k": "2", "restarts": "5", "seed": "5"}),
+    (["train-derc", "--model", "vae.derc", "--centroids", "centroids.derc",
+      "--data", "raw.csv", "--out", "trained.derc", "--pred", "pred.csv",
+      "--history", "derc_hist.csv"],
+     {"beta": "0.5", "epochs": "2", "lr": "0.02", "momentum": "0.8",
+      "batch-size": "4", "target-interval": "3", "seed": "5"}),
+)
+
+
+def _configured_run(root, as_config, monkeypatch):
+    root.mkdir()
+    synth_csv(root, name="raw.csv")
+    # relative paths, so the manifests' input names match between the runs
+    monkeypatch.chdir(root)
+    for i, (argv, settings) in enumerate(CONFIGURED_STAGES):
+        if as_config:
+            cfg = root / f"stage{i}.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+            extra = ["--config", cfg.name]
+        else:
+            extra = [f"--{k}={v}" for k, v in settings.items()]
+        assert run([*argv, *extra]) == 0
+    return {p.name: p.read_bytes() for p in root.iterdir() if p.suffix != ".cfg"}
+
+
+class TestConfig:
+    def test_flags_and_config_file_give_identical_outputs(self, tmp_path, monkeypatch):
+        import json
+
+        by_flags = _configured_run(tmp_path / "flags", False, monkeypatch)
+        by_config = _configured_run(tmp_path / "config", True, monkeypatch)
+        assert sorted(by_flags) == sorted(by_config)
+        for name in by_flags:
+            assert by_flags[name] == by_config[name], name
+        settings = json.loads(by_config["vae.derc.manifest.json"])["settings"]
+        assert settings["vae_recon_weight"] == 0.6
+        assert settings["validation_fraction"] == 0.25
+        settings = json.loads(by_config["filtered.csv.manifest.json"])["settings"]
+        assert settings["normality_alpha"] == 0.01
+        settings = json.loads(by_config["trained.derc.manifest.json"])["settings"]
+        assert settings["target_interval"] == 3 and settings["seed"] == 5
+
+    @pytest.mark.parametrize("line, key", [
+        ("epochz = 1", "epochz"),        # unknown key
+        ("epoch = 3", "epoch"),          # a prefix of --epochs
+        ("epochs = two", "epochs"),      # malformed value
+        ("dims = 12,x,4", "dims"),       # malformed list value
+    ])
+    def test_bad_config_line_exit_1(self, line, key, tmp_path, capsys):
+        raw, _ = synth_csv(tmp_path, n=24, d=12, informative=4)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        model = tmp_path / "m.derc"
+        capsys.readouterr()
+        assert run(["pretrain", "ae", "--data", raw, "--out", model,
+                    "--dims", "12,8,4", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"--{key}=" in err or f"--{key}:" in err
+        assert "Traceback" not in err
+        assert not model.exists()
+        assert not (tmp_path / "m.derc.manifest.json").exists()
+
+    def test_readme_round_trip(self, tmp_path):
+        # the README's fenced round trip, verbatim, with `derc` as a shell function
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = next(b for b in readme.split("```sh\n")[1:] if "derc synth" in b)
+        script = block.split("```", 1)[0]
+        src = Path(data.__file__).resolve().parents[1]
+        shim = f'derc() {{ "{sys.executable}" -m derc.cli "$@"; }}\n'
+        proc = subprocess.run(
+            ["bash", "-ec", shim + script],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert "ACC:" in (tmp_path / "report.txt").read_text()
+        assert (tmp_path / "latent.csv").exists()

@@ -112,6 +112,11 @@ class TestReport:
         report = evaluate(y, c)
         assert report.error_rate_percent + 100.0 * report.acc == pytest.approx(100.0)
 
+    def test_negative_cluster_id_rejected(self):
+        # a negative id would index the contingency matrix from the end
+        with pytest.raises(ValidationError, match="outside the label classes"):
+            evaluate([0, 0, 1, 1], [0, 1, -1, 1])
+
     def test_csv_row_format(self):
         report = evaluate([0, 0, 1, 1], [0, 0, 1, 1])
         assert report.csv_row("ae+kmeans") == "ae+kmeans,1.0000,0.00,0,0"
