@@ -23,6 +23,7 @@ from .network import (
     forward_layers,
     grad_buffers,
     mse_loss,
+    validate_sgd,
 )
 
 DEFAULT_HIDDEN_DIMS = (2000, 500, 70, 10)
@@ -65,6 +66,7 @@ class PretrainConfig:
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be >= 1")
+        validate_sgd(self.lr, self.momentum)
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValidationError("validation_fraction must be in [0, 1)")
         if not 0.0 <= self.vae_recon_weight <= 1.0:

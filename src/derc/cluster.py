@@ -28,6 +28,7 @@ from .network import (
     forward_layers,
     grad_buffers,
     mse_loss,
+    validate_sgd,
 )
 
 
@@ -54,6 +55,7 @@ class DercConfig:
             raise ValidationError("epochs and batch_size must be >= 1")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
+        validate_sgd(self.lr, self.momentum)
 
 
 @dataclass

@@ -114,6 +114,18 @@ def _parse_cell(token: str, row: int, col: int) -> float:
         raise ParseError(f"non-numeric cell at table row {row}, column {col}: {token!r}")
 
 
+def _parse_row(cells: list[str], row: int, first_col: int):
+    """Parse one table row of cells numbered from first_col.
+
+    The whole row goes through float() in one numpy call; a row with a
+    quoted, missing or non-numeric cell is parsed cell by cell instead.
+    """
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        return [_parse_cell(tok, row, first_col + c) for c, tok in enumerate(cells)]
+
+
 def _impute_feature_means(values: np.ndarray, feature_ids: list[str]):
     """Replace NaNs by per-feature means; drop features that are all-missing."""
     keep = []
@@ -155,7 +167,7 @@ def load_series_matrix(path) -> Dataset:
     header = [t.strip().strip('"') for t in lines[begin + 1].split("\t")]
     sample_ids = header[1:]
     probe_ids: list[str] = []
-    rows: list[list[float]] = []
+    rows = []
     for r, line in enumerate(lines[begin + 2:end]):
         parts = line.split("\t")
         if len(parts) != len(header):
@@ -163,7 +175,7 @@ def load_series_matrix(path) -> Dataset:
                 f"{path}: table row {r} has {len(parts)} columns, expected {len(header)}"
             )
         probe_ids.append(parts[0].strip().strip('"'))
-        rows.append([_parse_cell(tok, r, c + 1) for c, tok in enumerate(parts[1:])])
+        rows.append(_parse_row(parts[1:], r, 1))
 
     # file orientation is probe x sample; transpose to samples-as-rows
     values = np.asarray(rows, dtype=float).T
@@ -205,7 +217,7 @@ def load_csv(path, has_labels: bool = False) -> Dataset:
                 raise ValidationError(f"{path}: non-binary label {lab!r} at row {r}")
             labels.append(int(lab))
             parts = parts[:-1]
-        rows.append([_parse_cell(tok, r, c) for c, tok in enumerate(parts)])
+        rows.append(_parse_row(parts, r, 0))
 
     values = np.asarray(rows, dtype=float)
     values, feature_ids, _ = _impute_feature_means(values, list(feature_ids))

@@ -173,6 +173,14 @@ def mse_loss(x: np.ndarray, r: np.ndarray):
     return loss, grad
 
 
+def validate_sgd(lr: float, momentum: float) -> None:
+    """Reject a step size or momentum under which SGD does not descend."""
+    if not 0.0 < lr < np.inf:
+        raise ValidationError(f"lr must be finite and > 0, got {lr}")
+    if not 0.0 <= momentum < 1.0:
+        raise ValidationError(f"momentum must be in [0, 1), got {momentum}")
+
+
 class SgdMomentum:
     """Classical-momentum SGD: v <- m*v - lr*g; p <- p + v.
 

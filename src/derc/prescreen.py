@@ -4,6 +4,11 @@ Two passes: (1) drop near-duplicate features whose pairwise correlation is
 both strong (|rho| >= threshold) and significant (p <= alpha); (2) keep
 only features that discriminate the two classes, using Welch's t-test when
 both class subsamples look normal and the Wilcoxon rank-sum test otherwise.
+
+The test statistics are computed directly with numpy and scipy.special,
+following scipy.stats operation for operation (normaltest, ttest_ind with
+equal_var=False, rankdata, norm.sf, t.sf), so the p-values are those of
+scipy.stats without the cost of its per-call front ends.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .data import Dataset
 from .errors import ValidationError
@@ -20,6 +25,7 @@ from .errors import ValidationError
 MIN_NORMALITY_N = 8
 EXACT_WILCOXON_MAX = 20
 PRUNE_BLOCK = 256
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -33,6 +39,8 @@ class PrescreenConfig:
             raise ValidationError("alpha must be in (0, 1)")
         if not 0.0 < self.rho_threshold <= 1.0:
             raise ValidationError("rho_threshold must be in (0, 1]")
+        if not 0.0 < self.normality_alpha < 1.0:
+            raise ValidationError("normality_alpha must be in (0, 1)")
 
 
 @dataclass
@@ -44,37 +52,11 @@ class PrescreenReport:
     kept_indices: np.ndarray | None = None
 
 
-def pearson_correlation_test(x, y):
-    """Pearson rho and two-sided p from t = rho*sqrt((n-2)/(1-rho^2)).
-
-    Constant vectors yield (0, 1) by convention.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValidationError("vectors must have equal length")
-    n = len(x)
-    if n < 3:
-        raise ValidationError("need at least 3 observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = np.sqrt(np.sum(xc * xc))
-    sy = np.sqrt(np.sum(yc * yc))
-    if sx == 0.0 or sy == 0.0:
-        return 0.0, 1.0
-    rho = float(np.clip(np.dot(xc, yc) / (sx * sy), -1.0, 1.0))
-    if abs(rho) >= 1.0 - 1e-12:  # collinear up to rounding
-        return float(np.sign(rho)), 0.0
-    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * stats.t.sf(abs(t), df=n - 2)
-    return rho, float(min(p, 1.0))
-
-
 def _pvalue_from_rho(rho: np.ndarray, n: int) -> np.ndarray:
     rho = np.clip(rho, -1.0, 1.0)
     with np.errstate(divide="ignore"):
         t = np.abs(rho) * np.sqrt((n - 2) / np.maximum(1.0 - rho * rho, 0.0))
-    return np.where(np.isinf(t), 0.0, 2.0 * stats.t.sf(t, df=n - 2))
+    return 2.0 * special.stdtr(n - 2, -t)  # stdtr(df, -inf) == 0
 
 
 def correlation_prune(data: Dataset, cfg: PrescreenConfig):
@@ -118,19 +100,67 @@ def correlation_prune(data: Dataset, cfg: PrescreenConfig):
     return kept, np.nonzero(removed)[0]
 
 
+# The two scores below repeat scipy.stats' expressions in scipy's order, with
+# `**0.5` where scipy has it, so that they round exactly as scipy does.
+
+
+def _skewtest_z(b2: float, n: float) -> float:
+    """D'Agostino's normal score of the sample skewness b2 (scipy's skewtest)."""
+    y = b2 * np.sqrt(((n + 1) * (n + 3)) / (6.0 * (n - 2)))
+    beta2 = (3.0 * (n**2 + 27*n - 70) * (n+1) * (n+3) /
+             ((n-2.0) * (n+5) * (n+7) * (n+9)))
+    w2 = -1 + np.sqrt(2 * (beta2 - 1))
+    delta = 1 / np.sqrt(0.5 * np.log(w2))
+    alpha = np.sqrt(2.0 / (w2 - 1))
+    if y == 0:
+        y = 1.0
+    return delta * np.log(y / alpha + np.sqrt((y / alpha)**2 + 1))
+
+
+def _kurtosistest_z(b2: float, n: float) -> float:
+    """Anscombe-Glynn normal score of the sample kurtosis b2 (scipy's
+    kurtosistest); NaN where the transform is undefined."""
+    e = 3.0*(n-1) / (n+1)
+    varb2 = 24.0*n*(n-2)*(n-3) / ((n+1)*(n+1.)*(n+3)*(n+5))
+    x = (b2-e) / varb2**0.5
+    sqrtbeta1 = 6.0*(n*n-5*n+2)/((n+7)*(n+9)) * ((6.0*(n+3)*(n+5))
+                                                 / (n*(n-2)*(n-3)))**0.5
+    a = 6.0 + 8.0/sqrtbeta1 * (2.0/sqrtbeta1 + (1+4.0/(sqrtbeta1**2))**0.5)
+    term1 = 1 - 2/(9.0*a)
+    denom = 1 + x * (2/(a-4.0))**0.5
+    if denom == 0.0:
+        return np.nan
+    term2 = ((1-2.0/a) / abs(denom))**(1/3)
+    if denom < 0:
+        term2 = -term2
+    return (term1 - term2) / (2/(9.0*a))**0.5
+
+
 def normality_gate(x, alpha: float) -> bool:
-    """Moment-based omnibus normality check (skewness + kurtosis, chi2 df=2).
+    """D'Agostino-Pearson omnibus normality check (skewness + kurtosis, chi2 df=2).
 
     Returns True iff the sample is long enough (>= 8) and the test fails to
-    reject normality at alpha.
+    reject normality at alpha. Skewness and kurtosis come from the biased
+    central moments; a sample constant up to rounding is not normal.
     """
     x = np.asarray(x, dtype=float)
     if len(x) < MIN_NORMALITY_N:
         return False
     if np.ptp(x) == 0.0:
         return False
-    _, p = stats.normaltest(x)
-    return bool(p > alpha)
+    n = float(len(x))
+    mean = x.mean()
+    dev = x - mean
+    dev2 = dev**2
+    m2 = dev2.mean()
+    if m2 <= (EPS * mean)**2:
+        return False
+    m3 = (dev2 * dev).mean()
+    m4 = (dev2**2).mean()
+    with np.errstate(divide="ignore", invalid="ignore"):  # m2**1.5 may underflow
+        z_skew = _skewtest_z(m3 / m2**1.5, n)
+        z_kurt = _kurtosistest_z(m4 / m2**2.0, n)
+    return bool(special.chdtrc(2, z_skew*z_skew + z_kurt*z_kurt) > alpha)
 
 
 def _exact_rank_sum_pvalue(ranks2: np.ndarray, n_a: int, w2: float) -> float:
@@ -171,25 +201,42 @@ def wilcoxon_rank_sum(a, b) -> float:
     pooled = np.concatenate([a, b])
     if np.ptp(pooled) == 0.0:
         return 1.0
-    ranks = stats.rankdata(pooled)
     n_a, n_b = len(a), len(b)
     n = n_a + n_b
+    # midranks: tie runs of the stably sorted sample share their mean rank
+    order = np.argsort(pooled, kind="stable")
+    ordered = pooled[order]
+    run_start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    tie_counts = np.diff(np.append(run_start, n))
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(run_start + (tie_counts + 1) / 2.0, tie_counts)
     w = ranks[:n_a].sum()
     if n_a <= EXACT_WILCOXON_MAX and n_b <= EXACT_WILCOXON_MAX:
         return _exact_rank_sum_pvalue(2.0 * ranks, n_a, 2.0 * w)
     mean = n_a * (n + 1) / 2.0
-    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = np.sum(tie_counts**3 - tie_counts) / (n * (n - 1))
     var = n_a * n_b / 12.0 * (n + 1 - tie_term)
     if var == 0.0:
         return 1.0
     z = (w - mean) / np.sqrt(var)
-    return float(min(2.0 * stats.norm.sf(abs(z)), 1.0))
+    return float(min(2.0 * special.ndtr(-abs(z)), 1.0))
 
 
 def welch_ttest(a, b) -> float:
     """Two-sided Welch (unequal variance) t-test p-value."""
-    return float(stats.ttest_ind(a, b, equal_var=False).pvalue)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n1, n2 = len(a), len(b)
+    m1, m2 = a.mean(), b.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # ddof=1 variances over the sample size: v / n
+        vn1 = ((a - m1)**2).mean() * (np.float64(n1) / (n1 - 1)) / n1
+        vn2 = ((b - m2)**2).mean() * (np.float64(n2) / (n2 - 1)) / n2
+        df = (vn1 + vn2)**2 / (vn1**2 / (n1 - 1) + vn2**2 / (n2 - 1))
+        if np.isnan(df):  # both variances zero: any df will do
+            df = 1.0
+        t = (m1 - m2) / np.sqrt(vn1 + vn2)
+    return float(2 * special.stdtr(df, -abs(t)))
 
 
 def class_test(x, labels, cfg: PrescreenConfig) -> float:

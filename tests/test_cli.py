@@ -142,20 +142,30 @@ def _model_as_centroids(tmp_path):
             "--out", tmp_path / "t.derc", "--pred", tmp_path / "p.csv"]
 
 
-def _zero_batch_size(tmp_path):
+def _prescreen_normality_alpha(tmp_path):
     raw, _ = synth_csv(tmp_path)
-    return ["pretrain", "ae", "--data", raw, "--out", tmp_path / "m.derc",
-            "--dims", "30,16,4", "--batch-size", "0"]
+    return ["prescreen", "--data", raw, "--out-data", tmp_path / "f.csv",
+            "--out-report", tmp_path / "r.csv", "--out-kept", tmp_path / "k.txt",
+            "--normality-alpha", "5"]
 
 
-def _negative_derc_epochs(tmp_path):
-    raw, model = _small_model(tmp_path)
-    cents = tmp_path / "c.derc"
-    assert run(["cluster-init", "--model", model, "--data", raw,
-                "--out", cents, "--restarts", "2"]) == 0
-    return ["train-derc", "--model", model, "--centroids", cents, "--data", raw,
-            "--out", tmp_path / "t.derc", "--pred", tmp_path / "p.csv",
-            "--epochs", "-1"]
+def _pretrain_with(*flags):
+    def argv(tmp_path):
+        raw, _ = synth_csv(tmp_path)
+        return ["pretrain", "ae", "--data", raw, "--out", tmp_path / "m.derc",
+                "--dims", "30,16,4", "--epochs", "2", *flags]
+    return argv
+
+
+def _train_derc_with(*flags):
+    def argv(tmp_path):
+        raw, model = _small_model(tmp_path)
+        cents = tmp_path / "c.derc"
+        assert run(["cluster-init", "--model", model, "--data", raw,
+                    "--out", cents, "--restarts", "2"]) == 0
+        return ["train-derc", "--model", model, "--centroids", cents, "--data", raw,
+                "--out", tmp_path / "t.derc", "--pred", tmp_path / "p.csv", *flags]
+    return argv
 
 
 def _more_clusters_than_classes(tmp_path):
@@ -191,10 +201,20 @@ BAD_INPUTS = {
     "ae-container-without-layers": (_ae_container_without_layers, 2,
                                     ["empty.derc", "activations"]),
     "model-as-centroids": (_model_as_centroids, 2, ["model.derc", "no centroids"]),
-    "pretrain-batch-size-zero": (_zero_batch_size, 2, ["batch_size", ">= 1"]),
-    "derc-epochs-negative": (_negative_derc_epochs, 2, ["epochs", ">= 1"]),
+    "pretrain-batch-size-zero": (_pretrain_with("--batch-size", "0"), 2,
+                                 ["batch_size", ">= 1"]),
+    "derc-epochs-negative": (_train_derc_with("--epochs", "-1"), 2, ["epochs", ">= 1"]),
     "more-clusters-than-classes": (_more_clusters_than_classes, 2,
                                    ["[2]", "outside the label classes"]),
+    "prescreen-normality-alpha-above-one": (_prescreen_normality_alpha, 2,
+                                            ["normality_alpha", "(0, 1)"]),
+    "pretrain-negative-lr": (_pretrain_with("--lr", "-1", "--momentum", "3"), 2,
+                             ["lr", "> 0", "-1.0"]),
+    "pretrain-momentum-above-one": (_pretrain_with("--momentum", "3"), 2,
+                                    ["momentum", "[0, 1)", "3.0"]),
+    "derc-infinite-lr": (_train_derc_with("--lr", "inf"), 2, ["lr", "finite", "inf"]),
+    "derc-momentum-one": (_train_derc_with("--momentum", "1"), 2,
+                          ["momentum", "[0, 1)"]),
 }
 
 
@@ -250,6 +270,16 @@ class TestErrors:
 
 
 class TestUtilities:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # importing scipy.stats takes about 0.8 s; the CLI needs none of it
+        src = Path(data.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, derc.cli; assert 'scipy.stats' not in sys.modules"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+
     def test_synth_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

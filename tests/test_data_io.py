@@ -97,6 +97,59 @@ class TestCsv:
         assert back.labels.tolist() == ds.labels.tolist()
 
 
+# every cell form the loaders accept, all in [0, 1]; the last column is
+# missing throughout
+MIXED_GRID = [
+    ["0.1", "0.25", "5e-1", "0.75", "NA"],
+    ['"0.2"', " 0.3 ", "NA", "2.5E-01", "null"],
+    ["null", "Nan", "", "0.125", ""],
+    ["0.05", "nA", "NULL", "1e-3", "NaN"],
+    [" 1", "0.6", "0.7 ", "nan", "nAn"],
+]
+
+
+def per_cell_row(cells, row, first_col):
+    return [data._parse_cell(tok, row, first_col + c) for c, tok in enumerate(cells)]
+
+
+def write_table(tmp_path, fmt, grid):
+    """The grid as a series matrix (rows are probes) or a CSV (rows are samples)."""
+    if fmt == "series":
+        lines = ["!series_matrix_table_begin",
+                 "\t".join(['"ID_REF"', *(f'"GSM{i}"' for i in range(len(grid[0])))]),
+                 *("\t".join([f'"cg{r}"', *row]) for r, row in enumerate(grid)),
+                 "!series_matrix_table_end"]
+        return write(tmp_path, "m.txt", "\n".join(lines) + "\n"), data.load_series_matrix
+    lines = [",".join(f"f{j}" for j in range(len(grid[0]))), *(",".join(r) for r in grid)]
+    return write(tmp_path, "d.csv", "\n".join(lines) + "\n"), data.load_csv
+
+
+class TestBulkParse:
+    def test_rows_match_per_cell_parse(self):
+        for r, row in enumerate(MIXED_GRID):
+            bulk = np.asarray(data._parse_row(row, r, 1), dtype=float)
+            cell = np.asarray(per_cell_row(row, r, 1), dtype=float)
+            assert bulk.tobytes() == cell.tobytes()
+        assert isinstance(data._parse_row(MIXED_GRID[0][:4], 0, 1), np.ndarray)
+
+    @pytest.mark.parametrize("fmt", ["series", "csv"])
+    def test_loaders_match_per_cell_parse(self, tmp_path, monkeypatch, fmt):
+        path, load = write_table(tmp_path, fmt, MIXED_GRID)
+        bulk = load(path)
+        monkeypatch.setattr(data, "_parse_row", per_cell_row)
+        cell = load(path)
+        assert bulk.feature_ids == cell.feature_ids
+        assert bulk.values.tobytes() == cell.values.tobytes()
+
+    @pytest.mark.parametrize("fmt, col", [("series", 3), ("csv", 2)])
+    def test_bad_cell_in_numeric_row(self, tmp_path, fmt, col):
+        path, load = write_table(tmp_path, fmt, [["0.1", "0.2", "0.3"],
+                                                 ["0.4", "0.5", '"0.x"']])
+        with pytest.raises(ParseError,
+                           match=f"non-numeric cell at table row 1, column {col}: '0.x'"):
+            load(path)
+
+
 class TestSynthetic:
     def test_deterministic(self):
         spec = data.SynthSpec(n_samples=30, n_features=20, n_informative=5, seed=9)

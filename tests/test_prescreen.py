@@ -1,10 +1,11 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from derc import data
+from derc import data, prescreen
 from derc.errors import ValidationError
 from derc.prescreen import (
     PrescreenConfig,
@@ -12,9 +13,137 @@ from derc.prescreen import (
     correlation_prune,
     discriminative_filter,
     normality_gate,
-    pearson_correlation_test,
+    welch_ttest,
     wilcoxon_rank_sum,
 )
+
+
+def pearson_correlation_test(x, y):
+    """Oracle for the pruner: Pearson rho and two-sided p from
+    t = rho*sqrt((n-2)/(1-rho^2)), one pair at a time.
+
+    Constant vectors yield (0, 1) by convention.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValidationError("vectors must have equal length")
+    n = len(x)
+    if n < 3:
+        raise ValidationError("need at least 3 observations")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sx = np.sqrt(np.sum(xc * xc))
+    sy = np.sqrt(np.sum(yc * yc))
+    if sx == 0.0 or sy == 0.0:
+        return 0.0, 1.0
+    rho = float(np.clip(np.dot(xc, yc) / (sx * sy), -1.0, 1.0))
+    if abs(rho) >= 1.0 - 1e-12:  # collinear up to rounding
+        return float(np.sign(rho)), 0.0
+    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
+    p = 2.0 * stats.t.sf(abs(t), df=n - 2)
+    return rho, float(min(p, 1.0))
+
+
+# --- the scipy.stats reference for the class tests ---------------------------
+
+
+def reference_normality_gate(x, alpha):
+    x = np.asarray(x, dtype=float)
+    if len(x) < prescreen.MIN_NORMALITY_N or np.ptp(x) == 0.0:
+        return False
+    return bool(stats.normaltest(x).pvalue > alpha)
+
+
+def reference_welch_ttest(a, b):
+    return float(stats.ttest_ind(a, b, equal_var=False).pvalue)
+
+
+def reference_wilcoxon_rank_sum(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    pooled = np.concatenate([a, b])
+    if np.ptp(pooled) == 0.0:
+        return 1.0
+    ranks = stats.rankdata(pooled)
+    n_a, n_b = len(a), len(b)
+    n = n_a + n_b
+    w = ranks[:n_a].sum()
+    if n_a <= prescreen.EXACT_WILCOXON_MAX and n_b <= prescreen.EXACT_WILCOXON_MAX:
+        return prescreen._exact_rank_sum_pvalue(2.0 * ranks, n_a, 2.0 * w)
+    mean = n_a * (n + 1) / 2.0
+    _, tie_counts = np.unique(pooled, return_counts=True)
+    tie_term = np.sum(tie_counts**3 - tie_counts) / (n * (n - 1))
+    var = n_a * n_b / 12.0 * (n + 1 - tie_term)
+    if var == 0.0:
+        return 1.0
+    z = (w - mean) / np.sqrt(var)
+    return float(min(2.0 * stats.norm.sf(abs(z)), 1.0))
+
+
+def reference_class_test(x, labels, cfg):
+    """class_test as computed through the scipy.stats front ends."""
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(labels)
+    a = x[labels == 0]
+    b = x[labels == 1]
+    if np.ptp(x) == 0.0:
+        return 1.0
+    if (reference_normality_gate(a, cfg.normality_alpha)
+            and reference_normality_gate(b, cfg.normality_alpha)):
+        return reference_welch_ttest(a, b)
+    return reference_wilcoxon_rank_sum(a, b)
+
+
+def _imputed_mean_ties(v, rng):
+    # as data._impute_feature_means leaves them: missing cells take the mean
+    v = v.copy()
+    missing = rng.choice(len(v), size=max(2, len(v) // 4), replace=False)
+    v[missing] = np.delete(v, missing).mean()
+    return v
+
+
+def _ulp_spread(v, rng):
+    # a few ulps around 0.5: m2 just above (eps * mean)^2, the cut under
+    # which a sample counts as constant
+    return 0.5 + np.spacing(0.5) * rng.integers(0, 4, size=len(v))
+
+
+def _ulp_outliers(v, rng):
+    # one ulp up in every 7th cell: m2 just below that cut
+    out = np.full(len(v), 0.5)
+    out[::7] += np.spacing(0.5)
+    return out
+
+
+def _symmetric(v, rng):
+    # +-pairs: for an even length the sample skewness is exactly 0
+    out = np.empty(len(v))
+    out[0::2] = v[0::2]
+    out[1::2] = -v[0::2][:len(v) // 2]
+    return out
+
+
+def _subnormal_variance(v, rng):
+    # mean exactly 0 and m2 subnormal: m2**1.5 underflows to 0
+    out = np.zeros(len(v))
+    out[:2] = [1e-160, -1e-160]
+    return out
+
+
+SAMPLE_KINDS = {
+    "normal": lambda v, rng: 0.5 + 0.1 * v,
+    "skewed": lambda v, rng: np.exp(v) / 10.0,
+    "symmetric": _symmetric,
+    "ties": lambda v, rng: np.round(0.5 + 0.1 * v, 1),
+    "imputed-mean-ties": _imputed_mean_ties,
+    "near-constant-above-cut": _ulp_spread,
+    "near-constant-below-cut": _ulp_outliers,
+    # zero variance: Welch's df and t must stay defined without warnings
+    "constant": lambda v, rng: np.full(len(v), 0.3),
+    "zero-mean-subnormal-variance": _subnormal_variance,
+}
+CLASS_SIZES = [(5, 5), (8, 8), (20, 20), (21, 30), (114, 23)]
 
 
 def make_dataset(columns, labels=None):
@@ -188,6 +317,73 @@ class TestClassTest:
         y[:2] = [0, 1]
         assert class_test(x, y, self.cfg) == pytest.approx(
             class_test(np.exp(3 * x), y, self.cfg))
+
+
+class TestScipyOracle:
+    """The direct statistics reproduce the scipy.stats p-values."""
+
+    cfg = PrescreenConfig()
+
+    @staticmethod
+    def _samples(n_a, n_b, kind_a, kind_b, seed):
+        rng = np.random.default_rng(seed)
+        a = SAMPLE_KINDS[kind_a](rng.normal(size=n_a), rng)
+        b = SAMPLE_KINDS[kind_b](rng.normal(0.5, 1.5, size=n_b), rng)
+        return a, b
+
+    def _check(self, a, b):
+        x = np.concatenate([a, b])
+        labels = np.repeat([0, 1], [len(a), len(b)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on near-constant input
+            ref = (reference_class_test(x, labels, self.cfg),
+                   reference_welch_ttest(a, b),
+                   reference_wilcoxon_rank_sum(a, b),
+                   reference_normality_gate(a, self.cfg.normality_alpha),
+                   reference_normality_gate(b, self.cfg.normality_alpha))
+            normal_p = [stats.normaltest(s).pvalue if reference_normality_gate(s, 0.0)
+                        else np.nan for s in (a, b)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (class_test(x, labels, self.cfg),
+                   welch_ttest(a, b),
+                   wilcoxon_rank_sum(a, b),
+                   normality_gate(a, self.cfg.normality_alpha),
+                   normality_gate(b, self.cfg.normality_alpha))
+            # the gate's own p-value lies within 1e-12 of normaltest's
+            for s, p in zip((a, b), normal_p):
+                if p > 0.0:
+                    assert normality_gate(s, p * (1 - 1e-12))
+                    assert not normality_gate(s, p * (1 + 1e-12))
+        np.testing.assert_allclose(got[:3], ref[:3], rtol=1e-12, atol=0)
+        assert got[3:] == ref[3:]
+
+    @pytest.mark.parametrize("n_a,n_b", CLASS_SIZES)
+    @pytest.mark.parametrize("kind", SAMPLE_KINDS)
+    def test_grid(self, n_a, n_b, kind):
+        for seed in range(3):
+            self._check(*self._samples(n_a, n_b, kind, kind, seed))
+            self._check(*self._samples(n_a, n_b, "normal", kind, seed))
+
+    def test_both_paths_covered(self):
+        # the grid reaches the t-test and both rank-sum paths through class_test
+        cases = [self._samples(114, 23, "normal", "normal", 0),
+                 self._samples(20, 20, "skewed", "skewed", 0),
+                 self._samples(21, 30, "skewed", "skewed", 0)]
+        gates = [normality_gate(a, 0.05) and normality_gate(b, 0.05) for a, b in cases]
+        assert gates == [True, False, False]
+
+    def test_pruning_pvalues(self):
+        rng = np.random.default_rng(0)
+        for n in (5, 40, 137):
+            for _ in range(20):
+                x = rng.uniform(size=n)
+                y = x + rng.normal(0, rng.uniform(0.01, 1.0), size=n)
+                rho, p = pearson_correlation_test(x, y)
+                np.testing.assert_allclose(
+                    prescreen._pvalue_from_rho(np.array([rho]), n), [p],
+                    rtol=1e-12, atol=0)
+        assert prescreen._pvalue_from_rho(np.array([1.0, -1.0]), 10).tolist() == [0.0, 0.0]
 
 
 class TestDiscriminativeFilter:
