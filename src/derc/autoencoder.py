@@ -19,9 +19,7 @@ from .network import (
     SgdMomentum,
     backward_layers,
     collect_params,
-    flatten_grads,
     forward_layers,
-    grad_buffers,
     mse_loss,
     validate_sgd,
 )
@@ -139,12 +137,11 @@ def vae_forward(params: NetworkParams, x: np.ndarray, eps: np.ndarray):
 
 
 def vae_loss_and_grads(params: NetworkParams, x: np.ndarray, eps: np.ndarray,
-                       recon_weight: float, out=None):
+                       recon_weight: float):
     """Weighted loss w*MSE + (1-w)*mean-KL and gradients for every tensor.
 
-    Gradient order matches params.all_layers(). The gradients are written
-    into `out`, a list from grad_buffers(params.all_layers()), which is
-    returned; without it a fresh one is allocated.
+    Gradients are backward_layers' ((dz, x_in), db) per layer, ordered as
+    params.all_layers().
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -155,21 +152,17 @@ def vae_loss_and_grads(params: NetworkParams, x: np.ndarray, eps: np.ndarray,
     w = recon_weight
     loss = w * mse + (1.0 - w) * kl_mean
 
-    grads = grad_buffers(params.all_layers()) if out is None else out
     enc, enc_cache = params.encoder_layers, cache["enc"]
-    n_enc = len(enc)
-    _, dz = backward_layers(params.decoder_layers, cache["dec"], w * dmse,
-                            out=grads[n_enc + 1:])
+    dec_grads, dz = backward_layers(params.decoder_layers, cache["dec"], w * dmse)
     dmu = dz + (1.0 - w) * mu / n
     dlv = dz * cache["eps"] * 0.5 * np.exp(0.5 * lv) \
         + (1.0 - w) * (np.exp(lv) - 1.0) / (2.0 * n)
-    _, dh_mu = backward_layers(enc[-1:], enc_cache[-1:], dmu,
-                               out=grads[n_enc - 1:n_enc])
-    _, dh_lv = backward_layers([params.logvar_head], cache["lv"], dlv,
-                               out=grads[n_enc:n_enc + 1])
-    backward_layers(enc[:-1], enc_cache[:-1], dh_mu + dh_lv,
-                    out=grads[:n_enc - 1], input_grad=False)
-    return loss, grads, dict(mse=mse, kl_mean=kl_mean, recon=r)
+    mu_grads, dh_mu = backward_layers(enc[-1:], enc_cache[-1:], dmu)
+    lv_grads, dh_lv = backward_layers([params.logvar_head], cache["lv"], dlv)
+    trunk_grads, _ = backward_layers(enc[:-1], enc_cache[:-1], dh_mu + dh_lv,
+                                     input_grad=False)
+    return (loss, [*trunk_grads, *mu_grads, *lv_grads, *dec_grads],
+            dict(mse=mse, kl_mean=kl_mean, recon=r))
 
 
 def _split_train_val(n: int, fraction: float, rng: np.random.Generator):
@@ -184,8 +177,8 @@ def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
               batch_loss, val_loss):
     """The mini-batch SGD loop both pretrainers share; returns (params, history).
 
-    build(dims, rng) makes the model. batch_loss(params, batch, grads, rng)
-    returns a batch's loss and writes its gradients into grads, ordered as
+    build(dims, rng) makes the model. batch_loss(params, batch, rng) returns
+    a batch's loss and its backward_layers gradients, ordered as
     params.all_layers(). val_loss(params, x_val, rng) scores the validation
     split after each epoch. All draws come from one generator seeded by
     cfg.seed: build, split, then per epoch the permutation, the batches' and
@@ -196,10 +189,7 @@ def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
     dims = spec.resolve(x.shape[1])
     rng = np.random.default_rng(cfg.seed)
     params = build(dims, rng)
-    layers = params.all_layers()
-    opt = SgdMomentum(collect_params(layers), cfg.lr, cfg.momentum)
-    grads = grad_buffers(layers)
-    flat_grads = flatten_grads(grads)
+    opt = SgdMomentum(collect_params(params.all_layers()), cfg.lr, cfg.momentum)
 
     train_idx, val_idx = _split_train_val(x.shape[0], cfg.validation_fraction, rng)
     x_train, x_val = x[train_idx], x[val_idx]
@@ -210,11 +200,11 @@ def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
         n_batches = 0
         for start in range(0, len(perm), cfg.batch_size):
             batch = x_train[perm[start:start + cfg.batch_size]]
-            loss = batch_loss(params, batch, grads, rng)
+            loss, grads = batch_loss(params, batch, rng)
             if not np.isfinite(loss):
                 raise NumericError(f"pretrain {kind}: non-finite loss {loss} at "
                                    f"epoch {epoch}, step {n_batches}")
-            opt.step(flat_grads)
+            opt.step([g for layer_grads in grads for g in layer_grads])
             epoch_loss += loss
             n_batches += 1
         val = val_loss(params, x_val, rng) if len(x_val) else float("nan")
@@ -222,16 +212,14 @@ def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
     return params, history
 
 
-def _ae_batch_loss(params: NetworkParams, batch, grads, rng) -> float:
-    n_enc = len(params.encoder_layers)
+def _ae_batch_loss(params: NetworkParams, batch, rng):
     z, enc_cache = forward_layers(params.encoder_layers, batch)
     r, dec_cache = forward_layers(params.decoder_layers, z)
     loss, dmse = mse_loss(batch, r)
-    _, dz = backward_layers(params.decoder_layers, dec_cache, dmse,
-                            out=grads[n_enc:])
-    backward_layers(params.encoder_layers, enc_cache, dz,
-                    out=grads[:n_enc], input_grad=False)
-    return loss
+    dec_grads, dz = backward_layers(params.decoder_layers, dec_cache, dmse)
+    enc_grads, _ = backward_layers(params.encoder_layers, enc_cache, dz,
+                                   input_grad=False)
+    return loss, [*enc_grads, *dec_grads]
 
 
 def _ae_val_loss(params: NetworkParams, x_val, rng) -> float:
@@ -253,10 +241,9 @@ def pretrain_vae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
     History rows are as in pretrain_ae; val_loss is the reconstruction MSE
     with sampled latents.
     """
-    def batch_loss(params, batch, grads, rng):
+    def batch_loss(params, batch, rng):
         eps = rng.standard_normal((batch.shape[0], params.latent_dim))
-        return vae_loss_and_grads(params, batch, eps, cfg.vae_recon_weight,
-                                  out=grads)[0]
+        return vae_loss_and_grads(params, batch, eps, cfg.vae_recon_weight)[:2]
 
     def val_loss(params, x_val, rng):
         eps = rng.standard_normal((x_val.shape[0], params.latent_dim))

@@ -308,7 +308,7 @@ def build_parser() -> CliParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--restarts", type=int, default=80)
+    p.add_argument("--restarts", type=int, default=km.DEFAULT_RESTARTS)
 
     p = command("train-derc", cmd_train_derc, "joint clustering + reconstruction")
     p.add_argument("--model", required=True)

@@ -24,9 +24,7 @@ from .network import (
     SgdMomentum,
     backward_layers,
     collect_params,
-    flatten_grads,
     forward_layers,
-    grad_buffers,
     mse_loss,
     validate_sgd,
 )
@@ -155,9 +153,6 @@ def train_derc(values: np.ndarray, params: NetworkParams,
     rng = np.random.default_rng(cfg.seed)
     layers = [*params.encoder_layers, *params.decoder_layers]
     opt = SgdMomentum([*collect_params(layers), centroids], cfg.lr, cfg.momentum)
-    enc_grads = grad_buffers(params.encoder_layers)
-    dec_grads = grad_buffers(params.decoder_layers)
-    flat_grads = flatten_grads([*enc_grads, *dec_grads])
 
     p_full = None
     prev_hard = None
@@ -192,12 +187,13 @@ def train_derc(values: np.ndarray, params: NetworkParams,
                 raise NumericError(f"train-derc: non-finite loss {total} at "
                                    f"step {ite}")
 
-            _, dz_rec = backward_layers(params.decoder_layers, dec_cache,
-                                        cfg.beta * dmse, out=dec_grads)
-            backward_layers(params.encoder_layers, enc_cache,
-                            cfg.beta * dz_rec + dz_cl / bs,
-                            out=enc_grads, input_grad=False)
-            opt.step([*flat_grads, dmu / bs])
+            dec_grads, dz_rec = backward_layers(params.decoder_layers, dec_cache,
+                                                cfg.beta * dmse)
+            enc_grads, _ = backward_layers(params.encoder_layers, enc_cache,
+                                           cfg.beta * dz_rec + dz_cl / bs,
+                                           input_grad=False)
+            grads = [g for layer_grads in [*enc_grads, *dec_grads] for g in layer_grads]
+            opt.step([*grads, dmu / bs])
 
             history.append((ite, cl_loss / bs, rec_loss, total))
             ite += 1

@@ -128,17 +128,13 @@ def _parse_row(cells: list[str], row: int, first_col: int):
 
 def _impute_feature_means(values: np.ndarray, feature_ids: list[str]):
     """Replace NaNs by per-feature means; drop features that are all-missing."""
-    keep = []
-    dropped = []
-    for j in range(values.shape[1]):
+    missing = np.isnan(values)
+    dead = missing.all(axis=0)
+    for j in np.flatnonzero(missing.any(axis=0) & ~dead):
         col = values[:, j]
-        mask = np.isnan(col)
-        if mask.all():
-            dropped.append(feature_ids[j])
-            continue
-        if mask.any():
-            col[mask] = col[~mask].mean()
-        keep.append(j)
+        col[missing[:, j]] = col[~missing[:, j]].mean()
+    keep = np.flatnonzero(~dead)
+    dropped = [feature_ids[j] for j in np.flatnonzero(dead)]
     if dropped:
         logger.warning("dropped %d all-missing features: %s",
                        len(dropped), ", ".join(dropped[:10]))

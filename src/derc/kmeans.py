@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+DEFAULT_RESTARTS = 80  # Lloyd runs per fit; the lowest inertia wins
+
 
 @dataclass
 class KmeansResult:
@@ -71,8 +73,8 @@ def _lloyd(z: np.ndarray, k: int, rng: np.random.Generator,
     return centroids, assignments, inertia
 
 
-def kmeans_fit(z: np.ndarray, k: int, restarts: int = 80, seed: int = 0,
-               max_iter: int = 300, tol: float = 1e-6) -> KmeansResult:
+def kmeans_fit(z: np.ndarray, k: int, restarts: int = DEFAULT_RESTARTS,
+               seed: int = 0, max_iter: int = 300, tol: float = 1e-6) -> KmeansResult:
     """Best-of-restarts Lloyd clustering; deterministic per seed."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:

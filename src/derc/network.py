@@ -135,30 +135,22 @@ def forward_layers(layers: list[DenseLayer], x: np.ndarray):
     return a, cache
 
 
-def grad_buffers(layers: list[DenseLayer]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Uninitialised (dW, db) arrays shaped like each layer's weights and bias."""
-    return [(np.empty(layer.weights.shape), np.empty(layer.bias.shape))
-            for layer in layers]
-
-
 def backward_layers(layers: list[DenseLayer], cache, grad_out: np.ndarray,
-                    out=None, input_grad: bool = True):
+                    input_grad: bool = True):
     """Reverse-mode gradients for a stack.
 
-    Returns ([(dW, db)] aligned with layers, gradient w.r.t. the stack input).
-    The gradients are written into `out`, a list from grad_buffers(layers),
-    which is returned; without it a fresh one is allocated. With
-    input_grad=False the bottom layer's input gradient is skipped and None is
-    returned in its place.
+    Returns ([((dz, x_in), db)] aligned with layers, gradient w.r.t. the
+    stack input). Each weight gradient dW = dz.T @ x_in is returned as its
+    factors and never formed; flatten_grads gives the dense arrays and
+    SgdMomentum.step takes the factors. With input_grad=False the bottom
+    layer's input gradient is skipped and None is returned in its place.
     """
-    grads = grad_buffers(layers) if out is None else out
+    grads = [None] * len(layers)
     g = grad_out
     for idx in range(len(layers) - 1, -1, -1):
         x_in, z, a = cache[idx]
         dz = g * _activation_grad(z, a, layers[idx].activation)
-        dw, db = grads[idx]
-        np.matmul(dz.T, x_in, out=dw)
-        np.sum(dz, axis=0, out=db)
+        grads[idx] = ((dz, x_in), dz.sum(axis=0))
         g = dz @ layers[idx].weights if idx or input_grad else None
     return grads, g
 
@@ -184,10 +176,14 @@ def validate_sgd(lr: float, momentum: float) -> None:
 class SgdMomentum:
     """Classical-momentum SGD: v <- m*v - lr*g; p <- p + v.
 
-    Parameters are updated in place, UPDATE_BLOCK elements at a time, through
-    one reusable scratch buffer, so a step allocates nothing and leaves the
-    gradients untouched. With momentum 0 the velocity would always equal
-    -lr*g, so none is kept (velocity is None) and the update is p <- p - lr*g.
+    Parameters are updated in place, about UPDATE_BLOCK elements at a time,
+    through one reusable scratch buffer, so a step allocates nothing and
+    leaves the gradients untouched. A gradient is a dense array, or for a
+    2-D parameter the factors (dz, x_in) of dz.T @ x_in from backward_layers:
+    then each block of rows of the product is formed in the scratch buffer
+    and applied at once, so the dense gradient never exists. With momentum 0
+    the velocity would always equal -lr*g, so none is kept (velocity is
+    None) and the update is p <- p - lr*g.
     """
 
     def __init__(self, params: list[np.ndarray], lr: float, momentum: float = 0.0):
@@ -198,29 +194,51 @@ class SgdMomentum:
         self.lr = lr
         self.momentum = momentum
         self.velocity = [np.zeros_like(p) for p in params] if momentum else None
-        self._scratch = np.empty(UPDATE_BLOCK)
+        # a row block (see step) holds at most UPDATE_BLOCK + n_cols elements,
+        # or three rows where two rows exceed UPDATE_BLOCK
+        widest = max((p.shape[1] for p in params if p.ndim == 2), default=0)
+        self._scratch = np.empty(max(UPDATE_BLOCK + widest, 3 * widest))
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grads: list) -> None:
         if len(grads) != len(self.params):
             raise ValidationError("gradient list does not match parameter list")
         for i, (p, g) in enumerate(zip(self.params, grads)):
-            if g.shape != p.shape:
+            factored = isinstance(g, tuple)
+            shape = (g[0].shape[1], g[1].shape[1]) if factored else g.shape
+            if shape != p.shape:
                 raise ValidationError(
-                    f"gradient shape {g.shape} does not match parameter {p.shape}"
+                    f"gradient shape {shape} does not match parameter {p.shape}"
                 )
-            p_flat, g_flat = p.reshape(-1), g.reshape(-1)
-            v_flat = None if self.velocity is None else self.velocity[i].reshape(-1)
-            for start in range(0, p_flat.size, UPDATE_BLOCK):
-                block = slice(start, start + UPDATE_BLOCK)
-                g_block = g_flat[block]
-                t = np.multiply(g_block, self.lr, out=self._scratch[:g_block.size])
-                if v_flat is None:
-                    p_flat[block] -= t
-                else:
-                    v = v_flat[block]
-                    v *= self.momentum
-                    v -= t
-                    p_flat[block] += v
+            v = None if self.velocity is None else self.velocity[i]
+            if factored:
+                dz, x_in = g
+                # rows of about UPDATE_BLOCK elements, never one alone unless p
+                # has one: numpy forms a one-row product by GEMV, which rounds
+                # unlike the GEMM of the whole gradient
+                rows = max(2, UPDATE_BLOCK // p.shape[1])
+                bounds = [0, *range(rows, p.shape[0] - 1, rows), p.shape[0]]
+                for r0, r1 in zip(bounds, bounds[1:]):
+                    g_rows = self._scratch[:(r1 - r0) * p.shape[1]].reshape(r1 - r0, -1)
+                    np.matmul(dz[:, r0:r1].T, x_in, out=g_rows)
+                    self._apply(p, v, slice(r0, r1), g_rows)
+            else:
+                p, g = p.reshape(-1), g.reshape(-1)
+                v = None if v is None else v.reshape(-1)
+                for start in range(0, p.size, UPDATE_BLOCK):
+                    block = slice(start, start + UPDATE_BLOCK)
+                    self._apply(p, v, block, g[block])
+
+    def _apply(self, p, v, block, g) -> None:
+        """Update p[block], v[block] by their gradient g; lr*g goes to scratch."""
+        t = np.multiply(g, self.lr, out=self._scratch[:g.size].reshape(g.shape))
+        p = p[block]
+        if v is None:
+            p -= t
+        else:
+            v = v[block]
+            v *= self.momentum
+            v -= t
+            p += v
 
 
 def collect_params(layers: list[DenseLayer]) -> list[np.ndarray]:
@@ -232,8 +250,9 @@ def collect_params(layers: list[DenseLayer]) -> list[np.ndarray]:
 
 
 def flatten_grads(grads) -> list[np.ndarray]:
+    """Dense [dW, db, ...] from backward_layers' [((dz, x_in), db), ...]."""
     out = []
-    for dw, db in grads:
-        out.append(dw)
+    for (dz, x_in), db in grads:
+        out.append(dz.T @ x_in)
         out.append(db)
     return out

@@ -105,18 +105,6 @@ class TestVae:
             nw.collect_params(params.all_layers()), nw.flatten_grads(grads))
         assert err <= 1e-4
 
-    def test_out_buffers_match_allocating_call(self):
-        rng = np.random.default_rng(7)
-        params = ae.build_vae([12, 8, 5, 3], rng)
-        x = blobs(n=6)
-        eps = rng.standard_normal((6, 3))
-        loss, grads, _ = ae.vae_loss_and_grads(params, x, eps, 0.8)
-        bufs = nw.grad_buffers(params.all_layers())
-        loss_out, grads_out, _ = ae.vae_loss_and_grads(params, x, eps, 0.8, out=bufs)
-        assert grads_out is bufs and loss_out == loss
-        for (dw, db), (ow, ob) in zip(grads, bufs):
-            assert np.array_equal(dw, ow) and np.array_equal(db, ob)
-
     def test_recon_weight_one_ignores_kl(self):
         rng = np.random.default_rng(2)
         params = ae.build_vae([6, 5, 3], rng)

@@ -270,12 +270,18 @@ class TestErrors:
 
 
 class TestUtilities:
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
+    @pytest.mark.parametrize("modules, unloaded", [
         # importing scipy.stats takes about 0.8 s; the CLI needs none of it
+        ("derc.cli", "scipy.stats"),
+        # the prescreen path (load_series_matrix, discriminative_filter)
+        # needs no linear algebra, and scipy.linalg would add to its start-up
+        ("derc.data, derc.prescreen", "scipy.linalg"),
+    ], ids=["cli-scipy.stats", "prescreen-scipy.linalg"])
+    def test_import_leaves_scipy_module_unloaded(self, modules, unloaded):
         src = Path(data.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, derc.cli; assert 'scipy.stats' not in sys.modules"],
+             f"import sys, {modules}; assert {unloaded!r} not in sys.modules"],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr

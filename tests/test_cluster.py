@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,48 @@ class TestTrainDerc:
                           cl.DercConfig(beta=0.75, epochs=5, seed=7))
         assert np.array_equal(a.state.q, b.state.q)
         assert np.array_equal(a.state.centroids, b.state.centroids)
+
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes of the allocations fn makes, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainingMemory:
+    """Training never forms a dense weight gradient.
+
+    A dense copy of every weight gradient, as training held before weight
+    gradients were kept as factors, pushes each peak past 2x the weights.
+    """
+
+    DIMS = [3000, 200, 10]
+    WEIGHT_BYTES = 8 * 2 * (3000 * 200 + 200 * 10)
+
+    def cohort(self):
+        return np.random.default_rng(0).uniform(0.1, 0.9, size=(16, self.DIMS[0]))
+
+    def test_pretrain_peak_near_weights(self):
+        x = self.cohort()
+        peak = traced_peak(lambda: ae.pretrain_ae(
+            x, ae.AeSpec(self.DIMS), ae.PretrainConfig(epochs=1, seed=0)))
+        # the weights themselves are built inside pretrain_ae
+        assert peak < 1.5 * self.WEIGHT_BYTES
+
+    def test_derc_peak_near_velocity(self):
+        x = self.cohort()
+        params, _ = ae.pretrain_ae(x, ae.AeSpec(self.DIMS),
+                                   ae.PretrainConfig(epochs=1, seed=0))
+        centroids = kmeans.kmeans_fit(ae.encode(params, x), k=2, restarts=2).centroids
+        cfg = cl.DercConfig(epochs=1, seed=0)
+        assert cfg.momentum > 0  # so the velocity, one weight-sized copy, exists
+        peak = traced_peak(lambda: cl.train_derc(x, params, centroids, cfg))
+        assert peak < 1.5 * self.WEIGHT_BYTES
 
 
 class TestPredict:

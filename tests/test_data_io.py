@@ -61,6 +61,38 @@ class TestSeriesMatrix:
             data.load_series_matrix(write(tmp_path, "m.txt", text))
 
 
+
+def reference_impute_feature_means(values, feature_ids):
+    """The per-column loop over every feature that imputation must reproduce."""
+    keep, dropped = [], []
+    for j in range(values.shape[1]):
+        col = values[:, j]
+        mask = np.isnan(col)
+        if mask.all():
+            dropped.append(feature_ids[j])
+            continue
+        if mask.any():
+            col[mask] = col[~mask].mean()
+        keep.append(j)
+    return values[:, keep], [feature_ids[j] for j in keep], dropped
+
+
+class TestImputeFeatureMeans:
+    def test_matches_per_column_loop(self):
+        rng = np.random.default_rng(3)
+        values = rng.uniform(size=(37, 60))
+        values[rng.uniform(size=values.shape) < 0.1] = np.nan  # partly missing
+        values[:, [4, 17, 59]] = np.nan                        # all missing
+        values[:, [0, 1, 30]] = rng.uniform(size=(37, 3))      # none missing
+        ids = [f"cg{j}" for j in range(60)]
+        got = data._impute_feature_means(values.copy(), ids)
+        want = reference_impute_feature_means(values.copy(), ids)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+        assert want[2] == ["cg4", "cg17", "cg59"]
+        assert not np.isnan(got[0]).any()
+
+
 class TestCsv:
     def test_with_labels(self, tmp_path):
         p = write(tmp_path, "d.csv", "f1,f2,label\n0.1,0.2,0\n0.3,0.4,1\n")

@@ -98,7 +98,7 @@ class TestBackward:
         _, dmse = nw.mse_loss(target, out)
         grads, _ = nw.backward_layers([layer], cache, dmse)
         closed_dw = 2.0 * (x @ layer.weights.T - target).T @ x / target.size
-        np.testing.assert_allclose(grads[0][0], closed_dw, atol=1e-12)
+        np.testing.assert_allclose(nw.flatten_grads(grads)[0], closed_dw, atol=1e-12)
 
     def test_three_layer_net_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -120,33 +120,36 @@ class TestBackward:
                           nw.flatten_grads([*eg, *dg]))
         assert err <= 1e-4
 
-    def test_out_buffers_match_allocating_call(self):
+    def test_skipping_input_grad_keeps_layer_grads(self):
         rng = np.random.default_rng(7)
         params = build_ae([9, 6, 3], rng)
         jitter_biases(params.all_layers(), rng)
         layers = params.encoder_layers
         _, cache = nw.forward_layers(layers, rng.uniform(size=(5, 9)))
         grad_out = rng.normal(size=(5, 3))
-        ref, ref_in = nw.backward_layers(layers, cache, grad_out)
-        buffers = nw.grad_buffers(layers)
-        got, got_in = nw.backward_layers(layers, cache, grad_out, out=buffers)
-        assert got is buffers
-        assert np.array_equal(got_in, ref_in)
-        for (dw, db), (rw, rb) in zip(got, ref):
-            assert np.array_equal(dw, rw) and np.array_equal(db, rb)
-
+        ref, _ = nw.backward_layers(layers, cache, grad_out)
         skipped, none_in = nw.backward_layers(layers, cache, grad_out,
                                               input_grad=False)
         assert none_in is None
-        for (dw, db), (rw, rb) in zip(skipped, ref):
-            assert np.array_equal(dw, rw) and np.array_equal(db, rb)
+        for got, want in zip(nw.flatten_grads(skipped), nw.flatten_grads(ref)):
+            assert np.array_equal(got, want)
+
+    def test_weight_grads_are_factors(self):
+        rng = np.random.default_rng(7)
+        layers = [nw.DenseLayer.create(4, 3, "relu", rng)]
+        x = rng.uniform(size=(5, 4))
+        _, cache = nw.forward_layers(layers, x)
+        ((dz, x_in), db), = nw.backward_layers(layers, cache, rng.normal(size=(5, 3)))[0]
+        assert x_in is cache[0][0] and dz.shape == (5, 3)
+        assert np.array_equal(db, dz.sum(axis=0))
 
     def test_zero_output_grad(self):
         rng = np.random.default_rng(6)
         layers = [nw.DenseLayer.create(4, 3, "relu", rng)]
         _, cache = nw.forward_layers(layers, rng.uniform(size=(2, 4)))
         grads, gin = nw.backward_layers(layers, cache, np.zeros((2, 3)))
-        assert not grads[0][0].any() and not grads[0][1].any() and not gin.any()
+        dw, db = nw.flatten_grads(grads)
+        assert not dw.any() and not db.any() and not gin.any()
 
 
 def reference_sgd_step(params, velocity, grads, lr, momentum):
@@ -180,6 +183,40 @@ class TestSgdMomentum:
             if momentum:
                 for v, ref in zip(opt.velocity, ref_velocity):
                     assert np.array_equal(v, ref)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_factored_update_matches_dense_reference(self, momentum):
+        rng = np.random.default_rng(9)
+        batch = 8
+        # rows longer than a block; many rows per block with a ragged last
+        # block; a ragged last block of five rows; a last row that would be
+        # alone, joined to the block before it; then a dense bias
+        shapes = [(5, nw.UPDATE_BLOCK + 17), (2000, 50), (37, 1000), (65, 1000)]
+        params = [rng.normal(size=s) for s in shapes] + [rng.normal(size=50)]
+        ref_params = [p.copy() for p in params]
+        ref_velocity = [np.zeros_like(p) for p in params]
+        opt = nw.SgdMomentum(params, lr=0.05, momentum=momentum)
+        for _ in range(4):
+            factors = [(rng.normal(size=(batch, n_out)), rng.normal(size=(batch, n_in)))
+                       for n_out, n_in in shapes]
+            bias_grad = rng.normal(size=50)
+            before = [a.copy() for pair in factors for a in pair]
+            opt.step([*factors, bias_grad])
+            dense = [dz.T @ x_in for dz, x_in in factors]
+            reference_sgd_step(ref_params, ref_velocity, [*dense, bias_grad],
+                               0.05, momentum)
+            for a, b in zip([a for pair in factors for a in pair], before):
+                assert np.array_equal(a, b)
+            for p, ref in zip(params, ref_params):
+                assert np.array_equal(p, ref)
+            if momentum:
+                for v, ref in zip(opt.velocity, ref_velocity):
+                    assert np.array_equal(v, ref)
+
+    def test_factor_shape_mismatch(self):
+        opt = nw.SgdMomentum([np.zeros((3, 4))], lr=0.1)
+        with pytest.raises(ValidationError):
+            opt.step([(np.ones((2, 4)), np.ones((2, 3)))])
 
     def test_vanilla_step(self):
         p = np.array([0.0])
