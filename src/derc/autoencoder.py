@@ -8,20 +8,20 @@ clustering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .network import (
     DenseLayer,
     NetworkParams,
-    SgdMomentum,
+    SgdConfig,
     backward_layers,
     collect_params,
     forward_layers,
     mse_loss,
-    validate_sgd,
+    sgd_epochs,
 )
 
 DEFAULT_HIDDEN_DIMS = (2000, 500, 70, 10)
@@ -52,19 +52,15 @@ class AeSpec:
 
 
 @dataclass
-class PretrainConfig:
+class PretrainConfig(SgdConfig):
     epochs: int = 300
     lr: float = 1.0
     momentum: float = 0.0
-    batch_size: int = 8
-    seed: int = 0
     vae_recon_weight: float = 0.8
     validation_fraction: float = 0.0
 
     def validate(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValidationError("epochs and batch_size must be >= 1")
-        validate_sgd(self.lr, self.momentum)
+        super().validate()
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValidationError("validation_fraction must be in [0, 1)")
         if not 0.0 <= self.vae_recon_weight <= 1.0:
@@ -170,12 +166,14 @@ def _split_train_val(n: int, fraction: float, rng: np.random.Generator):
         return np.arange(n), np.array([], dtype=int)
     perm = rng.permutation(n)
     n_val = max(1, int(round(n * fraction)))
+    if n_val >= n:
+        raise ValidationError(f"validation_fraction {fraction} holds out all {n} samples")
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
 def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
               batch_loss, val_loss):
-    """The mini-batch SGD loop both pretrainers share; returns (params, history).
+    """Both pretrainers on network.sgd_epochs; returns (params, history).
 
     build(dims, rng) makes the model. batch_loss(params, batch, rng) returns
     a batch's loss and its backward_layers gradients, ordered as
@@ -186,29 +184,17 @@ def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
     """
     cfg.validate()
     x = np.asarray(values, dtype=float)
-    dims = spec.resolve(x.shape[1])
     rng = np.random.default_rng(cfg.seed)
-    params = build(dims, rng)
-    opt = SgdMomentum(collect_params(params.all_layers()), cfg.lr, cfg.momentum)
-
+    params = build(spec.resolve(x.shape[1]), rng)
     train_idx, val_idx = _split_train_val(x.shape[0], cfg.validation_fraction, rng)
     x_train, x_val = x[train_idx], x[val_idx]
     history = []
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(len(x_train))
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(perm), cfg.batch_size):
-            batch = x_train[perm[start:start + cfg.batch_size]]
-            loss, grads = batch_loss(params, batch, rng)
-            if not np.isfinite(loss):
-                raise NumericError(f"pretrain {kind}: non-finite loss {loss} at "
-                                   f"epoch {epoch}, step {n_batches}")
-            opt.step([g for layer_grads in grads for g in layer_grads])
-            epoch_loss += loss
-            n_batches += 1
+    epochs = sgd_epochs(collect_params(params.all_layers()), len(x_train), cfg, rng,
+                        lambda idx: batch_loss(params, x_train[idx], rng),
+                        f"pretrain {kind}")
+    for epoch, train_loss in enumerate(epochs):
         val = val_loss(params, x_val, rng) if len(x_val) else float("nan")
-        history.append((epoch, epoch_loss / max(n_batches, 1), val))
+        history.append((epoch, train_loss, val))
     return params, history
 
 
@@ -245,16 +231,15 @@ def pretrain_vae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
         eps = rng.standard_normal((batch.shape[0], params.latent_dim))
         return vae_loss_and_grads(params, batch, eps, cfg.vae_recon_weight)[:2]
 
-    def val_loss(params, x_val, rng):
-        eps = rng.standard_normal((x_val.shape[0], params.latent_dim))
-        return mse_loss(x_val, vae_forward(params, x_val, eps)[0])[0]
-
-    return _pretrain(values, spec, cfg, "vae", build_vae, batch_loss, val_loss)
+    return _pretrain(values, spec, cfg, "vae", build_vae, batch_loss,
+                     vae_reconstruction_loss)
 
 
 def vae_reconstruction_loss(params: NetworkParams, x: np.ndarray,
-                            seed: int = 0, use_mean: bool = False) -> float:
-    """Reconstruction MSE with sampled z (training-like) or the mean vector."""
+                            seed: int | np.random.Generator = 0,
+                            use_mean: bool = False) -> float:
+    """Reconstruction MSE with z sampled from seed (an int or a Generator), or
+    with the mean vector."""
     x = np.asarray(x, dtype=float)
     if use_mean:
         eps = np.zeros((x.shape[0], params.latent_dim))

@@ -198,7 +198,7 @@ def cmd_train_derc(args):
                                    k=centroids.shape[0],
                                    seed=stage_seed(args.seed, "derc"))
     result = derc_cluster.train_derc(ds.values, params, centroids, dcfg)
-    data_io.save_model(args.out, result.params, centroids=result.state.centroids,
+    data_io.save_model(args.out, result.params, centroids=result.centroids,
                        extra_meta=dict(beta=dcfg.beta))
     if args.history:
         _write_history(args.history, result.history,

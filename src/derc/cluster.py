@@ -14,65 +14,52 @@ T mini-batch iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
 from .network import (
     NetworkParams,
-    SgdMomentum,
+    SgdConfig,
     backward_layers,
     collect_params,
     forward_layers,
     mse_loss,
-    validate_sgd,
+    sgd_epochs,
 )
 
 
 @dataclass
-class DercConfig:
-    beta: float = 0.75
-    target_interval: int = 10          # T: iterations between P refreshes
+class DercConfig(SgdConfig):
     epochs: int = 50
-    batch_size: int = 8
     lr: float = 0.01
     momentum: float = 0.9
+    beta: float = 0.75
+    target_interval: int = 10          # T: iterations between P refreshes
     k: int = 2
-    seed: int = 0
     # optional early stop: fraction of samples whose hard assignment may
     # change between refreshes before stopping; None runs the full budget
     stop_delta: float | None = None
 
     def validate(self) -> None:
+        super().validate()
         if self.beta < 0:
             raise ValidationError("beta must be >= 0")
         if self.target_interval < 1:
             raise ValidationError("target_interval must be >= 1")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValidationError("epochs and batch_size must be >= 1")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
-        validate_sgd(self.lr, self.momentum)
-
-
-@dataclass
-class ClusterState:
-    centroids: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-
-    @property
-    def cluster_frequencies(self) -> np.ndarray:
-        return self.q.sum(axis=0)
 
 
 @dataclass
 class DercResult:
     params: NetworkParams
-    state: ClusterState
+    centroids: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
     cluster_ids: np.ndarray
-    history: list = field(default_factory=list)
+    history: list
 
 
 def soft_assign(z: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -150,56 +137,45 @@ def train_derc(values: np.ndarray, params: NetworkParams,
             f"centroid count {centroids.shape[0]} does not match k={cfg.k}"
         )
 
-    rng = np.random.default_rng(cfg.seed)
-    layers = [*params.encoder_layers, *params.decoder_layers]
-    opt = SgdMomentum([*collect_params(layers), centroids], cfg.lr, cfg.momentum)
-
-    p_full = None
-    prev_hard = None
     history = []
-    ite = 0
-    stop = False
-    for _epoch in range(cfg.epochs):
-        if stop:
-            break
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            if ite % cfg.target_interval == 0:
-                q_full = soft_assign(encode(params, x), centroids)
-                p_full = target_distribution(q_full)
-                hard = np.argmax(q_full, axis=1)
-                if cfg.stop_delta is not None and prev_hard is not None:
-                    if np.mean(hard != prev_hard) < cfg.stop_delta:
-                        stop = True
-                        break
-                prev_hard = hard
-            idx = perm[start:start + cfg.batch_size]
-            batch = x[idx]
-            bs = len(idx)
+    p_full = prev_hard = None
 
-            z, enc_cache = forward_layers(params.encoder_layers, batch)
-            r, dec_cache = forward_layers(params.decoder_layers, z)
-            rec_loss, dmse = mse_loss(batch, r)
-            q_b = soft_assign(z, centroids)
-            cl_loss, dz_cl, dmu = cluster_kl_loss(p_full[idx], q_b, z, centroids)
-            total = cl_loss / bs + cfg.beta * rec_loss
-            if not np.isfinite(total):
-                raise NumericError(f"train-derc: non-finite loss {total} at "
-                                   f"step {ite}")
+    def batch_step(idx):
+        nonlocal p_full, prev_hard
+        ite = len(history)
+        if ite % cfg.target_interval == 0:
+            q_full = soft_assign(encode(params, x), centroids)
+            # P before the stop test, so a degenerate cluster still raises
+            p_full = target_distribution(q_full)
+            hard = np.argmax(q_full, axis=1)
+            if (cfg.stop_delta is not None and prev_hard is not None
+                    and np.mean(hard != prev_hard) < cfg.stop_delta):
+                return None
+            prev_hard = hard
+        batch = x[idx]
+        bs = len(idx)
 
-            dec_grads, dz_rec = backward_layers(params.decoder_layers, dec_cache,
-                                                cfg.beta * dmse)
-            enc_grads, _ = backward_layers(params.encoder_layers, enc_cache,
-                                           cfg.beta * dz_rec + dz_cl / bs,
-                                           input_grad=False)
-            grads = [g for layer_grads in [*enc_grads, *dec_grads] for g in layer_grads]
-            opt.step([*grads, dmu / bs])
+        z, enc_cache = forward_layers(params.encoder_layers, batch)
+        r, dec_cache = forward_layers(params.decoder_layers, z)
+        rec_loss, dmse = mse_loss(batch, r)
+        q_b = soft_assign(z, centroids)
+        cl_loss, dz_cl, dmu = cluster_kl_loss(p_full[idx], q_b, z, centroids)
+        total = cl_loss / bs + cfg.beta * rec_loss
 
-            history.append((ite, cl_loss / bs, rec_loss, total))
-            ite += 1
+        dec_grads, dz_rec = backward_layers(params.decoder_layers, dec_cache,
+                                            cfg.beta * dmse)
+        enc_grads, _ = backward_layers(params.encoder_layers, enc_cache,
+                                       cfg.beta * dz_rec + dz_cl / bs,
+                                       input_grad=False)
+        history.append((ite, cl_loss / bs, rec_loss, total))
+        return total, [*enc_grads, *dec_grads, (dmu / bs,)]
+
+    layers = [*params.encoder_layers, *params.decoder_layers]
+    for _ in sgd_epochs([*collect_params(layers), centroids], n, cfg,
+                        np.random.default_rng(cfg.seed), batch_step, "train-derc"):
+        pass
 
     q_final = soft_assign(encode(params, x), centroids)
-    state = ClusterState(centroids=centroids, q=q_final,
-                         p=target_distribution(q_final))
-    return DercResult(params=params, state=state,
+    return DercResult(params=params, centroids=centroids, q=q_final,
+                      p=target_distribution(q_final),
                       cluster_ids=np.argmax(q_final, axis=1), history=history)

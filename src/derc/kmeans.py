@@ -22,7 +22,6 @@ class KmeansResult:
     centroids: np.ndarray
     assignments: np.ndarray
     inertia: float
-    restarts_run: int
 
 
 def _squared_distances(z: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -94,5 +93,4 @@ def kmeans_fit(z: np.ndarray, k: int, restarts: int = DEFAULT_RESTARTS,
         if best is None or inertia < best[0]:
             best = (inertia, centroids, assignments)
     inertia, centroids, assignments = best
-    return KmeansResult(centroids=centroids, assignments=assignments,
-                        inertia=inertia, restarts_run=restarts)
+    return KmeansResult(centroids=centroids, assignments=assignments, inertia=inertia)

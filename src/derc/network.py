@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 INIT_SCALE = 1.0 / 3.0  # s in the uniform bound l = sqrt(3 * s / n_input)
 # elements per optimizer update block: 256 KiB of float64, small enough that
@@ -165,14 +165,6 @@ def mse_loss(x: np.ndarray, r: np.ndarray):
     return loss, grad
 
 
-def validate_sgd(lr: float, momentum: float) -> None:
-    """Reject a step size or momentum under which SGD does not descend."""
-    if not 0.0 < lr < np.inf:
-        raise ValidationError(f"lr must be finite and > 0, got {lr}")
-    if not 0.0 <= momentum < 1.0:
-        raise ValidationError(f"momentum must be in [0, 1), got {momentum}")
-
-
 class SgdMomentum:
     """Classical-momentum SGD: v <- m*v - lr*g; p <- p + v.
 
@@ -256,3 +248,51 @@ def flatten_grads(grads) -> list[np.ndarray]:
         out.append(dz.T @ x_in)
         out.append(db)
     return out
+
+
+@dataclass
+class SgdConfig:
+    """Mini-batch SGD settings; each trainer's config sets epochs, lr, momentum."""
+
+    epochs: int
+    lr: float
+    momentum: float
+    batch_size: int = 8
+    seed: int = 0
+
+    def validate(self) -> None:
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValidationError("epochs and batch_size must be >= 1")
+        # reject a step size or momentum under which SGD does not descend
+        if not 0.0 < self.lr < np.inf:
+            raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
+
+
+def sgd_epochs(params: list[np.ndarray], n: int, cfg: SgdConfig,
+               rng: np.random.Generator, batch_step, what: str):
+    """Mini-batch SGD with momentum on params; yields each epoch's mean loss.
+
+    Each epoch slices a permutation of range(n), drawn from rng, into batches
+    of cfg.batch_size indices. batch_step(idx) returns the batch's loss and
+    its gradients as tuples that concatenate in the order of params, as
+    backward_layers' ((dz, x_in), db) do, or None to stop before the batch.
+    A non-finite loss raises NumericError naming `what`. Work done between
+    epochs runs before the next permutation is drawn.
+    """
+    opt = SgdMomentum(params, cfg.lr, cfg.momentum)
+    starts = range(0, n, cfg.batch_size)
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(n)
+        epoch_loss = 0.0  # a running +=: sum() rounds differently from Python 3.12
+        for step, start in enumerate(starts):
+            if (out := batch_step(perm[start:start + cfg.batch_size])) is None:
+                return
+            loss, grads = out
+            if not np.isfinite(loss):
+                raise NumericError(f"{what}: non-finite loss {loss} at "
+                                   f"epoch {epoch}, step {step}")
+            opt.step([g for group in grads for g in group])
+            epoch_loss += loss
+        yield epoch_loss / len(starts)

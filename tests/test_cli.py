@@ -215,6 +215,9 @@ BAD_INPUTS = {
     "derc-infinite-lr": (_train_derc_with("--lr", "inf"), 2, ["lr", "finite", "inf"]),
     "derc-momentum-one": (_train_derc_with("--momentum", "1"), 2,
                           ["momentum", "[0, 1)"]),
+    "pretrain-validation-holds-out-all": (_pretrain_with("--validation-fraction", "0.99"),
+                                          2, ["validation_fraction", "40 samples"]),
+    "derc-non-finite-loss": (_train_derc_with("--lr", "1e200"), 3, ["non-finite loss"]),
 }
 
 

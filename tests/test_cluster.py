@@ -129,11 +129,22 @@ class TestTrainDerc:
         result = cl.train_derc(ds.values, params, km.centroids,
                                cl.DercConfig(beta=0.75, epochs=4, seed=1))
         assert len(result.history) == 4 * int(np.ceil(len(ds.values) / 8))
-        np.testing.assert_allclose(result.state.q.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(result.state.p.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(result.state.cluster_frequencies > 0)
+        np.testing.assert_allclose(result.q.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(result.p.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(result.q.sum(axis=0) > 0)
         assert np.array_equal(result.cluster_ids,
-                              np.argmax(result.state.q, axis=1))
+                              np.argmax(result.q, axis=1))
+
+    def test_stop_delta_stops_at_second_refresh(self):
+        # 40 samples in batches of 8 is 5 steps per epoch; a refresh every 7
+        # steps puts the second refresh in the middle of the second epoch, and
+        # stop_delta=1.0 stops there unless every assignment changed
+        ds, params, km = two_blob_setup(seed=1)
+        result = cl.train_derc(ds.values, params, km.centroids,
+                               cl.DercConfig(epochs=4, target_interval=7,
+                                             stop_delta=1.0, seed=1))
+        assert [row[0] for row in result.history] == list(range(7))
+        np.testing.assert_allclose(result.q.sum(axis=1), 1.0, atol=1e-9)
 
     def test_centroid_permutation_equivariance(self):
         ds, params0, km = two_blob_setup(seed=2)
@@ -183,7 +194,7 @@ class TestTrainDerc:
         assert np.array_equal(params.logvar_head.bias, lv_b)
         assert not np.array_equal(params.encoder_layers[-1].weights, mu_w)
         path = tmp_path / "trained.derc"
-        data.save_model(path, result.params, centroids=result.state.centroids)
+        data.save_model(path, result.params, centroids=result.centroids)
         loaded, _, meta = data.load_model(path)
         assert meta["kind"] == "vae"
         assert np.array_equal(loaded.logvar_head.weights, lv_w)
@@ -196,8 +207,8 @@ class TestTrainDerc:
                           cl.DercConfig(beta=0.75, epochs=5, seed=7))
         b = cl.train_derc(ds.values, copy.deepcopy(params), km.centroids,
                           cl.DercConfig(beta=0.75, epochs=5, seed=7))
-        assert np.array_equal(a.state.q, b.state.q)
-        assert np.array_equal(a.state.centroids, b.state.centroids)
+        assert np.array_equal(a.q, b.q)
+        assert np.array_equal(a.centroids, b.centroids)
 
 
 
