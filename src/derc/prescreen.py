@@ -8,7 +8,9 @@ both class subsamples look normal and the Wilcoxon rank-sum test otherwise.
 The test statistics are computed directly with numpy and scipy.special,
 following scipy.stats operation for operation (normaltest, ttest_ind with
 equal_var=False, rankdata, norm.sf, t.sf), so the p-values are those of
-scipy.stats without the cost of its per-call front ends.
+scipy.stats without the cost of its per-call front ends. The helpers import
+scipy.special when they first compute a p-value, so importing this module
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy import special
 
 from .data import Dataset
 from .errors import ValidationError
@@ -53,6 +54,8 @@ class PrescreenReport:
 
 
 def _pvalue_from_rho(rho: np.ndarray, n: int) -> np.ndarray:
+    from scipy import special
+
     rho = np.clip(rho, -1.0, 1.0)
     with np.errstate(divide="ignore"):
         t = np.abs(rho) * np.sqrt((n - 2) / np.maximum(1.0 - rho * rho, 0.0))
@@ -82,19 +85,20 @@ def correlation_prune(data: Dataset, cfg: PrescreenConfig):
     removed = np.zeros(d, dtype=bool)
     for start in range(0, d, PRUNE_BLOCK):
         stop = min(start + PRUNE_BLOCK, d)
-        block = xs[:, start:stop].T @ xs  # (block, d) correlations
+        # (block, d - start) correlations: row i reads only columns > i
+        block = xs[:, start:stop].T @ xs[:, start:]
         for i in range(start, stop):
             if removed[i]:
                 continue
             row = block[i - start]
-            cand = np.abs(row[i + 1:]) >= cfg.rho_threshold
+            cand = np.abs(row[i + 1 - start:]) >= cfg.rho_threshold
             if not cand.any():
                 continue
             j = np.nonzero(cand)[0] + i + 1
             j = j[~removed[j]]
             if len(j) == 0:
                 continue
-            pvals = _pvalue_from_rho(row[j], n)
+            pvals = _pvalue_from_rho(row[j - start], n)
             removed[j[pvals <= cfg.alpha]] = True
     kept = np.nonzero(~removed)[0]
     return kept, np.nonzero(removed)[0]
@@ -143,6 +147,8 @@ def normality_gate(x, alpha: float) -> bool:
     reject normality at alpha. Skewness and kurtosis come from the biased
     central moments; a sample constant up to rounding is not normal.
     """
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     if len(x) < MIN_NORMALITY_N:
         return False
@@ -194,6 +200,8 @@ def wilcoxon_rank_sum(a, b) -> float:
     both groups have <= 20 observations; normal approximation with tie
     correction otherwise.
     """
+    from scipy import special
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) == 0 or len(b) == 0:
@@ -224,6 +232,8 @@ def wilcoxon_rank_sum(a, b) -> float:
 
 def welch_ttest(a, b) -> float:
     """Two-sided Welch (unequal variance) t-test p-value."""
+    from scipy import special
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n1, n2 = len(a), len(b)

@@ -279,12 +279,21 @@ class TestUtilities:
         # the prescreen path (load_series_matrix, discriminative_filter)
         # needs no linear algebra, and scipy.linalg would add to its start-up
         ("derc.data, derc.prescreen", "scipy.linalg"),
-    ], ids=["cli-scipy.stats", "prescreen-scipy.linalg"])
+        # every CLI stage starts without scipy (about 0.5 s of import);
+        # only the p-value helpers load scipy.special, on first use
+        ("derc.cli", "scipy"),
+        ("derc.autoencoder, derc.cluster, derc.kmeans, derc.metrics", "scipy"),
+        ("derc.data, derc.prescreen", "scipy.special"),
+    ], ids=["cli-scipy.stats", "prescreen-scipy.linalg", "cli-scipy",
+            "training-scipy", "prescreen-scipy.special"])
     def test_import_leaves_scipy_module_unloaded(self, modules, unloaded):
+        # `unloaded` names a module and, with it, every submodule of it
         src = Path(data.__file__).resolve().parents[1]
+        check = (f"import sys, {modules}; loaded = [m for m in sys.modules "
+                 f"if m == {unloaded!r} or m.startswith({unloaded + '.'!r})]; "
+                 f"assert not loaded, loaded")
         proc = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys, {modules}; assert {unloaded!r} not in sys.modules"],
+            [sys.executable, "-c", check],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr

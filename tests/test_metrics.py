@@ -2,7 +2,47 @@ import numpy as np
 import pytest
 
 from derc.errors import ValidationError
-from derc.metrics import clustering_accuracy, confusion_counts, evaluate
+from derc.metrics import (
+    _min_cost_assignment,
+    clustering_accuracy,
+    confusion_counts,
+    evaluate,
+)
+
+
+class TestMinCostAssignment:
+    def test_matches_scipy_linear_sum_assignment(self):
+        # the oracle: scipy's solver, whose rows, columns and tie order the
+        # in-house port must reproduce (small integer ranges make many ties)
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(0)
+        mismatches = 0
+        for trial in range(10_000):
+            k = int(rng.integers(1, 9))
+            score = rng.integers(0, int(rng.integers(1, 5)), size=(k, k)) * (k + 1)
+            if trial % 2:  # clustering_accuracy's identity bonus
+                score += np.eye(k, dtype=np.int64)
+            rows, cols = linear_sum_assignment(-score)
+            mine = _min_cost_assignment((-score).tolist())
+            mismatches += (rows.tolist(), cols.tolist()) != (list(range(k)), mine)
+        assert mismatches == 0
+
+    def test_constant_matrix_gives_identity(self):
+        assert _min_cost_assignment([[0] * 4 for _ in range(4)]) == [0, 1, 2, 3]
+
+    def test_brute_force_optimum(self):
+        from itertools import permutations
+
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            k = int(rng.integers(1, 6))
+            cost = rng.integers(-20, 20, size=(k, k)).tolist()
+            cols = _min_cost_assignment(cost)
+            best = min(sum(cost[r][p[r]] for r in range(k))
+                       for p in permutations(range(k)))
+            assert sorted(cols) == list(range(k))
+            assert sum(cost[r][cols[r]] for r in range(k)) == best
 
 
 class TestClusteringAccuracy:
@@ -73,6 +113,17 @@ class TestClusteringAccuracy:
             clustering_accuracy([0, 1], [0])
         with pytest.raises(ValidationError):
             clustering_accuracy([], [])
+        with pytest.raises(ValidationError):
+            evaluate([], [])
+
+    @pytest.mark.parametrize("y, c", [
+        ([0, 0, 1, 1], [-1, -1, 0, 0]),
+        ([-1, -1, 0, 0], [0, 0, 1, 1]),
+    ])
+    def test_negative_ids_rejected(self, y, c):
+        # a negative id would index the contingency matrix from the end
+        with pytest.raises(ValidationError, match="non-negative"):
+            clustering_accuracy(y, c)
 
 
 class TestConfusionCounts:

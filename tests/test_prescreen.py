@@ -156,6 +156,29 @@ def make_dataset(columns, labels=None):
     )
 
 
+def full_width_prune(ds, cfg):
+    """correlation_prune with each block correlated against every column,
+    the loop it replaced; the oracle for its upper-triangle blocks."""
+    xc = ds.values - ds.values.mean(axis=0)
+    norms = np.sqrt(np.sum(xc * xc, axis=0))
+    xs = np.zeros_like(xc)
+    xs[:, norms > 0] = xc[:, norms > 0] / norms[norms > 0]
+    n, d = xs.shape
+    removed = np.zeros(d, dtype=bool)
+    for start in range(0, d, prescreen.PRUNE_BLOCK):
+        stop = min(start + prescreen.PRUNE_BLOCK, d)
+        block = xs[:, start:stop].T @ xs
+        for i in range(start, stop):
+            if removed[i]:
+                continue
+            row = block[i - start]
+            j = np.nonzero(np.abs(row[i + 1:]) >= cfg.rho_threshold)[0] + i + 1
+            j = j[~removed[j]]
+            if len(j):
+                removed[j[prescreen._pvalue_from_rho(row[j], n) <= cfg.alpha]] = True
+    return np.nonzero(~removed)[0], np.nonzero(removed)[0]
+
+
 class TestPearson:
     def test_self_correlation(self):
         rho, p = pearson_correlation_test([1, 2, 3, 4], [1, 2, 3, 4])
@@ -225,6 +248,23 @@ class TestCorrelationPrune:
                     removed.add(j)
         kept, rem = correlation_prune(ds, cfg)
         assert set(rem.tolist()) == removed
+
+    def test_matches_full_width_blocks(self):
+        # d is not a multiple of PRUNE_BLOCK, and near-duplicate pairs
+        # (chains too) straddle the block boundaries at 256 and 512
+        rng = np.random.default_rng(5)
+        n, d = 24, 600
+        x = rng.uniform(size=(n, d))
+        for i, j in [(250, 260), (255, 256), (100, 300), (300, 520),
+                     (511, 512), (0, 599), (400, 257)]:
+            x[:, j] = x[:, i] + 0.01 * rng.normal(size=n)
+        ds = make_dataset(list(x.T))
+        cfg = PrescreenConfig()
+        kept, removed = correlation_prune(ds, cfg)
+        want_kept, want_removed = full_width_prune(ds, cfg)
+        assert len(removed) >= 7
+        np.testing.assert_array_equal(kept, want_kept)
+        np.testing.assert_array_equal(removed, want_removed)
 
     def test_permutation_consistency(self):
         # shuffling columns changes which duplicate survives but not the count
