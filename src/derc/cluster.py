@@ -115,6 +115,29 @@ def predict(params: NetworkParams, centroids: np.ndarray,
     return np.argmax(soft_assign(encode(params, values), centroids), axis=1)
 
 
+def _derc_batch_loss(params: NetworkParams, centroids: np.ndarray,
+                     batch: np.ndarray, p: np.ndarray, beta: float):
+    """A batch's loss KL(P || Q) / bs + beta * MSE with the targets p held fixed.
+
+    Returns (total, cluster term, reconstruction term, gradients); the
+    gradients are backward_layers' ((dz, x_in), db) per encoder and decoder
+    layer, then the centroids' (dmu,).
+    """
+    bs = len(batch)
+    z, enc_cache = forward_layers(params.encoder_layers, batch)
+    r, dec_cache = forward_layers(params.decoder_layers, z)
+    rec_loss, dmse = mse_loss(batch, r)
+    q_b = soft_assign(z, centroids)
+    cl_loss, dz_cl, dmu = cluster_kl_loss(p, q_b, z, centroids)
+    total = cl_loss / bs + beta * rec_loss
+
+    # dz_rec already carries beta, from the decoder's beta * dmse
+    dec_grads, dz_rec = backward_layers(params.decoder_layers, dec_cache, beta * dmse)
+    enc_grads, _ = backward_layers(params.encoder_layers, enc_cache,
+                                   dz_rec + dz_cl / bs, input_grad=False)
+    return total, cl_loss / bs, rec_loss, [*enc_grads, *dec_grads, (dmu / bs,)]
+
+
 def train_derc(values: np.ndarray, params: NetworkParams,
                centroids: np.ndarray, cfg: DercConfig) -> DercResult:
     """End-to-end joint training; see the module docstring for the scheme.
@@ -152,23 +175,10 @@ def train_derc(values: np.ndarray, params: NetworkParams,
                     and np.mean(hard != prev_hard) < cfg.stop_delta):
                 return None
             prev_hard = hard
-        batch = x[idx]
-        bs = len(idx)
-
-        z, enc_cache = forward_layers(params.encoder_layers, batch)
-        r, dec_cache = forward_layers(params.decoder_layers, z)
-        rec_loss, dmse = mse_loss(batch, r)
-        q_b = soft_assign(z, centroids)
-        cl_loss, dz_cl, dmu = cluster_kl_loss(p_full[idx], q_b, z, centroids)
-        total = cl_loss / bs + cfg.beta * rec_loss
-
-        dec_grads, dz_rec = backward_layers(params.decoder_layers, dec_cache,
-                                            cfg.beta * dmse)
-        enc_grads, _ = backward_layers(params.encoder_layers, enc_cache,
-                                       cfg.beta * dz_rec + dz_cl / bs,
-                                       input_grad=False)
-        history.append((ite, cl_loss / bs, rec_loss, total))
-        return total, [*enc_grads, *dec_grads, (dmu / bs,)]
+        total, cl_loss, rec_loss, grads = _derc_batch_loss(
+            params, centroids, x[idx], p_full[idx], cfg.beta)
+        history.append((ite, cl_loss, rec_loss, total))
+        return total, grads
 
     layers = [*params.encoder_layers, *params.decoder_layers]
     for _ in sgd_epochs([*collect_params(layers), centroids], n, cfg,

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import finite_diff
+from conftest import finite_diff, jitter_biases
 from derc import autoencoder as ae
 from derc import cluster as cl
 from derc import data, kmeans
+from derc import network as nw
 from derc.errors import NumericError, ValidationError
 from derc.metrics import clustering_accuracy
 
@@ -88,6 +89,28 @@ class TestClusterKlLoss:
 
         err = finite_diff(loss_fn, [z, mu], [dz, dmu], eps=1e-6)
         assert err <= 1e-5
+
+
+class TestDercBatchLoss:
+    def test_gradients_vs_finite_differences(self):
+        # the whole batch objective KL(P || Q) / bs + beta * MSE, P held fixed:
+        # every encoder, decoder and centroid gradient
+        rng = np.random.default_rng(3)
+        params = ae.build_ae([6, 4, 2], rng)
+        jitter_biases(params.all_layers(), rng)
+        x = rng.uniform(size=(5, 6))
+        centroids = rng.normal(size=(2, 2))
+        # targets away from Q, so the cluster gradients are not near zero
+        p = rng.dirichlet([0.5, 0.5], size=5)
+        total, cl_loss, rec_loss, grads = cl._derc_batch_loss(params, centroids, x, p, 0.75)
+        assert total == pytest.approx(cl_loss + 0.75 * rec_loss)
+
+        tensors = [*nw.collect_params(params.all_layers()), centroids]
+        dense = [*nw.flatten_grads(grads[:-1]), grads[-1][0]]
+        err = finite_diff(
+            lambda: cl._derc_batch_loss(params, centroids, x, p, 0.75)[0],
+            tensors, dense, eps=1e-6)
+        assert err <= 1e-4  # beta^2 on the encoder's reconstruction term: 5e-2
 
 
 def two_blob_setup(seed=0, n=40, d=12):
