@@ -77,19 +77,24 @@ def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
     return col4row
 
 
+def _label_arrays(y, c):
+    y = np.asarray(y, dtype=int)
+    c = np.asarray(c, dtype=int)
+    if y.shape != c.shape:
+        raise ValidationError("labels and cluster ids must have equal length")
+    if len(y) == 0:
+        raise ValidationError("empty input")
+    return y, c
+
+
 def clustering_accuracy(y, c):
     """Best match rate over all one-to-one cluster-to-label mappings.
 
     Returns (acc, mapping). The optimal assignment on the contingency
     matrix is solved exactly; ties prefer the identity mapping.
     """
-    y = np.asarray(y, dtype=int)
-    c = np.asarray(c, dtype=int)
-    if y.shape != c.shape:
-        raise ValidationError("labels and cluster ids must have equal length")
+    y, c = _label_arrays(y, c)
     n = len(y)
-    if n == 0:
-        raise ValidationError("empty input")
     if min(c.min(), y.min()) < 0:
         raise ValidationError("labels and cluster ids must be non-negative")
     k = int(max(c.max(), y.max())) + 1
@@ -122,9 +127,9 @@ def confusion_counts(y, c, mapping: dict[int, int], positive_label: int = 1):
 def evaluate(y, c, positive_label: int = 1) -> MetricsReport:
     """ACC, error rate and FP/FN; each cluster id must be a label class
     0..max(y), because FP/FN count the clusters mapped onto real classes."""
-    # an empty y has no classes; clustering_accuracy then rejects it
-    classes = set(range(int(np.max(y, initial=-1)) + 1))
-    outside = sorted(set(np.asarray(c, dtype=int).tolist()) - classes)
+    y, c = _label_arrays(y, c)
+    classes = set(range(int(np.max(y)) + 1))
+    outside = sorted(set(c.tolist()) - classes)
     if outside:
         raise ValidationError(f"cluster ids {outside} are outside the label "
                               f"classes 0..{len(classes) - 1}")
