@@ -100,7 +100,8 @@ def _write_history(path, rows, header) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+            # float(v): np.float64 is a float whose repr reads "np.float64(...)"
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
 
 
@@ -218,13 +219,19 @@ def cmd_evaluate(args):
     if not lines or lines[0][1] != "sample_id,cluster":
         raise ParseError(f"{args.pred}: expected header 'sample_id,cluster'")
     pred = {}
+    line_of = {}
     for no, ln in lines[1:]:
         try:
             sid, cid = ln.split(",")
-            pred[sid] = int(cid)
+            cluster = int(cid)
         except ValueError:
             raise ParseError(f"{args.pred}: line {no}: expected "
                              f"'sample_id,cluster' with an integer cluster, got {ln!r}")
+        if sid in line_of:
+            raise ParseError(f"{args.pred}: line {no}: sample_id {sid!r} repeats "
+                             f"line {line_of[sid]}")
+        pred[sid] = cluster
+        line_of[sid] = no
     ds = _load_dataset(args.data, need_labels=True, labels_path=args.labels)
     missing = [sid for sid in ds.sample_ids if sid not in pred]
     if missing:
@@ -251,7 +258,7 @@ def cmd_export_latent(args):
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("sample_id," + ",".join(f"z{j}" for j in range(z.shape[1])) + "\n")
         for sid, row in zip(ds.sample_ids, z):
-            fh.write(sid + "," + ",".join(repr(v) for v in row) + "\n")
+            fh.write(sid + "," + ",".join(repr(float(v)) for v in row) + "\n")
     print(f"wrote {z.shape[0]}x{z.shape[1]} latent matrix to {args.out}")
 
 

@@ -16,6 +16,7 @@ loads no scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -105,39 +106,63 @@ def correlation_prune(data: Dataset, cfg: PrescreenConfig):
 
 
 # The two scores below repeat scipy.stats' expressions in scipy's order, with
-# `**0.5` where scipy has it, so that they round exactly as scipy does.
+# `**0.5` where scipy has it, so that they round exactly as scipy does. The
+# terms that depend on n alone are computed once per sample size.
 
 
-def _skewtest_z(b2: float, n: float) -> float:
-    """D'Agostino's normal score of the sample skewness b2 (scipy's skewtest)."""
-    y = b2 * np.sqrt(((n + 1) * (n + 3)) / (6.0 * (n - 2)))
+@lru_cache(maxsize=64)
+def _skewtest_constants(n: float) -> tuple[float, float, float]:
+    scale = np.sqrt(((n + 1) * (n + 3)) / (6.0 * (n - 2)))
     beta2 = (3.0 * (n**2 + 27*n - 70) * (n+1) * (n+3) /
              ((n-2.0) * (n+5) * (n+7) * (n+9)))
     w2 = -1 + np.sqrt(2 * (beta2 - 1))
     delta = 1 / np.sqrt(0.5 * np.log(w2))
     alpha = np.sqrt(2.0 / (w2 - 1))
+    return scale, delta, alpha
+
+
+def _skewtest_z(b2: float, n: float) -> float:
+    """D'Agostino's normal score of the sample skewness b2 (scipy's skewtest)."""
+    scale, delta, alpha = _skewtest_constants(n)
+    y = b2 * scale
     if y == 0:
         y = 1.0
     return delta * np.log(y / alpha + np.sqrt((y / alpha)**2 + 1))
 
 
-def _kurtosistest_z(b2: float, n: float) -> float:
-    """Anscombe-Glynn normal score of the sample kurtosis b2 (scipy's
-    kurtosistest); NaN where the transform is undefined."""
+@lru_cache(maxsize=64)
+def _kurtosistest_constants(n: float) -> tuple[float, ...]:
     e = 3.0*(n-1) / (n+1)
     varb2 = 24.0*n*(n-2)*(n-3) / ((n+1)*(n+1.)*(n+3)*(n+5))
-    x = (b2-e) / varb2**0.5
     sqrtbeta1 = 6.0*(n*n-5*n+2)/((n+7)*(n+9)) * ((6.0*(n+3)*(n+5))
                                                  / (n*(n-2)*(n-3)))**0.5
     a = 6.0 + 8.0/sqrtbeta1 * (2.0/sqrtbeta1 + (1+4.0/(sqrtbeta1**2))**0.5)
-    term1 = 1 - 2/(9.0*a)
-    denom = 1 + x * (2/(a-4.0))**0.5
+    return (e, varb2**0.5, 1 - 2/(9.0*a), (2/(a-4.0))**0.5, 1-2.0/a,
+            (2/(9.0*a))**0.5)
+
+
+def _kurtosistest_z(b2: float, n: float) -> float:
+    """Anscombe-Glynn normal score of the sample kurtosis b2 (scipy's
+    kurtosistest); NaN where the transform is undefined."""
+    e, sd_b2, term1, slope, base, scale = _kurtosistest_constants(n)
+    x = (b2-e) / sd_b2
+    denom = 1 + x * slope
     if denom == 0.0:
         return np.nan
-    term2 = ((1-2.0/a) / abs(denom))**(1/3)
+    term2 = (base / abs(denom))**(1/3)
     if denom < 0:
         term2 = -term2
-    return (term1 - term2) / (2/(9.0*a))**0.5
+    return (term1 - term2) / scale
+
+
+# The class tests below run once per feature on short samples, where numpy's
+# Python-level wrappers (ndarray.mean, np.ptp, np.diff) cost as much as the
+# arithmetic; they call ufuncs directly and square in place.
+
+
+def _mean(x: np.ndarray) -> np.float64:
+    """x.mean() without its wrapper: the same pairwise sum and single division."""
+    return np.add.reduce(x) / len(x)
 
 
 def normality_gate(x, alpha: float) -> bool:
@@ -150,23 +175,38 @@ def normality_gate(x, alpha: float) -> bool:
     from scipy import special
 
     x = np.asarray(x, dtype=float)
-    if len(x) < MIN_NORMALITY_N:
+    n = len(x)
+    if n < MIN_NORMALITY_N or x.max() == x.min():
         return False
-    if np.ptp(x) == 0.0:
-        return False
-    n = float(len(x))
-    mean = x.mean()
+    mean = _mean(x)
     dev = x - mean
-    dev2 = dev**2
-    m2 = dev2.mean()
+    dev2 = dev * dev
+    m2 = _mean(dev2)
     if m2 <= (EPS * mean)**2:
         return False
-    m3 = (dev2 * dev).mean()
-    m4 = (dev2**2).mean()
+    m3 = _mean(np.multiply(dev2, dev, out=dev))
+    m4 = _mean(np.multiply(dev2, dev2, out=dev2))
     with np.errstate(divide="ignore", invalid="ignore"):  # m2**1.5 may underflow
-        z_skew = _skewtest_z(m3 / m2**1.5, n)
-        z_kurt = _kurtosistest_z(m4 / m2**2.0, n)
+        z_skew = _skewtest_z(m3 / m2**1.5, float(n))
+        z_kurt = _kurtosistest_z(m4 / m2**2.0, float(n))
     return bool(special.chdtrc(2, z_skew*z_skew + z_kurt*z_kurt) > alpha)
+
+
+@lru_cache(maxsize=128)
+def _rank_sum_null(n_a: int, vals: tuple[int, ...]) -> np.ndarray:
+    """dist[s] = number of size-n_a subsets of vals that sum to s.
+
+    The counts are exact integers in float64 (comb(40, 20) < 2**53), so they
+    do not depend on the order of vals. Shared between calls: read-only.
+    """
+    max_sum = sum(vals)
+    dp = np.zeros((n_a + 1, max_sum + 1))  # dp[k, s]: k-subsets summing to s
+    dp[0, 0] = 1.0
+    for v in vals:
+        dp[1:, v:] = dp[1:, v:] + dp[:-1, :max_sum + 1 - v]
+    dist = dp[n_a]
+    dist.flags.writeable = False
+    return dist
 
 
 def _exact_rank_sum_pvalue(ranks2: np.ndarray, n_a: int, w2: float) -> float:
@@ -174,23 +214,19 @@ def _exact_rank_sum_pvalue(ranks2: np.ndarray, n_a: int, w2: float) -> float:
 
     ranks2 holds doubled midranks (integers even with ties); counts the
     number of size-n_a subsets whose doubled rank sum deviates from the
-    null mean at least as much as the observed one.
+    null mean at least as much as the observed one. The null distribution
+    is memoised on (n_a, sorted doubled ranks), so every tie-free sample of
+    one group size shares one subset-sum pass.
     """
     vals = np.rint(ranks2).astype(int)
+    vals.sort()
+    dist = _rank_sum_null(n_a, tuple(vals.tolist()))
     n = len(vals)
-    max_sum = int(vals.sum())
-    # dp[k, s] = number of k-subsets with doubled rank sum s
-    dp = np.zeros((n_a + 1, max_sum + 1))
-    dp[0, 0] = 1.0
-    for v in vals:
-        dp[1:, v:] = dp[1:, v:] + dp[:-1, :max_sum + 1 - v]
-    dist = dp[n_a]
-    total = comb(n, n_a)
     mean2 = n_a * (n + 1)  # doubled null mean of the rank sum
     dev = abs(w2 - mean2) - 1e-9
-    sums = np.arange(max_sum + 1)
+    sums = np.arange(len(dist))
     extreme = dist[np.abs(sums - mean2) >= dev].sum()
-    return float(min(extreme / total, 1.0))
+    return float(min(extreme / comb(n, n_a), 1.0))
 
 
 def wilcoxon_rank_sum(a, b) -> float:
@@ -204,25 +240,29 @@ def wilcoxon_rank_sum(a, b) -> float:
 
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if len(a) == 0 or len(b) == 0:
-        raise ValidationError("both groups must be non-empty")
-    pooled = np.concatenate([a, b])
-    if np.ptp(pooled) == 0.0:
-        return 1.0
     n_a, n_b = len(a), len(b)
+    if n_a == 0 or n_b == 0:
+        raise ValidationError("both groups must be non-empty")
     n = n_a + n_b
-    # midranks: tie runs of the stably sorted sample share their mean rank
-    order = np.argsort(pooled, kind="stable")
+    pooled = np.concatenate((a, b))
+    order = pooled.argsort(kind="stable")
     ordered = pooled[order]
-    run_start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    tie_counts = np.diff(np.append(run_start, n))
+    if ordered[0] == ordered[-1]:  # a constant sample
+        return 1.0
+    # tie runs of the sorted sample: run i spans ordered[edges[i]:edges[i + 1]]
+    # and its members share the midrank (edges[i] + edges[i + 1] + 1) / 2
+    new_run = np.empty(n + 1, dtype=bool)
+    new_run[0] = new_run[n] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:n])
+    edges = new_run.nonzero()[0]
+    tie_counts = edges[1:] - edges[:-1]
     ranks = np.empty(n)
-    ranks[order] = np.repeat(run_start + (tie_counts + 1) / 2.0, tie_counts)
-    w = ranks[:n_a].sum()
+    ranks[order] = ((edges[:-1] + edges[1:] + 1) / 2.0).repeat(tie_counts)
+    w = np.add.reduce(ranks[:n_a])
     if n_a <= EXACT_WILCOXON_MAX and n_b <= EXACT_WILCOXON_MAX:
         return _exact_rank_sum_pvalue(2.0 * ranks, n_a, 2.0 * w)
     mean = n_a * (n + 1) / 2.0
-    tie_term = np.sum(tie_counts**3 - tie_counts) / (n * (n - 1))
+    tie_term = np.add.reduce(tie_counts**3 - tie_counts) / (n * (n - 1))
     var = n_a * n_b / 12.0 * (n + 1 - tie_term)
     if var == 0.0:
         return 1.0
@@ -237,11 +277,12 @@ def welch_ttest(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n1, n2 = len(a), len(b)
-    m1, m2 = a.mean(), b.mean()
+    m1, m2 = _mean(a), _mean(b)
+    da, db = a - m1, b - m2
     with np.errstate(divide="ignore", invalid="ignore"):
         # ddof=1 variances over the sample size: v / n
-        vn1 = ((a - m1)**2).mean() * (np.float64(n1) / (n1 - 1)) / n1
-        vn2 = ((b - m2)**2).mean() * (np.float64(n2) / (n2 - 1)) / n2
+        vn1 = _mean(np.multiply(da, da, out=da)) * (np.float64(n1) / (n1 - 1)) / n1
+        vn2 = _mean(np.multiply(db, db, out=db)) * (np.float64(n2) / (n2 - 1)) / n2
         df = (vn1 + vn2)**2 / (vn1**2 / (n1 - 1) + vn2**2 / (n2 - 1))
         if np.isnan(df):  # both variances zero: any df will do
             df = 1.0
@@ -261,7 +302,7 @@ def class_test(x, labels, cfg: PrescreenConfig) -> float:
     b = x[labels == 1]
     if len(a) == 0 or len(b) == 0:
         raise ValidationError("both classes must be non-empty")
-    if np.ptp(x) == 0.0:
+    if x.max() == x.min():
         return 1.0
     if normality_gate(a, cfg.normality_alpha) and normality_gate(b, cfg.normality_alpha):
         return welch_ttest(a, b)

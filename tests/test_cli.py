@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from derc import data
+from derc.autoencoder import encode
 from derc.cli import main
 
 FAST_PRETRAIN = ["--dims", "0,16,8", "--latent-dim", "8", "--epochs", "20"]
@@ -198,6 +199,8 @@ BAD_INPUTS = {
     "directory-as-data": (_directory_as_data, 2, ["directory"]),
     "pred-three-fields": (_bad_pred_line("s0,1,2"), 2, ["pred.csv", "line 2"]),
     "pred-non-integer-cluster": (_bad_pred_line("s0,one"), 2, ["pred.csv", "line 2"]),
+    "pred-duplicate-sample": (_bad_pred_line("s0,0\ns0,1"), 2,
+                              ["pred.csv", "line 3", "'s0'", "line 2"]),
     "ae-container-without-layers": (_ae_container_without_layers, 2,
                                     ["empty.derc", "activations"]),
     "model-as-centroids": (_model_as_centroids, 2, ["model.derc", "no centroids"]),
@@ -318,6 +321,11 @@ class TestUtilities:
         lines = out.read_text().splitlines()
         assert lines[0] == "sample_id," + ",".join(f"z{j}" for j in range(8))
         assert len(lines) == 41
+        # every cell is a plain float literal that round-trips the encoding
+        params, _, _ = data.load_model(model)
+        z = encode(params, data.load_csv(raw, has_labels=True).values)
+        cells = np.array([[float(c) for c in ln.split(",")[1:]] for ln in lines[1:]])
+        np.testing.assert_array_equal(cells, z)
 
     def test_config_file_overridden_by_flag(self, tmp_path):
         raw, _ = synth_csv(tmp_path, n=24, d=12, informative=4)

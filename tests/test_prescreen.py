@@ -1,9 +1,10 @@
 import warnings
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from derc import data, prescreen
 from derc.errors import ValidationError
@@ -93,6 +94,152 @@ def reference_class_test(x, labels, cfg):
             and reference_normality_gate(b, cfg.normality_alpha)):
         return reference_welch_ttest(a, b)
     return reference_wilcoxon_rank_sum(a, b)
+
+
+# --- the class tests before the per-call rewrite ------------------------------
+# Kept verbatim as the bitwise reference for the direct-ufunc path and the
+# memoised exact null distribution: every p-value and gate decision must
+# equal these exactly.
+
+
+def current_skewtest_z(b2, n):
+    y = b2 * np.sqrt(((n + 1) * (n + 3)) / (6.0 * (n - 2)))
+    beta2 = (3.0 * (n**2 + 27*n - 70) * (n+1) * (n+3) /
+             ((n-2.0) * (n+5) * (n+7) * (n+9)))
+    w2 = -1 + np.sqrt(2 * (beta2 - 1))
+    delta = 1 / np.sqrt(0.5 * np.log(w2))
+    alpha = np.sqrt(2.0 / (w2 - 1))
+    if y == 0:
+        y = 1.0
+    return delta * np.log(y / alpha + np.sqrt((y / alpha)**2 + 1))
+
+
+def current_kurtosistest_z(b2, n):
+    e = 3.0*(n-1) / (n+1)
+    varb2 = 24.0*n*(n-2)*(n-3) / ((n+1)*(n+1.)*(n+3)*(n+5))
+    x = (b2-e) / varb2**0.5
+    sqrtbeta1 = 6.0*(n*n-5*n+2)/((n+7)*(n+9)) * ((6.0*(n+3)*(n+5))
+                                                 / (n*(n-2)*(n-3)))**0.5
+    a = 6.0 + 8.0/sqrtbeta1 * (2.0/sqrtbeta1 + (1+4.0/(sqrtbeta1**2))**0.5)
+    term1 = 1 - 2/(9.0*a)
+    denom = 1 + x * (2/(a-4.0))**0.5
+    if denom == 0.0:
+        return np.nan
+    term2 = ((1-2.0/a) / abs(denom))**(1/3)
+    if denom < 0:
+        term2 = -term2
+    return (term1 - term2) / (2/(9.0*a))**0.5
+
+
+def current_normality_gate(x, alpha):
+    x = np.asarray(x, dtype=float)
+    if len(x) < prescreen.MIN_NORMALITY_N:
+        return False
+    if np.ptp(x) == 0.0:
+        return False
+    n = float(len(x))
+    mean = x.mean()
+    dev = x - mean
+    dev2 = dev**2
+    m2 = dev2.mean()
+    if m2 <= (prescreen.EPS * mean)**2:
+        return False
+    m3 = (dev2 * dev).mean()
+    m4 = (dev2**2).mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z_skew = current_skewtest_z(m3 / m2**1.5, n)
+        z_kurt = current_kurtosistest_z(m4 / m2**2.0, n)
+    return bool(special.chdtrc(2, z_skew*z_skew + z_kurt*z_kurt) > alpha)
+
+
+def current_exact_rank_sum_pvalue(ranks2, n_a, w2):
+    vals = np.rint(ranks2).astype(int)
+    n = len(vals)
+    max_sum = int(vals.sum())
+    dp = np.zeros((n_a + 1, max_sum + 1))
+    dp[0, 0] = 1.0
+    for v in vals:
+        dp[1:, v:] = dp[1:, v:] + dp[:-1, :max_sum + 1 - v]
+    dist = dp[n_a]
+    total = comb(n, n_a)
+    mean2 = n_a * (n + 1)
+    dev = abs(w2 - mean2) - 1e-9
+    sums = np.arange(max_sum + 1)
+    extreme = dist[np.abs(sums - mean2) >= dev].sum()
+    return float(min(extreme / total, 1.0))
+
+
+def current_wilcoxon_rank_sum(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    pooled = np.concatenate([a, b])
+    if np.ptp(pooled) == 0.0:
+        return 1.0
+    n_a, n_b = len(a), len(b)
+    n = n_a + n_b
+    order = np.argsort(pooled, kind="stable")
+    ordered = pooled[order]
+    run_start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    tie_counts = np.diff(np.append(run_start, n))
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(run_start + (tie_counts + 1) / 2.0, tie_counts)
+    w = ranks[:n_a].sum()
+    if n_a <= prescreen.EXACT_WILCOXON_MAX and n_b <= prescreen.EXACT_WILCOXON_MAX:
+        return current_exact_rank_sum_pvalue(2.0 * ranks, n_a, 2.0 * w)
+    mean = n_a * (n + 1) / 2.0
+    tie_term = np.sum(tie_counts**3 - tie_counts) / (n * (n - 1))
+    var = n_a * n_b / 12.0 * (n + 1 - tie_term)
+    if var == 0.0:
+        return 1.0
+    z = (w - mean) / np.sqrt(var)
+    return float(min(2.0 * special.ndtr(-abs(z)), 1.0))
+
+
+def current_welch_ttest(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n1, n2 = len(a), len(b)
+    m1, m2 = a.mean(), b.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vn1 = ((a - m1)**2).mean() * (np.float64(n1) / (n1 - 1)) / n1
+        vn2 = ((b - m2)**2).mean() * (np.float64(n2) / (n2 - 1)) / n2
+        df = (vn1 + vn2)**2 / (vn1**2 / (n1 - 1) + vn2**2 / (n2 - 1))
+        if np.isnan(df):
+            df = 1.0
+        t = (m1 - m2) / np.sqrt(vn1 + vn2)
+    return float(2 * special.stdtr(df, -abs(t)))
+
+
+def current_class_test(x, labels, cfg):
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(labels)
+    a = x[labels == 0]
+    b = x[labels == 1]
+    if np.ptp(x) == 0.0:
+        return 1.0
+    if (current_normality_gate(a, cfg.normality_alpha)
+            and current_normality_gate(b, cfg.normality_alpha)):
+        return current_welch_ttest(a, b)
+    return current_wilcoxon_rank_sum(a, b)
+
+
+def class_test_outputs(tests, a, b, cfg):
+    """(class_test, welch, wilcoxon, gate a, gate b) from one set of tests."""
+    class_fn, welch_fn, wilcoxon_fn, gate_fn = tests
+    x = np.concatenate([a, b])
+    labels = np.repeat([0, 1], [len(a), len(b)])
+    return (class_fn(x, labels, cfg), welch_fn(a, b), wilcoxon_fn(a, b),
+            gate_fn(a, cfg.normality_alpha), gate_fn(b, cfg.normality_alpha))
+
+
+def bits(values):
+    """float64 bit patterns: NaN matches NaN, 0.0 does not match -0.0."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+NEW_TESTS = (class_test, welch_ttest, wilcoxon_rank_sum, normality_gate)
+CURRENT_TESTS = (current_class_test, current_welch_ttest, current_wilcoxon_rank_sum,
+                 current_normality_gate)
 
 
 def _imputed_mean_ties(v, rng):
@@ -385,11 +532,8 @@ class TestScipyOracle:
                         else np.nan for s in (a, b)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = (class_test(x, labels, self.cfg),
-                   welch_ttest(a, b),
-                   wilcoxon_rank_sum(a, b),
-                   normality_gate(a, self.cfg.normality_alpha),
-                   normality_gate(b, self.cfg.normality_alpha))
+            got = class_test_outputs(NEW_TESTS, a, b, self.cfg)
+            current = class_test_outputs(CURRENT_TESTS, a, b, self.cfg)
             # the gate's own p-value lies within 1e-12 of normaltest's
             for s, p in zip((a, b), normal_p):
                 if p > 0.0:
@@ -397,6 +541,7 @@ class TestScipyOracle:
                     assert not normality_gate(s, p * (1 + 1e-12))
         np.testing.assert_allclose(got[:3], ref[:3], rtol=1e-12, atol=0)
         assert got[3:] == ref[3:]
+        assert bits(got) == bits(current)
 
     @pytest.mark.parametrize("n_a,n_b", CLASS_SIZES)
     @pytest.mark.parametrize("kind", SAMPLE_KINDS)
@@ -481,3 +626,124 @@ class TestDiscriminativeFilter:
         ds.labels = None
         with pytest.raises(ValidationError):
             discriminative_filter(ds, PrescreenConfig())
+
+
+class TestPerCallPath:
+    """The direct-ufunc class tests and the memoised exact null distribution
+    give the pre-rewrite p-values bit for bit, one class_test per survivor."""
+
+    cfg = PrescreenConfig()
+
+    def _check_matrix(self, values, labels):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in values.T:
+                a, b = x[labels == 0], x[labels == 1]
+                got = (class_test(x, labels, self.cfg),
+                       *class_test_outputs(NEW_TESTS, a, b, self.cfg)[1:])
+                want = (current_class_test(x, labels, self.cfg),
+                        *class_test_outputs(CURRENT_TESTS, a, b, self.cfg)[1:])
+                assert bits(got) == bits(want)
+
+    def test_seeded_matrix_114_23(self):
+        # the benchmark's cohort shape, every sample kind, classes interleaved
+        rng = np.random.default_rng(2021)
+        kinds = list(SAMPLE_KINDS)
+        labels = rng.permutation(np.repeat([0, 1], [114, 23]))
+        values = np.empty((137, 2000))
+        for j in range(values.shape[1]):
+            values[labels == 0, j] = SAMPLE_KINDS[kinds[j % len(kinds)]](
+                rng.normal(size=114), rng)
+            values[labels == 1, j] = SAMPLE_KINDS[kinds[j // len(kinds) % len(kinds)]](
+                rng.normal(0.3, 1.2, size=23), rng)
+        self._check_matrix(values, labels)
+
+    def test_exact_path_with_planted_ties(self):
+        # 20 vs 20: the exact rank-sum path; rounding to 1-3 decimals plants
+        # tie runs of every length, and the unrounded features have none
+        rng = np.random.default_rng(7)
+        labels = rng.permutation(np.repeat([0, 1], 20))
+        values = rng.beta(2.0, 5.0, size=(40, 120)) + 0.2 * labels[:, None]
+        for j in range(values.shape[1]):
+            if j % 4:
+                values[:, j] = np.round(values[:, j], j % 4)
+        self._check_matrix(values, labels)
+
+    def test_tie_free_features_share_one_null(self):
+        assert comb(2 * prescreen.EXACT_WILCOXON_MAX,
+                    prescreen.EXACT_WILCOXON_MAX) < 2**53  # counts exact in float64
+        rng = np.random.default_rng(3)
+        prescreen._rank_sum_null.cache_clear()
+        for _ in range(30):
+            wilcoxon_rank_sum(rng.normal(size=20), rng.normal(size=20))
+        info = prescreen._rank_sum_null.cache_info()
+        assert (info.misses, info.hits) == (1, 29)
+
+    def test_tie_pattern_gets_own_entry(self):
+        prescreen._rank_sum_null.cache_clear()
+        base = np.arange(40.0)
+        tied_low = base.copy()
+        tied_low[1] = tied_low[0]     # one tie between the two smallest values
+        tied_high = base.copy()
+        tied_high[39] = tied_high[38]  # the same run length, higher up
+        for x in (base, tied_low, tied_low + 100.0, tied_high, base * 2.0):
+            wilcoxon_rank_sum(x[::2], x[1::2])
+        assert prescreen._rank_sum_null.cache_info().misses == 3
+        # one sample size, two group sizes
+        wilcoxon_rank_sum(base[:19], base[19:38])
+        wilcoxon_rank_sum(base[:18], base[18:38])
+        assert prescreen._rank_sum_null.cache_info().misses == 5
+
+    def test_memoised_matches_fresh_dp_and_enumeration(self):
+        rng = np.random.default_rng(11)
+        for n_a in range(1, 6):
+            for n_b in range(1, 6):
+                for _ in range(4):
+                    a = rng.integers(0, 4, size=n_a).astype(float)
+                    b = rng.integers(1, 5, size=n_b).astype(float)
+                    # brute force over the doubled midranks, all integers
+                    ranks2 = np.rint(2 * stats.rankdata(np.concatenate([a, b]))).astype(int)
+                    n = n_a + n_b
+                    mean2 = n_a * (n + 1)
+                    obs = abs(int(ranks2[:n_a].sum()) - mean2)
+                    count = sum(1 for idx in combinations(range(n), n_a)
+                                if abs(int(ranks2[list(idx)].sum()) - mean2) >= obs)
+                    p = wilcoxon_rank_sum(a, b)
+                    assert p == current_wilcoxon_rank_sum(a, b) == count / comb(n, n_a)
+                    assert wilcoxon_rank_sum(a, b) == p  # from the memo
+
+    def test_one_class_test_per_survivor(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        labels = np.repeat([0, 1], [25, 15])
+        cols = [rng.uniform(size=40) for _ in range(12)]
+        cols += [cols[0], cols[3] + 0.001 * rng.normal(size=40), np.full(40, 0.5)]
+        ds = make_dataset(cols, labels)
+        cfg = PrescreenConfig()
+        survivors, removed = correlation_prune(ds, cfg)
+        assert len(removed) == 2
+        seen = []
+
+        def counting(x, labels, cfg):
+            seen.append(np.array(x))
+            return class_test(x, labels, cfg)
+
+        monkeypatch.setattr(prescreen, "class_test", counting)
+        discriminative_filter(ds, cfg)
+        assert len(seen) == len(survivors)
+        np.testing.assert_array_equal(np.column_stack(seen), ds.values[:, survivors])
+
+    def test_pvalues_are_python_floats(self):
+        # welch, exact and approximate rank sums, and the constant shortcut
+        rng = np.random.default_rng(5)
+        for n_a, n_b in [(114, 23), (20, 20), (21, 30)]:
+            labels = np.repeat([0, 1], [n_a, n_b])
+            n = n_a + n_b
+            cols = [rng.normal(0.5, 0.1, size=n), rng.beta(0.5, 4.0, size=n),
+                    np.round(rng.uniform(size=n), 1), np.full(n, 0.25)]
+            report = discriminative_filter(make_dataset(cols, labels), self.cfg)
+            assert len(report.per_feature_pvalues) == 4
+            assert all(type(p) is float for p in report.per_feature_pvalues.values())
+            a, b = cols[0][:n_a], cols[0][n_a:]
+            assert type(welch_ttest(a, b)) is float
+            assert type(wilcoxon_rank_sum(a, b)) is float
+            assert type(normality_gate(a, 0.05)) is bool
