@@ -236,6 +236,11 @@ def cmd_evaluate(args):
     missing = [sid for sid in ds.sample_ids if sid not in pred]
     if missing:
         raise ValidationError(f"{args.pred}: missing predictions for {missing[:5]}")
+    known = set(ds.sample_ids)
+    unknown = [sid for sid in pred if sid not in known]
+    if unknown:
+        raise ValidationError(f"{args.pred}: line {line_of[unknown[0]]}: sample ids "
+                              f"not in the data: {unknown[:5]}")
     c = np.array([pred[sid] for sid in ds.sample_ids])
     report = metrics_mod.evaluate(ds.labels, c, positive_label=args.positive_label)
     text = (f"method: {args.method}\n"

@@ -163,7 +163,9 @@ def load_series_matrix(path) -> Dataset:
     header = [t.strip().strip('"') for t in lines[begin + 1].split("\t")]
     sample_ids = header[1:]
     probe_ids: list[str] = []
-    rows = []
+    # file orientation is probe x sample; each row is parsed straight into
+    # one matrix, which is transposed to samples-as-rows once the text is gone
+    rows = np.empty((end - begin - 2, len(sample_ids)))
     for r, line in enumerate(lines[begin + 2:end]):
         parts = line.split("\t")
         if len(parts) != len(header):
@@ -171,10 +173,10 @@ def load_series_matrix(path) -> Dataset:
                 f"{path}: table row {r} has {len(parts)} columns, expected {len(header)}"
             )
         probe_ids.append(parts[0].strip().strip('"'))
-        rows.append(_parse_row(parts[1:], r, 1))
+        rows[r] = _parse_row(parts[1:], r, 1)
+    del lines
 
-    # file orientation is probe x sample; transpose to samples-as-rows
-    values = np.asarray(rows, dtype=float).T
+    values = rows.T
     values, feature_ids, _ = _impute_feature_means(values, probe_ids)
     ds = Dataset(values=values, feature_ids=feature_ids, sample_ids=sample_ids)
     ds.validate()

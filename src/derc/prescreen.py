@@ -76,18 +76,23 @@ def correlation_prune(data: Dataset, cfg: PrescreenConfig):
     if n < 3:
         raise ValidationError("need at least 3 samples for correlation pruning")
 
-    # standardized columns: constant features become zero vectors (rho = 0)
-    xc = x - x.mean(axis=0)
-    norms = np.sqrt(np.sum(xc * xc, axis=0))
+    # standardized columns in one array: constant features become zero
+    # vectors (rho = 0)
+    xs = x - x.mean(axis=0)
+    norms = np.sqrt(np.sum(xs * xs, axis=0))
     nonzero = norms > 0
-    xs = np.zeros_like(xc)
-    xs[:, nonzero] = xc[:, nonzero] / norms[nonzero]
+    np.divide(xs, norms, out=xs, where=nonzero)
+    xs[:, ~nonzero] = 0.0
 
+    # one buffer serves every block; the block shapes, and so the BLAS
+    # kernels and the bits of each correlation, are those of a fresh product
+    buf = np.empty(min(PRUNE_BLOCK, d) * d)
     removed = np.zeros(d, dtype=bool)
     for start in range(0, d, PRUNE_BLOCK):
         stop = min(start + PRUNE_BLOCK, d)
         # (block, d - start) correlations: row i reads only columns > i
-        block = xs[:, start:stop].T @ xs[:, start:]
+        block = buf[:(stop - start) * (d - start)].reshape(stop - start, d - start)
+        np.matmul(xs[:, start:stop].T, xs[:, start:], out=block)
         for i in range(start, stop):
             if removed[i]:
                 continue
@@ -277,6 +282,8 @@ def welch_ttest(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n1, n2 = len(a), len(b)
+    if n1 < 2 or n2 < 2:
+        raise ValidationError("both groups must hold at least 2 samples")
     m1, m2 = _mean(a), _mean(b)
     da, db = a - m1, b - m2
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 
@@ -24,3 +26,45 @@ def finite_diff(loss_fn, tensors, grads, eps=1e-5):
             denom = max(abs(num), abs(g[i]), 1e-8)
             worst = max(worst, abs(num - g[i]) / denom)
     return worst
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes of the allocations fn makes, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# near-duplicate probe pairs, several across the correlation blocks' edges
+DUPLICATE_PROBES = [(0, 599), (250, 260), (255, 256), (100, 300), (511, 512),
+                    (400, 257), (1000, 2999)]
+
+
+def write_series_matrix(path, n_samples, n_probes, seed):
+    """A GEO series matrix with every cell form the loader accepts.
+
+    Beta values at 6 decimals, near-duplicate probes, and scattered null,
+    NA, empty and quoted cells; probe 1 is all missing and probe 2 constant.
+    """
+    rng = np.random.default_rng(seed)
+    values = rng.beta(2.0, 2.0, size=(n_probes, n_samples))
+    for i, j in DUPLICATE_PROBES:
+        if j < n_probes:
+            values[j] = np.clip(values[i] + rng.normal(0.0, 0.01, n_samples), 0.0, 1.0)
+    values[2] = 0.5
+    cells = [[f"{v:.6f}" for v in row] for row in values]
+    cells[1] = [("null", "", "NA")[c % 3] for c in range(n_samples)]
+    odd = ["null", "", "NA", None]
+    for k in range(n_probes // 5):
+        r, c = int(rng.integers(3, n_probes)), int(rng.integers(n_samples))
+        cells[r][c] = odd[k % 4] or f'"{cells[r][c]}"'
+    lines = ['!Series_title\t"test cohort"',
+             "!series_matrix_table_begin",
+             "\t".join(['"ID_REF"', *(f'"GSM{i}"' for i in range(n_samples))]),
+             *("\t".join([f'"cg{r:08d}"', *row]) for r, row in enumerate(cells)),
+             "!series_matrix_table_end"]
+    path.write_text("\n".join(lines) + "\n")
+    return path

@@ -169,12 +169,15 @@ def _train_derc_with(*flags):
     return argv
 
 
-def _more_clusters_than_classes(tmp_path):
-    raw, ds = synth_csv(tmp_path)
-    pred = tmp_path / "pred.csv"
-    pred.write_text("sample_id,cluster\n" + "".join(
-        f"{sid},{i % 3}\n" for i, sid in enumerate(ds.sample_ids)))
-    return ["evaluate", "--pred", pred, "--data", raw, "--out", tmp_path / "r.txt"]
+def _pred_for_every_sample(n_clusters, extra=""):
+    """A pred file with a line per sample of the 40-sample cohort, then extra."""
+    def argv(tmp_path):
+        raw, ds = synth_csv(tmp_path)
+        pred = tmp_path / "pred.csv"
+        pred.write_text("sample_id,cluster\n" + "".join(
+            f"{sid},{i % n_clusters}\n" for i, sid in enumerate(ds.sample_ids)) + extra)
+        return ["evaluate", "--pred", pred, "--data", raw, "--out", tmp_path / "r.txt"]
+    return argv
 
 
 def _directory_as_data(tmp_path):
@@ -207,8 +210,11 @@ BAD_INPUTS = {
     "pretrain-batch-size-zero": (_pretrain_with("--batch-size", "0"), 2,
                                  ["batch_size", ">= 1"]),
     "derc-epochs-negative": (_train_derc_with("--epochs", "-1"), 2, ["epochs", ">= 1"]),
-    "more-clusters-than-classes": (_more_clusters_than_classes, 2,
+    "more-clusters-than-classes": (_pred_for_every_sample(3), 2,
                                    ["[2]", "outside the label classes"]),
+    "pred-unknown-sample": (_pred_for_every_sample(
+        2, "".join(f"ghost{g},1\n" for g in range(7))), 2,
+        ["pred.csv", "line 42", "not in the data", "'ghost0'", "'ghost4'"]),
     "prescreen-normality-alpha-above-one": (_prescreen_normality_alpha, 2,
                                             ["normality_alpha", "(0, 1)"]),
     "pretrain-negative-lr": (_pretrain_with("--lr", "-1", "--momentum", "3"), 2,

@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import finite_diff, jitter_biases
+from conftest import finite_diff, jitter_biases, traced_peak
 from derc import autoencoder as ae
 from derc import cluster as cl
 from derc import data, kmeans
@@ -233,16 +231,6 @@ class TestTrainDerc:
         assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.centroids, b.centroids)
 
-
-
-def traced_peak(fn) -> int:
-    """Peak bytes of the allocations fn makes, as tracemalloc sees them."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestTrainingMemory:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak, write_series_matrix
 from derc import data
 from derc.errors import ParseError, ValidationError
 
@@ -60,6 +61,70 @@ class TestSeriesMatrix:
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             data.load_series_matrix(write(tmp_path, "m.txt", text))
 
+
+def current_load_series_matrix(path):
+    """load_series_matrix as it was before rows were parsed into one
+    preallocated matrix: the oracle for its values, layout and ids."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        lines = fh.read().splitlines()
+
+    begin = end = None
+    for i, line in enumerate(lines):
+        if "series_matrix_table_begin" in line:
+            begin = i
+        elif "series_matrix_table_end" in line:
+            end = i
+    if begin is None:
+        raise ParseError(f"{path}: missing series_matrix_table_begin marker")
+    if end is None or end <= begin + 1:
+        raise ParseError(
+            f"{path}: missing or misplaced series_matrix_table_end marker "
+            f"(begin at line {begin + 1})"
+        )
+
+    header = [t.strip().strip('"') for t in lines[begin + 1].split("\t")]
+    sample_ids = header[1:]
+    probe_ids: list[str] = []
+    rows = []
+    for r, line in enumerate(lines[begin + 2:end]):
+        parts = line.split("\t")
+        if len(parts) != len(header):
+            raise ParseError(
+                f"{path}: table row {r} has {len(parts)} columns, expected {len(header)}"
+            )
+        probe_ids.append(parts[0].strip().strip('"'))
+        rows.append(data._parse_row(parts[1:], r, 1))
+
+    # file orientation is probe x sample; transpose to samples-as-rows
+    values = np.asarray(rows, dtype=float).T
+    values, feature_ids, _ = data._impute_feature_means(values, probe_ids)
+    ds = data.Dataset(values=values, feature_ids=feature_ids, sample_ids=sample_ids)
+    ds.validate()
+    return ds
+
+
+class TestSeriesMatrixBuffer:
+    """Rows parse into one preallocated matrix: the same dataset as before,
+    bit for bit and in the same layout, at a bounded peak."""
+
+    def test_matches_current_loader(self, tmp_path):
+        path = write_series_matrix(tmp_path / "m.txt", 24, 600, seed=5)
+        got = data.load_series_matrix(path)
+        want = current_load_series_matrix(path)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.values.flags.f_contiguous and want.values.flags.f_contiguous
+        assert got.feature_ids == want.feature_ids
+        assert got.sample_ids == want.sample_ids
+        assert len(got.feature_ids) == 599 and "cg00000001" not in got.feature_ids
+        assert np.all(got.values[:, 1] == 0.5)  # probe 2, constant
+
+    def test_peak_under_three_matrices(self, tmp_path):
+        # the file's text and lines, then the matrix and its imputed copy;
+        # never a list of row arrays beside two matrices
+        path = write_series_matrix(tmp_path / "m.txt", 60, 3000, seed=6)
+        loaded = []
+        peak = traced_peak(lambda: loaded.append(data.load_series_matrix(path)))
+        assert peak < 3 * loaded[0].values.nbytes
 
 
 def reference_impute_feature_means(values, feature_ids):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from conftest import traced_peak, write_series_matrix
 from derc import data, prescreen
 from derc.errors import ValidationError
 from derc.prescreen import (
@@ -326,6 +327,44 @@ def full_width_prune(ds, cfg):
     return np.nonzero(~removed)[0], np.nonzero(removed)[0]
 
 
+def current_correlation_prune(data, cfg):
+    """correlation_prune as it was before it standardized in place into one
+    array and reused one block buffer: the oracle for its decisions."""
+    cfg.validate()
+    x = np.asarray(data.values, dtype=float)
+    n, d = x.shape
+    if n < 3:
+        raise ValidationError("need at least 3 samples for correlation pruning")
+
+    # standardized columns: constant features become zero vectors (rho = 0)
+    xc = x - x.mean(axis=0)
+    norms = np.sqrt(np.sum(xc * xc, axis=0))
+    nonzero = norms > 0
+    xs = np.zeros_like(xc)
+    xs[:, nonzero] = xc[:, nonzero] / norms[nonzero]
+
+    removed = np.zeros(d, dtype=bool)
+    for start in range(0, d, prescreen.PRUNE_BLOCK):
+        stop = min(start + prescreen.PRUNE_BLOCK, d)
+        # (block, d - start) correlations: row i reads only columns > i
+        block = xs[:, start:stop].T @ xs[:, start:]
+        for i in range(start, stop):
+            if removed[i]:
+                continue
+            row = block[i - start]
+            cand = np.abs(row[i + 1 - start:]) >= cfg.rho_threshold
+            if not cand.any():
+                continue
+            j = np.nonzero(cand)[0] + i + 1
+            j = j[~removed[j]]
+            if len(j) == 0:
+                continue
+            pvals = prescreen._pvalue_from_rho(row[j - start], n)
+            removed[j[pvals <= cfg.alpha]] = True
+    kept = np.nonzero(~removed)[0]
+    return kept, np.nonzero(removed)[0]
+
+
 class TestPearson:
     def test_self_correlation(self):
         rho, p = pearson_correlation_test([1, 2, 3, 4], [1, 2, 3, 4])
@@ -413,6 +452,30 @@ class TestCorrelationPrune:
         np.testing.assert_array_equal(kept, want_kept)
         np.testing.assert_array_equal(removed, want_removed)
 
+    @pytest.mark.parametrize("rho_threshold", [0.9, 0.3])
+    def test_matches_current_prune(self, tmp_path, rho_threshold):
+        # a loaded matrix (F-contiguous, imputed, a constant probe) with
+        # near-duplicates across the block edges; at 0.3 many rows have
+        # candidates and many pairs are tested
+        ds = data.load_series_matrix(write_series_matrix(tmp_path / "m.txt", 24, 600, 5))
+        assert ds.values.flags.f_contiguous
+        cfg = PrescreenConfig(rho_threshold=rho_threshold)
+        kept, removed = correlation_prune(ds, cfg)
+        want_kept, want_removed = current_correlation_prune(ds, cfg)
+        assert len(removed) >= 6
+        assert kept.tolist() == want_kept.tolist()
+        assert removed.tolist() == want_removed.tolist()
+
+    def test_peak_one_matrix_and_one_block(self, tmp_path):
+        # the standardized copy plus one PRUNE_BLOCK x d buffer; a second
+        # block alive, or the centered, squared and divided copies, break it
+        ds = data.load_series_matrix(write_series_matrix(tmp_path / "m.txt", 60, 3000, 6))
+        cfg = PrescreenConfig()
+        correlation_prune(ds, cfg)  # the first p-value imports scipy.special
+        peak = traced_peak(lambda: correlation_prune(ds, cfg))
+        block_bytes = 8 * prescreen.PRUNE_BLOCK * ds.n_features
+        assert peak < 1.25 * (ds.values.nbytes + block_bytes)
+
     def test_permutation_consistency(self):
         # shuffling columns changes which duplicate survives but not the count
         rng = np.random.default_rng(4)
@@ -488,6 +551,14 @@ class TestClassTest:
     def test_empty_class_error(self):
         with pytest.raises(ValidationError):
             class_test(np.ones(4), np.zeros(4, dtype=int), self.cfg)
+
+    @pytest.mark.parametrize("a, b", [([], [1.0, 2.0, 3.0]), ([0.5], [0.1, 0.2, 0.3]),
+                                      ([0.1, 0.2, 0.3], [0.4])])
+    def test_welch_needs_two_per_group(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="at least 2 samples"):
+                welch_ttest(a, b)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(8)
