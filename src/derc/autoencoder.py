@@ -8,6 +8,7 @@ clustering.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,11 @@ from .network import (
     NetworkParams,
     SgdConfig,
     backward_layers,
+    check_finite,
     collect_params,
     forward_layers,
     mse_loss,
+    row_space_first_layer,
     sgd_epochs,
 )
 
@@ -120,9 +123,13 @@ def vae_kl(mu: np.ndarray, log_var: np.ndarray) -> float:
     return float(-0.5 * np.sum(1.0 + log_var - mu * mu - np.exp(log_var)))
 
 
-def vae_forward(params: NetworkParams, x: np.ndarray, eps: np.ndarray):
-    """Reparameterised forward pass; returns reconstruction and caches."""
-    mu, enc_cache = forward_layers(params.encoder_layers, x)
+def vae_forward(params: NetworkParams, x: np.ndarray, eps: np.ndarray,
+                rows: np.ndarray | None = None):
+    """Reparameterised forward pass; returns reconstruction and caches.
+
+    rows are x's row indices in the training matrix (see forward_layers).
+    """
+    mu, enc_cache = forward_layers(params.encoder_layers, x, rows)
     # the log-variance head reads the mean head's input
     lv, lv_cache = forward_layers([params.logvar_head], enc_cache[-1][0])
     z = mu + np.exp(0.5 * lv) * eps
@@ -133,15 +140,15 @@ def vae_forward(params: NetworkParams, x: np.ndarray, eps: np.ndarray):
 
 
 def vae_loss_and_grads(params: NetworkParams, x: np.ndarray, eps: np.ndarray,
-                       recon_weight: float):
+                       recon_weight: float, rows: np.ndarray | None = None):
     """Weighted loss w*MSE + (1-w)*mean-KL and gradients for every tensor.
 
     Gradients are backward_layers' ((dz, x_in), db) per layer, ordered as
-    params.all_layers().
+    params.all_layers(); rows are as in vae_forward.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    r, cache = vae_forward(params, x, eps)
+    r, cache = vae_forward(params, x, eps, rows)
     mse, dmse = mse_loss(x, r)
     mu, lv = cache["mu_val"], cache["lv_val"]
     kl_mean = vae_kl(mu, lv) / n
@@ -175,12 +182,15 @@ def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
               batch_loss, val_loss):
     """Both pretrainers on network.sgd_epochs; returns (params, history).
 
-    build(dims, rng) makes the model. batch_loss(params, batch, rng) returns
-    a batch's loss and its backward_layers gradients, ordered as
-    params.all_layers(). val_loss(params, x_val, rng) scores the validation
-    split after each epoch. All draws come from one generator seeded by
-    cfg.seed: build, split, then per epoch the permutation, the batches' and
-    the validation draws.
+    build(dims, rng) makes the model. batch_loss(params, batch, rows, rng)
+    returns a batch's loss and its backward_layers gradients, ordered as
+    params.all_layers(); rows are the batch's indices in the training split.
+    val_loss(params, x_val, rng) scores the validation split after each
+    epoch. All draws come from one generator seeded by cfg.seed: build,
+    split, then per epoch the permutation, the batches' and the validation
+    draws. The first encoder layer trains in the training split's row space
+    (network.RowSpaceLayer), except in a VAE without a trunk, whose two
+    heads both read the input.
     """
     cfg.validate()
     x = np.asarray(values, dtype=float)
@@ -189,17 +199,21 @@ def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
     train_idx, val_idx = _split_train_val(x.shape[0], cfg.validation_fraction, rng)
     x_train, x_val = x[train_idx], x[val_idx]
     history = []
-    epochs = sgd_epochs(collect_params(params.all_layers()), len(x_train), cfg, rng,
-                        lambda idx: batch_loss(params, x_train[idx], rng),
-                        f"pretrain {kind}")
-    for epoch, train_loss in enumerate(epochs):
-        val = val_loss(params, x_val, rng) if len(x_val) else float("nan")
-        history.append((epoch, train_loss, val))
+    row_space = params.logvar_head is None or len(params.encoder_layers) > 1
+    with (row_space_first_layer(params.encoder_layers, x_train) if row_space
+          else nullcontext()):
+        epochs = sgd_epochs(collect_params(params.all_layers()), len(x_train), cfg, rng,
+                            lambda idx: batch_loss(params, x_train[idx], idx, rng),
+                            f"pretrain {kind}")
+        for epoch, train_loss in enumerate(epochs):
+            val = val_loss(params, x_val, rng) if len(x_val) else float("nan")
+            history.append((epoch, train_loss, val))
+    check_finite(collect_params(params.all_layers()), f"pretrain {kind}")
     return params, history
 
 
-def _ae_batch_loss(params: NetworkParams, batch, rng):
-    z, enc_cache = forward_layers(params.encoder_layers, batch)
+def _ae_batch_loss(params: NetworkParams, batch, rows, rng):
+    z, enc_cache = forward_layers(params.encoder_layers, batch, rows)
     r, dec_cache = forward_layers(params.decoder_layers, z)
     loss, dmse = mse_loss(batch, r)
     dec_grads, dz = backward_layers(params.decoder_layers, dec_cache, dmse)
@@ -227,9 +241,9 @@ def pretrain_vae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
     History rows are as in pretrain_ae; val_loss is the reconstruction MSE
     with sampled latents.
     """
-    def batch_loss(params, batch, rng):
+    def batch_loss(params, batch, rows, rng):
         eps = rng.standard_normal((batch.shape[0], params.latent_dim))
-        return vae_loss_and_grads(params, batch, eps, cfg.vae_recon_weight)[:2]
+        return vae_loss_and_grads(params, batch, eps, cfg.vae_recon_weight, rows)[:2]
 
     return _pretrain(values, spec, cfg, "vae", build_vae, batch_loss,
                      vae_reconstruction_loss)

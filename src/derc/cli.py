@@ -50,14 +50,14 @@ def _load_dataset(path, need_labels=False, labels_path=None) -> data_io.Dataset:
 
 
 def _csv_has_label_column(path) -> bool:
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 is reported by load_csv, which reads it all
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip().split(",")
     return bool(header) and header[-1] == "label"
 
 
 def _load_labels(path, n: int) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in data_io.read_text(path).splitlines() if ln.strip()]
     vals = [ln.split(",")[-1] for ln in lines]
     if vals and vals[0] == "label":  # optional header
         vals = vals[1:]
@@ -214,8 +214,8 @@ def cmd_train_derc(args):
 
 
 def cmd_evaluate(args):
-    with open(args.pred, "r", encoding="utf-8") as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = [(no, ln.strip()) for no, ln in
+             enumerate(data_io.read_text(args.pred).splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != "sample_id,cluster":
         raise ParseError(f"{args.pred}: expected header 'sample_id,cluster'")
     pred = {}

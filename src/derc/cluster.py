@@ -23,9 +23,11 @@ from .network import (
     NetworkParams,
     SgdConfig,
     backward_layers,
+    check_finite,
     collect_params,
     forward_layers,
     mse_loss,
+    row_space_first_layer,
     sgd_epochs,
 )
 
@@ -107,24 +109,18 @@ def cluster_kl_loss(p: np.ndarray, q: np.ndarray, z: np.ndarray,
     return loss, dz, dmu
 
 
-def predict(params: NetworkParams, centroids: np.ndarray,
-            values: np.ndarray) -> np.ndarray:
-    """Hard assignment: argmax of the soft assignment of the encoded data."""
-    from .autoencoder import encode
-
-    return np.argmax(soft_assign(encode(params, values), centroids), axis=1)
-
-
 def _derc_batch_loss(params: NetworkParams, centroids: np.ndarray,
-                     batch: np.ndarray, p: np.ndarray, beta: float):
+                     batch: np.ndarray, p: np.ndarray, beta: float,
+                     rows: np.ndarray | None = None):
     """A batch's loss KL(P || Q) / bs + beta * MSE with the targets p held fixed.
 
     Returns (total, cluster term, reconstruction term, gradients); the
     gradients are backward_layers' ((dz, x_in), db) per encoder and decoder
-    layer, then the centroids' (dmu,).
+    layer, then the centroids' (dmu,). rows are the batch's indices in the
+    training matrix (see network.forward_layers).
     """
     bs = len(batch)
-    z, enc_cache = forward_layers(params.encoder_layers, batch)
+    z, enc_cache = forward_layers(params.encoder_layers, batch, rows)
     r, dec_cache = forward_layers(params.decoder_layers, z)
     rec_loss, dmse = mse_loss(batch, r)
     q_b = soft_assign(z, centroids)
@@ -146,6 +142,8 @@ def train_derc(values: np.ndarray, params: NetworkParams,
     every cfg.target_interval mini-batch steps. History rows are
     (iteration, cluster_loss_per_sample, recon_loss, total). A VAE model is
     trained through its mean encoding; its log-variance head is not updated.
+    The first encoder layer trains in the row space of values
+    (network.RowSpaceLayer) and is dense again in the result.
     """
     from .autoencoder import encode
 
@@ -176,16 +174,17 @@ def train_derc(values: np.ndarray, params: NetworkParams,
                 return None
             prev_hard = hard
         total, cl_loss, rec_loss, grads = _derc_batch_loss(
-            params, centroids, x[idx], p_full[idx], cfg.beta)
+            params, centroids, x[idx], p_full[idx], cfg.beta, idx)
         history.append((ite, cl_loss, rec_loss, total))
         return total, grads
 
-    layers = [*params.encoder_layers, *params.decoder_layers]
-    for _ in sgd_epochs([*collect_params(layers), centroids], n, cfg,
-                        np.random.default_rng(cfg.seed), batch_step, "train-derc"):
-        pass
-
-    q_final = soft_assign(encode(params, x), centroids)
+    with row_space_first_layer(params.encoder_layers, x):
+        layers = [*params.encoder_layers, *params.decoder_layers]
+        for _ in sgd_epochs([*collect_params(layers), centroids], n, cfg,
+                            np.random.default_rng(cfg.seed), batch_step, "train-derc"):
+            pass
+        q_final = soft_assign(encode(params, x), centroids)
+    check_finite([*collect_params(params.all_layers()), centroids], "train-derc")
     return DercResult(params=params, centroids=centroids, q=q_final,
                       p=target_distribution(q_final),
                       cluster_ids=np.argmax(q_final, axis=1), history=history)

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 
+from .data import read_text
 from .errors import ParseError
 
 # fixed stage ids; the per-stage seed is SeedSequence(global_seed, spawn_key=(id,))
@@ -27,15 +28,14 @@ def stage_seed(global_seed: int, stage: str) -> int:
 def load_config(path) -> dict[str, str]:
     """Parse a plain-text config of `key = value` lines; '#' starts a comment."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, raw in enumerate(read_text(path).splitlines(keepends=True), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 

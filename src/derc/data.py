@@ -141,6 +141,26 @@ def _impute_feature_means(values: np.ndarray, feature_ids: list[str]):
     return values[:, keep], [feature_ids[j] for j in keep], dropped
 
 
+def read_text(path) -> str:
+    """A file's text as UTF-8; a byte that does not decode raises ParseError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})")
+
+
+def _require_cells(path, values: np.ndarray) -> None:
+    """Reject a table without a sample row, a feature column or a value."""
+    n, d = values.shape
+    if n == 0 or d == 0:
+        raise ValidationError(f"{path}: the table holds {n} samples and {d} features")
+    # fmax skips NaN, so the reduction is NaN only if every cell is missing
+    if np.isnan(np.fmax.reduce(values, axis=None)):
+        raise ValidationError(f"{path}: every cell of the table is missing")
+
+
 def load_series_matrix(path) -> Dataset:
     """Parse a GEO series-matrix text file into a Dataset (samples as rows)."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -177,6 +197,7 @@ def load_series_matrix(path) -> Dataset:
     del lines
 
     values = rows.T
+    _require_cells(path, values)
     values, feature_ids, _ = _impute_feature_means(values, probe_ids)
     ds = Dataset(values=values, feature_ids=feature_ids, sample_ids=sample_ids)
     ds.validate()
@@ -189,8 +210,7 @@ def load_csv(path, has_labels: bool = False) -> Dataset:
     When has_labels is true, the final column must be named "label" and
     contain binary class ids.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = [t.strip() for t in lines[0].split(",")]
@@ -217,7 +237,8 @@ def load_csv(path, has_labels: bool = False) -> Dataset:
             parts = parts[:-1]
         rows.append(_parse_row(parts, r, 0))
 
-    values = np.asarray(rows, dtype=float)
+    values = np.asarray(rows, dtype=float).reshape(len(rows), len(feature_ids))
+    _require_cells(path, values)
     values, feature_ids, _ = _impute_feature_means(values, list(feature_ids))
     ds = Dataset(
         values=values,

@@ -29,17 +29,6 @@ def _squared_distances(z: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=2)
 
 
-def kmeans_assign(centroids: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Nearest centroid by Euclidean distance; ties go to the lower index."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    centroids = np.asarray(centroids, dtype=float)
-    if z.shape[1] != centroids.shape[1]:
-        raise ValidationError(
-            f"data width {z.shape[1]} does not match centroid width {centroids.shape[1]}"
-        )
-    return np.argmin(_squared_distances(z, centroids), axis=1)
-
-
 def _lloyd(z: np.ndarray, k: int, rng: np.random.Generator,
            max_iter: int, tol: float):
     n = z.shape[0]

@@ -15,6 +15,9 @@ INIT_SCALE = 1.0 / 3.0  # s in the uniform bound l = sqrt(3 * s / n_input)
 # elements per optimizer update block: 256 KiB of float64, small enough that
 # the scratch product and the slices it touches stay in cache
 UPDATE_BLOCK = 1 << 15
+# elements of the scratch product when a row-space layer's weights are
+# formed: 2 MiB of float64, wide enough for an efficient GEMM
+FOLD_BLOCK = 1 << 18
 
 
 def init_bound(n_input: int) -> float:
@@ -90,6 +93,76 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
+class RowSpaceLayer:
+    """A dense layer trained in the row space of its training matrix x.
+
+    A layer that only ever reads rows of x gets SGD updates dz.T @ x[rows],
+    and momentum velocities built from them, so its weights stay
+    W = w0 + coef.T @ x, with coef of shape n_samples x n_out (Zhang et al.
+    2017, arXiv:1611.03530, sec. 5). The layer keeps the read-only w0 and
+    x @ w0.T and x @ x.T, each computed once, and SgdMomentum.step trains
+    coef through row scatters in place of W. The bias is layer's own array.
+    """
+
+    def __init__(self, layer: DenseLayer, x: np.ndarray):
+        self.w0 = layer.weights.view()
+        self.w0.flags.writeable = False
+        self.bias, self.activation, self.x = layer.bias, layer.activation, x
+        self.xw0 = x @ self.w0.T
+        self.gram = x @ x.T
+        self.coef = np.zeros((len(x), layer.n_out))
+
+    @property
+    def n_in(self) -> int:
+        return self.w0.shape[1]
+
+    @property
+    def n_out(self) -> int:
+        return self.w0.shape[0]
+
+    def affine(self, a: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+        """a @ W.T + bias, for the rows of x given by rows, all of x, or any a."""
+        if rows is not None:
+            return self.xw0[rows] + self.gram[rows] @ self.coef + self.bias
+        if a is self.x:
+            return self.xw0 + self.gram @ self.coef + self.bias
+        return a @ self.w0.T + (a @ self.x.T) @ self.coef + self.bias
+
+    def fold_into(self, out: np.ndarray) -> None:
+        """Write W = w0 + coef.T @ x into out, which may be w0's own buffer.
+
+        Rows are formed a block at a time, so no W-sized temporary exists.
+        """
+        d = self.x.shape[1]
+        rows = max(1, FOLD_BLOCK // d)
+        scratch = np.empty(min(rows, self.n_out) * d)
+        for r0 in range(0, self.n_out, rows):
+            r1 = min(r0 + rows, self.n_out)
+            block = scratch[:(r1 - r0) * d].reshape(r1 - r0, d)
+            np.matmul(self.coef[:, r0:r1].T, self.x, out=block)
+            np.add(self.w0[r0:r1], block, out=out[r0:r1])
+
+
+class row_space_first_layer:
+    """Context manager: hold layers[0] as a RowSpaceLayer on x, and yield it.
+
+    On exit, by an exception too, the trained weights are formed in the
+    dense layer's own weight array and the dense layer is put back, so what
+    outlives training (a saved model, a caller's params) is dense.
+    """
+
+    def __init__(self, layers: list, x: np.ndarray):
+        self.layers, self.dense, self.x = layers, layers[0], x
+
+    def __enter__(self) -> RowSpaceLayer:
+        self.layers[0] = RowSpaceLayer(self.dense, self.x)
+        return self.layers[0]
+
+    def __exit__(self, *exc) -> None:
+        self.layers[0].fold_into(self.dense.weights)
+        self.layers[0] = self.dense
+
+
 @dataclass
 class NetworkParams:
     """The model of both kinds: encoder/decoder stacks with chained shapes.
@@ -116,8 +189,15 @@ class NetworkParams:
         return [*self.encoder_layers, *heads, *self.decoder_layers]
 
 
-def forward_layers(layers: list[DenseLayer], x: np.ndarray):
-    """Run a stack, caching (input, pre-activation, activation) per layer."""
+def forward_layers(layers: list[DenseLayer], x: np.ndarray,
+                   rows: np.ndarray | None = None):
+    """Run a stack, caching (input, pre-activation, activation) per layer.
+
+    rows, when given, are the indices of x's rows in the training matrix of
+    a RowSpaceLayer at the bottom of the stack. That layer then reads them
+    in place of x and caches them as its input, so backward_layers returns
+    its weight gradient as the row scatter (dz, rows) on its coef.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValidationError("batch must be 2-D (samples x features)")
@@ -128,9 +208,14 @@ def forward_layers(layers: list[DenseLayer], x: np.ndarray):
     cache = []
     a = x
     for layer in layers:
-        z = a @ layer.weights.T + layer.bias
+        if isinstance(layer, RowSpaceLayer):
+            z = layer.affine(a, rows)
+            a_in = a if rows is None else rows
+        else:
+            z = a @ layer.weights.T + layer.bias
+            a_in = a
         a_next = _activate(z, layer.activation)
-        cache.append((a, z, a_next))
+        cache.append((a_in, z, a_next))
         a = a_next
     return a, cache
 
@@ -142,8 +227,10 @@ def backward_layers(layers: list[DenseLayer], cache, grad_out: np.ndarray,
     Returns ([((dz, x_in), db)] aligned with layers, gradient w.r.t. the
     stack input). Each weight gradient dW = dz.T @ x_in is returned as its
     factors and never formed; flatten_grads gives the dense arrays and
-    SgdMomentum.step takes the factors. With input_grad=False the bottom
-    layer's input gradient is skipped and None is returned in its place.
+    SgdMomentum.step takes the factors. For a RowSpaceLayer run on rows,
+    x_in is those row indices (see forward_layers). With input_grad=False
+    the bottom layer's input gradient is skipped and None is returned in
+    its place; a RowSpaceLayer has no input gradient.
     """
     grads = [None] * len(layers)
     g = grad_out
@@ -173,7 +260,9 @@ class SgdMomentum:
     leaves the gradients untouched. A gradient is a dense array, or for a
     2-D parameter the factors (dz, x_in) of dz.T @ x_in from backward_layers:
     then each block of rows of the product is formed in the scratch buffer
-    and applied at once, so the dense gradient never exists. With momentum 0
+    and applied at once, so the dense gradient never exists. A pair
+    (dz, rows) with a 1-D integer rows is a row scatter, the gradient whose
+    row rows[i] is dz[i], as a RowSpaceLayer's coef gets. With momentum 0
     the velocity would always equal -lr*g, so none is kept (velocity is
     None) and the update is p <- p - lr*g.
     """
@@ -195,13 +284,16 @@ class SgdMomentum:
         if len(grads) != len(self.params):
             raise ValidationError("gradient list does not match parameter list")
         for i, (p, g) in enumerate(zip(self.params, grads)):
+            v = None if self.velocity is None else self.velocity[i]
+            if isinstance(g, tuple) and g[1].ndim == 1:
+                self._scatter(p, v, *g)
+                continue
             factored = isinstance(g, tuple)
             shape = (g[0].shape[1], g[1].shape[1]) if factored else g.shape
             if shape != p.shape:
                 raise ValidationError(
                     f"gradient shape {shape} does not match parameter {p.shape}"
                 )
-            v = None if self.velocity is None else self.velocity[i]
             if factored:
                 dz, x_in = g
                 # rows of about UPDATE_BLOCK elements, never one alone unless p
@@ -220,6 +312,24 @@ class SgdMomentum:
                     block = slice(start, start + UPDATE_BLOCK)
                     self._apply(p, v, block, g[block])
 
+    def _scatter(self, p, v, dz, rows) -> None:
+        """Update p, v by the gradient whose row rows[i] is dz[i]."""
+        if (p.ndim != 2 or dz.shape != (len(rows), p.shape[1])
+                or not np.all((rows >= 0) & (rows < len(p)))):
+            raise ValidationError(f"row scatter of {dz.shape} on {len(rows)} rows "
+                                  f"does not fit parameter {p.shape}")
+        if v is not None:
+            v *= self.momentum
+        # lr*dz goes to scratch about UPDATE_BLOCK elements at a time; ufunc.at
+        # sums repeated rows, which fancy-index assignment would drop
+        step = max(1, UPDATE_BLOCK // p.shape[1])
+        for r0 in range(0, len(rows), step):
+            g = dz[r0:r0 + step]
+            t = np.multiply(g, self.lr, out=self._scratch[:g.size].reshape(g.shape))
+            np.subtract.at(p if v is None else v, rows[r0:r0 + step], t)
+        if v is not None:
+            p += v
+
     def _apply(self, p, v, block, g) -> None:
         """Update p[block], v[block] by their gradient g; lr*g goes to scratch."""
         t = np.multiply(g, self.lr, out=self._scratch[:g.size].reshape(g.shape))
@@ -234,11 +344,20 @@ class SgdMomentum:
 
 
 def collect_params(layers: list[DenseLayer]) -> list[np.ndarray]:
+    """[W, b, ...] per layer; a RowSpaceLayer gives its coef in W's place."""
     out = []
     for layer in layers:
-        out.append(layer.weights)
+        out.append(layer.coef if isinstance(layer, RowSpaceLayer) else layer.weights)
         out.append(layer.bias)
     return out
+
+
+def check_finite(arrays: list[np.ndarray], what: str) -> None:
+    """Raise NumericError naming `what` if an array holds a NaN or an inf."""
+    for i, a in enumerate(arrays):
+        # min and max propagate NaN and reach every inf, with no temporary
+        if a.size and not np.isfinite([a.min(), a.max()]).all():
+            raise NumericError(f"{what}: non-finite value in trained parameter {i}")
 
 
 def flatten_grads(grads) -> list[np.ndarray]:

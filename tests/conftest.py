@@ -28,6 +28,26 @@ def finite_diff(loss_fn, tensors, grads, eps=1e-5):
     return worst
 
 
+def poison_last_step(monkeypatch, n_steps):
+    """Make SgdMomentum.step write an inf into its first parameter on call n_steps.
+
+    Returns the list that gets one entry per step.
+    """
+    from derc.network import SgdMomentum
+
+    calls = []
+    step = SgdMomentum.step
+
+    def poisoned(self, grads):
+        step(self, grads)
+        calls.append(None)
+        if len(calls) == n_steps:
+            self.params[0].flat[0] = np.inf
+
+    monkeypatch.setattr(SgdMomentum, "step", poisoned)
+    return calls
+
+
 def traced_peak(fn) -> int:
     """Peak bytes of the allocations fn makes, as tracemalloc sees them."""
     tracemalloc.start()

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import poison_last_step
 from derc import data
 from derc.autoencoder import encode
 from derc.cli import main
@@ -194,6 +195,40 @@ def _bad_pred_line(line):
     return argv
 
 
+def _prescreen_file(name, content):
+    """prescreen on a data file holding content (bytes), with a labels file."""
+    def argv(tmp_path):
+        path = tmp_path / name
+        path.write_bytes(content)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n1\n")
+        return ["prescreen", "--data", path, "--labels", labels,
+                "--out-data", tmp_path / "f.csv", "--out-report", tmp_path / "r.csv",
+                "--out-kept", tmp_path / "k.txt"]
+    return argv
+
+
+def _config_bytes(content):
+    def argv(tmp_path):
+        raw, _ = synth_csv(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(content)
+        return ["pretrain", "ae", "--data", raw, "--out", tmp_path / "m.derc",
+                "--config", cfg]
+    return argv
+
+
+def _pred_bytes(content):
+    def argv(tmp_path):
+        raw, _ = synth_csv(tmp_path)
+        pred = tmp_path / "pred.csv"
+        pred.write_bytes(content)
+        return ["evaluate", "--pred", pred, "--data", raw, "--out", tmp_path / "r.txt"]
+    return argv
+
+
+SERIES_HEADER = b'!series_matrix_table_begin\n"ID_REF"\t"GSM1"\t"GSM2"\n'
+
 # bad input -> (argv builder, exit code, substrings of the one stderr line)
 BAD_INPUTS = {
     "missing-file": (_missing_file, 2, ["nope.csv"]),
@@ -227,6 +262,19 @@ BAD_INPUTS = {
     "pretrain-validation-holds-out-all": (_pretrain_with("--validation-fraction", "0.99"),
                                           2, ["validation_fraction", "40 samples"]),
     "derc-non-finite-loss": (_train_derc_with("--lr", "1e200"), 3, ["non-finite loss"]),
+    "csv-header-only": (_prescreen_file("h.csv", b"f1,f2\n"), 2,
+                        ["h.csv", "0 samples"]),
+    "series-matrix-without-probes": (_prescreen_file(
+        "series_matrix.txt", SERIES_HEADER + b"!series_matrix_table_end\n"), 2,
+        ["series_matrix.txt", "2 samples and 0 features"]),
+    "csv-every-cell-missing": (_prescreen_file("na.csv", b"f1,f2\nNA,\n,NA\n"), 2,
+                               ["na.csv", "every cell", "missing"]),
+    "csv-not-utf8": (_prescreen_file("bad.csv", b"f1,f2\n0.5,0.\xff\n0.1,0.2\n"), 2,
+                     ["bad.csv", "byte 12", "not UTF-8"]),
+    "config-not-utf8": (_config_bytes(b"epochs = 2\n# caf\xe9\n"), 2,
+                        ["run.cfg", "byte 16", "not UTF-8"]),
+    "pred-not-utf8": (_pred_bytes(b"sample_id,cluster\ns\xff0,1\n"), 2,
+                      ["pred.csv", "byte 19", "not UTF-8"]),
 }
 
 
@@ -279,6 +327,18 @@ class TestErrors:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "non-finite loss" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "m.derc").exists()
+
+    def test_non_finite_parameter_exit_3(self, tmp_path, capsys, monkeypatch):
+        argv = _train_derc_with("--epochs", "1")(tmp_path)
+        capsys.readouterr()
+        # 40 samples in batches of 8: the inf lands after the last loss
+        calls = poison_last_step(monkeypatch, 5)
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert len(calls) == 5
+        assert err.startswith("derc: numeric error: train-derc: non-finite value")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "t.derc").exists()
 
 
 class TestUtilities:

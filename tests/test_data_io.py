@@ -56,6 +56,15 @@ class TestSeriesMatrix:
         with pytest.raises(ParseError, match="row 0"):
             data.load_series_matrix(write(tmp_path, "m.txt", text))
 
+    @pytest.mark.parametrize("table, shape", [
+        ('"ID_REF"\t"GSM1"\t"GSM2"\n', "2 samples and 0 features"),
+        ('"ID_REF"\n"cg0001"\n', "0 samples and 1 features"),
+    ], ids=["no-probe-rows", "no-sample-columns"])
+    def test_empty_table(self, tmp_path, table, shape):
+        text = f"!series_matrix_table_begin\n{table}!series_matrix_table_end\n"
+        with pytest.raises(ValidationError, match=shape):
+            data.load_series_matrix(write(tmp_path, "m.txt", text))
+
     def test_out_of_range_value(self, tmp_path):
         text = GEO_SMALL.replace("0.9", "1.9")
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
@@ -184,6 +193,21 @@ class TestCsv:
         p = write(tmp_path, "d.csv", "f1,label\n0.1,2\n0.3,1\n")
         with pytest.raises(ValidationError, match="label"):
             data.load_csv(p, has_labels=True)
+
+    @pytest.mark.parametrize("text, has_labels, match", [
+        ("f1,f2\n", False, "0 samples and 2 features"),
+        ("label\n0\n1\n", True, "2 samples and 0 features"),
+        ("f1,f2\nNA,\n,null\n", False, "every cell"),
+    ], ids=["header-only", "label-only", "all-missing"])
+    def test_empty_table(self, tmp_path, text, has_labels, match):
+        with pytest.raises(ValidationError, match=match):
+            data.load_csv(write(tmp_path, "d.csv", text), has_labels=has_labels)
+
+    def test_undecodable_byte(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"f1,f2\n0.1,0.2\n0.3,\xff\n")
+        with pytest.raises(ParseError, match="byte 18 is not UTF-8"):
+            data.load_csv(p)
 
     def test_roundtrip_exact(self, tmp_path):
         ds = data.generate_synthetic(data.SynthSpec(n_samples=12, n_features=7, n_informative=3, seed=5))

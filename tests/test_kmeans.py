@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from derc.errors import ValidationError
-from derc.kmeans import kmeans_assign, kmeans_fit
+from derc.kmeans import kmeans_fit
 
 
 class TestKmeansFit:
@@ -74,21 +74,10 @@ class TestKmeansFit:
 
 
 class TestKmeansAssign:
-    centroids = np.array([[0.0, 0.0], [2.0, 0.0]])
-
-    def test_exact_centroid_match(self):
-        assert kmeans_assign(self.centroids, np.array([[2.0, 0.0]]))[0] == 1
-
-    def test_tie_goes_to_lower_index(self):
-        assert kmeans_assign(self.centroids, np.array([[1.0, 0.0]]))[0] == 0
-
     def test_self_consistency_with_fit(self):
+        # fit assignments are the nearest centroids
         rng = np.random.default_rng(6)
         z = rng.normal(size=(30, 2))
         result = kmeans_fit(z, k=3, restarts=5, seed=2)
-        np.testing.assert_array_equal(kmeans_assign(result.centroids, z),
-                                      result.assignments)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValidationError):
-            kmeans_assign(self.centroids, np.ones((2, 3)))
+        d2 = ((z[:, None, :] - result.centroids[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(np.argmin(d2, axis=1), result.assignments)

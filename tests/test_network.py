@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import finite_diff, jitter_biases
+from conftest import finite_diff, jitter_biases, traced_peak
 from derc import network as nw
 from derc.autoencoder import build_ae
 from derc.errors import ValidationError
@@ -152,6 +152,66 @@ class TestBackward:
         assert not dw.any() and not db.any() and not gin.any()
 
 
+class TestRowSpaceLayer:
+    def layer(self, n=7, d=30, h=5, seed=12):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(size=(n, d))
+        dense = nw.DenseLayer.create(d, h, "relu", rng)
+        dense.bias += rng.normal(size=h)
+        layer = nw.RowSpaceLayer(dense, x)
+        layer.coef[...] = rng.normal(size=(n, h))
+        return dense, layer, x, rng
+
+    def test_affine_is_the_dense_layer(self):
+        dense, layer, x, rng = self.layer()
+        w = dense.weights + layer.coef.T @ x
+        rows = np.array([4, 0, 6])
+        other = rng.uniform(size=(3, x.shape[1]))
+        for got, a in ((layer.affine(x[rows], rows), x[rows]),
+                       (layer.affine(x, None), x),
+                       (layer.affine(other, None), other)):
+            np.testing.assert_allclose(got, a @ w.T + dense.bias, rtol=1e-13)
+
+    def test_forward_caches_rows_for_backward(self):
+        _, layer, x, rng = self.layer()
+        rows = np.array([2, 5])
+        _, cache = nw.forward_layers([layer], x[rows], rows)
+        assert cache[0][0] is rows
+        (dz, got_rows), _ = nw.backward_layers([layer], cache, rng.normal(size=(2, 5)),
+                                               input_grad=False)[0][0]
+        assert got_rows is rows and dz.shape == (2, 5)
+        assert nw.collect_params([layer])[0] is layer.coef
+
+    def test_w0_is_read_only(self):
+        _, layer, _, _ = self.layer()
+        with pytest.raises(ValueError):
+            layer.w0[0, 0] = 1.0
+
+    def test_fold_writes_weights_in_place_in_blocks(self):
+        # W is about 9 MiB, far wider than one FOLD_BLOCK
+        dense, layer, x, _ = self.layer(n=20, d=4000, h=300)
+        weights = dense.weights
+        want = weights + layer.coef.T @ x
+        peak = traced_peak(lambda: layer.fold_into(weights))
+        np.testing.assert_allclose(weights, want, rtol=1e-13)
+        assert peak <= 8 * (nw.FOLD_BLOCK + x.shape[1]) + 4096
+
+    def test_context_puts_the_dense_layer_back_on_error(self):
+        rng = np.random.default_rng(13)
+        x = rng.uniform(size=(6, 9))
+        layers = [nw.DenseLayer.create(9, 4, "relu", rng)]
+        dense = layers[0]
+        w0 = dense.weights.copy()
+        with pytest.raises(RuntimeError):
+            with nw.row_space_first_layer(layers, x) as layer:
+                assert layers[0] is layer
+                layer.coef[1] = 1.0
+                raise RuntimeError("stop")
+        assert layers[0] is dense
+        np.testing.assert_allclose(dense.weights, w0 + np.outer(np.ones(4), x[1]),
+                                   rtol=1e-15)
+
+
 def reference_sgd_step(params, velocity, grads, lr, momentum):
     """The whole-array update the blocked SgdMomentum.step must reproduce."""
     for p, v, g in zip(params, velocity, grads):
@@ -212,6 +272,40 @@ class TestSgdMomentum:
             if momentum:
                 for v, ref in zip(opt.velocity, ref_velocity):
                     assert np.array_equal(v, ref)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_row_scatter_matches_dense_reference(self, momentum):
+        rng = np.random.default_rng(10)
+        # rows repeat within the second batch, and the third batch's product
+        # outgrows the scratch buffer, so it is applied in several blocks
+        n, width = 40, 3000
+        params = [rng.normal(size=(n, width)), rng.normal(size=width)]
+        ref_params = [p.copy() for p in params]
+        ref_velocity = [np.zeros_like(p) for p in params]
+        opt = nw.SgdMomentum(params, lr=0.05, momentum=momentum)
+        for rows in ([3, 0, 39, 7], [5, 5, 1], list(range(n))):
+            rows = np.array(rows)
+            dz = rng.normal(size=(len(rows), width))
+            bias_grad = rng.normal(size=width)
+            dense = np.zeros((n, width))
+            np.add.at(dense, rows, dz)
+            opt.step([(dz, rows), bias_grad])
+            reference_sgd_step(ref_params, ref_velocity, [dense, bias_grad], 0.05, momentum)
+            for p, ref in zip(params, ref_params):
+                np.testing.assert_allclose(p, ref, rtol=0.0, atol=1e-15)
+            if momentum:
+                for v, ref in zip(opt.velocity, ref_velocity):
+                    np.testing.assert_allclose(v, ref, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("dz, rows", [(np.ones((2, 4)), [0, 3]),
+                                          (np.ones((2, 5)), [0, 1]),
+                                          (np.ones((3, 4)), [0, 1]),
+                                          (np.ones((1, 4)), [-1])],
+                             ids=["row-past-end", "width", "count", "negative-row"])
+    def test_row_scatter_mismatch(self, dz, rows):
+        opt = nw.SgdMomentum([np.zeros((3, 4))], lr=0.1)
+        with pytest.raises(ValidationError):
+            opt.step([(dz, np.array(rows))])
 
     def test_factor_shape_mismatch(self):
         opt = nw.SgdMomentum([np.zeros((3, 4))], lr=0.1)
