@@ -162,8 +162,7 @@ def vae_loss_and_grads(params: NetworkParams, x: np.ndarray, eps: np.ndarray,
         + (1.0 - w) * (np.exp(lv) - 1.0) / (2.0 * n)
     mu_grads, dh_mu = backward_layers(enc[-1:], enc_cache[-1:], dmu)
     lv_grads, dh_lv = backward_layers([params.logvar_head], cache["lv"], dlv)
-    trunk_grads, _ = backward_layers(enc[:-1], enc_cache[:-1], dh_mu + dh_lv,
-                                     input_grad=False)
+    trunk_grads, _ = backward_layers(enc[:-1], enc_cache[:-1], dh_mu + dh_lv)
     return (loss, [*trunk_grads, *mu_grads, *lv_grads, *dec_grads],
             dict(mse=mse, kl_mean=kl_mean, recon=r))
 
@@ -217,8 +216,7 @@ def _ae_batch_loss(params: NetworkParams, batch, rows, rng):
     r, dec_cache = forward_layers(params.decoder_layers, z)
     loss, dmse = mse_loss(batch, r)
     dec_grads, dz = backward_layers(params.decoder_layers, dec_cache, dmse)
-    enc_grads, _ = backward_layers(params.encoder_layers, enc_cache, dz,
-                                   input_grad=False)
+    enc_grads, _ = backward_layers(params.encoder_layers, enc_cache, dz)
     return loss, [*enc_grads, *dec_grads]
 
 
@@ -250,15 +248,9 @@ def pretrain_vae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
 
 
 def vae_reconstruction_loss(params: NetworkParams, x: np.ndarray,
-                            seed: int | np.random.Generator = 0,
-                            use_mean: bool = False) -> float:
-    """Reconstruction MSE with z sampled from seed (an int or a Generator), or
-    with the mean vector."""
+                            seed: int | np.random.Generator = 0) -> float:
+    """Reconstruction MSE with z sampled from seed (an int or a Generator)."""
     x = np.asarray(x, dtype=float)
-    if use_mean:
-        eps = np.zeros((x.shape[0], params.latent_dim))
-    else:
-        eps = np.random.default_rng(seed).standard_normal(
-            (x.shape[0], params.latent_dim))
+    eps = np.random.default_rng(seed).standard_normal((x.shape[0], params.latent_dim))
     r, _ = vae_forward(params, x, eps)
     return mse_loss(x, r)[0]

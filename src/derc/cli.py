@@ -38,7 +38,7 @@ def _load_dataset(path, need_labels=False, labels_path=None) -> data_io.Dataset:
     if path.endswith(".txt") or "series_matrix" in path:
         ds = data_io.load_series_matrix(path)
     else:
-        ds = data_io.load_csv(path, has_labels=_csv_has_label_column(path))
+        ds = data_io.load_csv(path)
     if labels_path is not None:
         ds.labels = _load_labels(labels_path, ds.n_samples)
         ds.validate()
@@ -47,13 +47,6 @@ def _load_dataset(path, need_labels=False, labels_path=None) -> data_io.Dataset:
             f"{path}: labels are required (label column or --labels file)"
         )
     return ds
-
-
-def _csv_has_label_column(path) -> bool:
-    # a byte that is not UTF-8 is reported by load_csv, which reads it all
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        header = fh.readline().strip().split(",")
-    return bool(header) and header[-1] == "label"
 
 
 def _load_labels(path, n: int) -> np.ndarray:

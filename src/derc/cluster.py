@@ -129,8 +129,7 @@ def _derc_batch_loss(params: NetworkParams, centroids: np.ndarray,
 
     # dz_rec already carries beta, from the decoder's beta * dmse
     dec_grads, dz_rec = backward_layers(params.decoder_layers, dec_cache, beta * dmse)
-    enc_grads, _ = backward_layers(params.encoder_layers, enc_cache,
-                                   dz_rec + dz_cl / bs, input_grad=False)
+    enc_grads, _ = backward_layers(params.encoder_layers, enc_cache, dz_rec + dz_cl / bs)
     return total, cl_loss / bs, rec_loss, [*enc_grads, *dec_grads, (dmu / bs,)]
 
 

@@ -22,6 +22,11 @@ logger = logging.getLogger(__name__)
 
 MISSING_TOKENS = {"", "na", "null", "nan"}
 
+# Beta (a, b) shapes of a synthetic cohort: informative features for class
+# 0 and class 1, then the noise features
+SYNTH_BETA_INFORMATIVE = ((2.0, 8.0), (8.0, 2.0))
+SYNTH_BETA_NOISE = (2.0, 2.0)
+
 CONTAINER_MAGIC = b"DERCMDL1"
 CONTAINER_VERSION = 1
 
@@ -86,22 +91,12 @@ class SynthSpec:
     n_informative: int = 50
     class_ratio: float = 0.5
     seed: int = 0
-    # (a, b) shape pairs for class 0 and class 1 informative features
-    beta_params_informative: tuple[tuple[float, float], tuple[float, float]] = (
-        (2.0, 8.0),
-        (8.0, 2.0),
-    )
-    beta_params_noise: tuple[float, float] = (2.0, 2.0)
 
     def validate(self) -> None:
         if self.n_informative > self.n_features:
             raise ValidationError("n_informative must be <= n_features")
         if not 0.0 < self.class_ratio < 1.0:
             raise ValidationError("class_ratio must be in (0, 1)")
-        shapes = [*self.beta_params_informative[0], *self.beta_params_informative[1],
-                  *self.beta_params_noise]
-        if any(s <= 0 for s in shapes):
-            raise ValidationError("all Beta shape parameters must be > 0")
 
 
 def _parse_cell(token: str, row: int, col: int) -> float:
@@ -163,8 +158,7 @@ def _require_cells(path, values: np.ndarray) -> None:
 
 def load_series_matrix(path) -> Dataset:
     """Parse a GEO series-matrix text file into a Dataset (samples as rows)."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
 
     begin = end = None
     for i, line in enumerate(lines):
@@ -204,22 +198,17 @@ def load_series_matrix(path) -> Dataset:
     return ds
 
 
-def load_csv(path, has_labels: bool = False) -> Dataset:
+def load_csv(path) -> Dataset:
     """Load a comma-separated matrix with a header of feature ids.
 
-    When has_labels is true, the final column must be named "label" and
-    contain binary class ids.
+    A final column named "label" holds binary class ids.
     """
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = [t.strip() for t in lines[0].split(",")]
-    if has_labels:
-        if header[-1] != "label":
-            raise ValidationError(f"{path}: expected final column 'label', got {header[-1]!r}")
-        feature_ids = header[:-1]
-    else:
-        feature_ids = header
+    has_labels = header[-1] == "label"
+    feature_ids = header[:-1] if has_labels else header
 
     rows = []
     labels = []
@@ -274,10 +263,10 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     labels[n - n1:] = 1
 
     values = np.empty((n, d))
-    a_noise, b_noise = spec.beta_params_noise
+    a_noise, b_noise = SYNTH_BETA_NOISE
     values[:, k:] = rng.beta(a_noise, b_noise, size=(n, d - k))
     for cls in (0, 1):
-        a, b = spec.beta_params_informative[cls]
+        a, b = SYNTH_BETA_INFORMATIVE[cls]
         idx = labels == cls
         values[idx, :k] = rng.beta(a, b, size=(int(idx.sum()), k))
 

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ValidationError
 
 DEFAULT_RESTARTS = 80  # Lloyd runs per fit; the lowest inertia wins
+MAX_ITER = 300  # Lloyd iterations per run at most
+TOL = 1e-6  # a run stops once every centroid moves less than this
 
 
 @dataclass
@@ -29,12 +31,11 @@ def _squared_distances(z: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=2)
 
 
-def _lloyd(z: np.ndarray, k: int, rng: np.random.Generator,
-           max_iter: int, tol: float):
+def _lloyd(z: np.ndarray, k: int, rng: np.random.Generator):
     n = z.shape[0]
     centroids = z[rng.choice(n, size=k, replace=False)].copy()
     assignments = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         d2 = _squared_distances(z, centroids)
         assignments = np.argmin(d2, axis=1)
         new_centroids = centroids.copy()
@@ -53,7 +54,7 @@ def _lloyd(z: np.ndarray, k: int, rng: np.random.Generator,
                 assignments = np.argmin(d2, axis=1)
         shift = np.max(np.linalg.norm(new_centroids - centroids, axis=1))
         centroids = new_centroids
-        if shift < tol:
+        if shift < TOL:
             break
     d2 = _squared_distances(z, centroids)
     assignments = np.argmin(d2, axis=1)
@@ -62,7 +63,7 @@ def _lloyd(z: np.ndarray, k: int, rng: np.random.Generator,
 
 
 def kmeans_fit(z: np.ndarray, k: int, restarts: int = DEFAULT_RESTARTS,
-               seed: int = 0, max_iter: int = 300, tol: float = 1e-6) -> KmeansResult:
+               seed: int = 0) -> KmeansResult:
     """Best-of-restarts Lloyd clustering; deterministic per seed."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
@@ -78,7 +79,7 @@ def kmeans_fit(z: np.ndarray, k: int, restarts: int = DEFAULT_RESTARTS,
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        centroids, assignments, inertia = _lloyd(z, k, rng, max_iter, tol)
+        centroids, assignments, inertia = _lloyd(z, k, rng)
         if best is None or inertia < best[0]:
             best = (inertia, centroids, assignments)
     inertia, centroids, assignments = best

@@ -100,8 +100,10 @@ class RowSpaceLayer:
     and momentum velocities built from them, so its weights stay
     W = w0 + coef.T @ x, with coef of shape n_samples x n_out (Zhang et al.
     2017, arXiv:1611.03530, sec. 5). The layer keeps the read-only w0 and
-    x @ w0.T and x @ x.T, each computed once, and SgdMomentum.step trains
-    coef through row scatters in place of W. The bias is layer's own array.
+    x @ w0.T and x @ x.T, each computed once, and trains coef in place of W:
+    a batch's gradient on coef is e.T @ dz, e its one-hot rows (one_hot),
+    which SgdMomentum.step takes as factors like any weight gradient. The
+    bias is layer's own array.
     """
 
     def __init__(self, layer: DenseLayer, x: np.ndarray):
@@ -119,6 +121,17 @@ class RowSpaceLayer:
     @property
     def n_out(self) -> int:
         return self.w0.shape[0]
+
+    def one_hot(self, rows: np.ndarray) -> np.ndarray:
+        """The len(rows) x n_samples matrix e with e[i, rows[i]] = 1, else 0."""
+        n = len(self.x)
+        bad = rows[(rows < 0) | (rows >= n)]
+        if bad.size:
+            raise ValidationError(f"rows {bad.tolist()} are outside the {n} "
+                                  f"training rows")
+        e = np.zeros((len(rows), n))
+        e[np.arange(len(rows)), rows] = 1.0
+        return e
 
     def affine(self, a: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
         """a @ W.T + bias, for the rows of x given by rows, all of x, or any a."""
@@ -195,8 +208,8 @@ def forward_layers(layers: list[DenseLayer], x: np.ndarray,
 
     rows, when given, are the indices of x's rows in the training matrix of
     a RowSpaceLayer at the bottom of the stack. That layer then reads them
-    in place of x and caches them as its input, so backward_layers returns
-    its weight gradient as the row scatter (dz, rows) on its coef.
+    in place of x and caches their one-hot matrix as its input, from which
+    backward_layers forms the factors of its coef gradient.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -209,8 +222,8 @@ def forward_layers(layers: list[DenseLayer], x: np.ndarray,
     a = x
     for layer in layers:
         if isinstance(layer, RowSpaceLayer):
+            a_in = a if rows is None else layer.one_hot(rows)
             z = layer.affine(a, rows)
-            a_in = a if rows is None else rows
         else:
             z = a @ layer.weights.T + layer.bias
             a_in = a
@@ -220,25 +233,24 @@ def forward_layers(layers: list[DenseLayer], x: np.ndarray,
     return a, cache
 
 
-def backward_layers(layers: list[DenseLayer], cache, grad_out: np.ndarray,
-                    input_grad: bool = True):
+def backward_layers(layers: list[DenseLayer], cache, grad_out: np.ndarray):
     """Reverse-mode gradients for a stack.
 
-    Returns ([((dz, x_in), db)] aligned with layers, gradient w.r.t. the
-    stack input). Each weight gradient dW = dz.T @ x_in is returned as its
-    factors and never formed; flatten_grads gives the dense arrays and
-    SgdMomentum.step takes the factors. For a RowSpaceLayer run on rows,
-    x_in is those row indices (see forward_layers). With input_grad=False
-    the bottom layer's input gradient is skipped and None is returned in
-    its place; a RowSpaceLayer has no input gradient.
+    Returns ([((a, b), db)] aligned with layers, gradient w.r.t. the stack
+    input). Each weight gradient a.T @ b is returned as its factors and
+    never formed; flatten_grads gives the dense arrays and SgdMomentum.step
+    takes the factors. They are (dz, x_in) for a dense layer's weights and
+    (e, dz) for a RowSpaceLayer's coef, e the one-hot rows forward_layers
+    cached. A RowSpaceLayer has no input gradient: None is returned for it.
     """
     grads = [None] * len(layers)
     g = grad_out
     for idx in range(len(layers) - 1, -1, -1):
         x_in, z, a = cache[idx]
         dz = g * _activation_grad(z, a, layers[idx].activation)
-        grads[idx] = ((dz, x_in), dz.sum(axis=0))
-        g = dz @ layers[idx].weights if idx or input_grad else None
+        row_space = isinstance(layers[idx], RowSpaceLayer)
+        grads[idx] = ((x_in, dz) if row_space else (dz, x_in), dz.sum(axis=0))
+        g = None if row_space else dz @ layers[idx].weights
     return grads, g
 
 
@@ -258,11 +270,9 @@ class SgdMomentum:
     Parameters are updated in place, about UPDATE_BLOCK elements at a time,
     through one reusable scratch buffer, so a step allocates nothing and
     leaves the gradients untouched. A gradient is a dense array, or for a
-    2-D parameter the factors (dz, x_in) of dz.T @ x_in from backward_layers:
-    then each block of rows of the product is formed in the scratch buffer
-    and applied at once, so the dense gradient never exists. A pair
-    (dz, rows) with a 1-D integer rows is a row scatter, the gradient whose
-    row rows[i] is dz[i], as a RowSpaceLayer's coef gets. With momentum 0
+    2-D parameter the factors (a, b) of a.T @ b from backward_layers: then
+    each block of rows of the product is formed in the scratch buffer and
+    applied at once, so the dense gradient never exists. With momentum 0
     the velocity would always equal -lr*g, so none is kept (velocity is
     None) and the update is p <- p - lr*g.
     """
@@ -285,17 +295,11 @@ class SgdMomentum:
             raise ValidationError("gradient list does not match parameter list")
         for i, (p, g) in enumerate(zip(self.params, grads)):
             v = None if self.velocity is None else self.velocity[i]
-            if isinstance(g, tuple) and g[1].ndim == 1:
-                self._scatter(p, v, *g)
-                continue
-            factored = isinstance(g, tuple)
-            shape = (g[0].shape[1], g[1].shape[1]) if factored else g.shape
-            if shape != p.shape:
-                raise ValidationError(
-                    f"gradient shape {shape} does not match parameter {p.shape}"
-                )
-            if factored:
-                dz, x_in = g
+            if isinstance(g, tuple):
+                a, b = g
+                if len(a) != len(b) or (a.shape[1], b.shape[1]) != p.shape:
+                    raise ValidationError(f"gradient factors {a.shape} and {b.shape} "
+                                          f"do not form parameter {p.shape}")
                 # rows of about UPDATE_BLOCK elements, never one alone unless p
                 # has one: numpy forms a one-row product by GEMV, which rounds
                 # unlike the GEMM of the whole gradient
@@ -303,32 +307,17 @@ class SgdMomentum:
                 bounds = [0, *range(rows, p.shape[0] - 1, rows), p.shape[0]]
                 for r0, r1 in zip(bounds, bounds[1:]):
                     g_rows = self._scratch[:(r1 - r0) * p.shape[1]].reshape(r1 - r0, -1)
-                    np.matmul(dz[:, r0:r1].T, x_in, out=g_rows)
+                    np.matmul(a[:, r0:r1].T, b, out=g_rows)
                     self._apply(p, v, slice(r0, r1), g_rows)
             else:
+                if g.shape != p.shape:
+                    raise ValidationError(
+                        f"gradient shape {g.shape} does not match parameter {p.shape}")
                 p, g = p.reshape(-1), g.reshape(-1)
                 v = None if v is None else v.reshape(-1)
                 for start in range(0, p.size, UPDATE_BLOCK):
                     block = slice(start, start + UPDATE_BLOCK)
                     self._apply(p, v, block, g[block])
-
-    def _scatter(self, p, v, dz, rows) -> None:
-        """Update p, v by the gradient whose row rows[i] is dz[i]."""
-        if (p.ndim != 2 or dz.shape != (len(rows), p.shape[1])
-                or not np.all((rows >= 0) & (rows < len(p)))):
-            raise ValidationError(f"row scatter of {dz.shape} on {len(rows)} rows "
-                                  f"does not fit parameter {p.shape}")
-        if v is not None:
-            v *= self.momentum
-        # lr*dz goes to scratch about UPDATE_BLOCK elements at a time; ufunc.at
-        # sums repeated rows, which fancy-index assignment would drop
-        step = max(1, UPDATE_BLOCK // p.shape[1])
-        for r0 in range(0, len(rows), step):
-            g = dz[r0:r0 + step]
-            t = np.multiply(g, self.lr, out=self._scratch[:g.size].reshape(g.shape))
-            np.subtract.at(p if v is None else v, rows[r0:r0 + step], t)
-        if v is not None:
-            p += v
 
     def _apply(self, p, v, block, g) -> None:
         """Update p[block], v[block] by their gradient g; lr*g goes to scratch."""
@@ -361,10 +350,10 @@ def check_finite(arrays: list[np.ndarray], what: str) -> None:
 
 
 def flatten_grads(grads) -> list[np.ndarray]:
-    """Dense [dW, db, ...] from backward_layers' [((dz, x_in), db), ...]."""
+    """Dense [dW, db, ...] from backward_layers' [((a, b), db), ...]."""
     out = []
-    for (dz, x_in), db in grads:
-        out.append(dz.T @ x_in)
+    for (a, b), db in grads:
+        out.append(a.T @ b)
         out.append(db)
     return out
 

@@ -140,6 +140,7 @@ class TestVae:
         rng = np.random.default_rng(4)
         params = ae.build_vae([12, 8, 4], rng)
         x = blobs()
+        # the latents are drawn from an int seed or from a Generator
         sampled = ae.vae_reconstruction_loss(params, x, seed=0)
-        meanz = ae.vae_reconstruction_loss(params, x, use_mean=True)
-        assert np.isfinite(sampled) and np.isfinite(meanz)
+        assert np.isfinite(sampled)
+        assert ae.vae_reconstruction_loss(params, x, np.random.default_rng(0)) == sampled

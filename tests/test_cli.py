@@ -26,8 +26,10 @@ def synth_csv(tmp_path, name="synth.csv", seed=0, n=40, d=30, informative=8):
     return path, ds
 
 
-def pipeline(tmp_path, seed=7, kind="ae"):
-    """prescreen -> pretrain -> cluster-init -> train-derc -> evaluate."""
+def pipeline(tmp_path, seed=7, kind="ae", hidden="16,4"):
+    """prescreen -> pretrain -> cluster-init -> train-derc -> evaluate.
+
+    hidden are the --dims widths after the input width."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     raw, ds = synth_csv(tmp_path)
     filtered = tmp_path / "filtered.csv"
@@ -40,10 +42,10 @@ def pipeline(tmp_path, seed=7, kind="ae"):
     assert run(["prescreen", "--data", raw, "--out-data", filtered,
                 "--out-report", tmp_path / "ps.csv",
                 "--out-kept", tmp_path / "kept.txt"]) == 0
-    width = len(data.load_csv(filtered, has_labels=True).feature_ids)
+    width = len(data.load_csv(filtered).feature_ids)
     assert run(["pretrain", kind, "--data", filtered, "--out", model,
                 "--history", tmp_path / "hist.csv", "--seed", seed,
-                "--dims", f"{width},16,4", "--epochs", "20"]) == 0
+                "--dims", f"{width},{hidden}", "--epochs", "20"]) == 0
     assert run(["cluster-init", "--model", model, "--data", filtered,
                 "--out", cents, "--k", "2", "--restarts", "20",
                 "--seed", seed]) == 0
@@ -71,6 +73,17 @@ class TestPipeline:
         assert len(out.read_text().splitlines()) == 41
         _, _, meta = data.load_model(tmp_path / "trained.derc")
         assert meta["kind"] == "vae"
+
+    def test_trunkless_vae_pipeline_runs(self, tmp_path):
+        # with --dims d,latent both VAE heads read the input, so pretraining
+        # keeps them dense; train-derc still holds the mean head in row space
+        pipeline(tmp_path, kind="vae", hidden="4")
+        params, _, _ = data.load_model(tmp_path / "trained.derc")
+        assert len(params.encoder_layers) == 1 and params.logvar_head is not None
+        pretrain = np.loadtxt(tmp_path / "hist.csv", delimiter=",", skiprows=1)
+        derc = np.loadtxt(tmp_path / "derc_hist.csv", delimiter=",", skiprows=1)
+        assert len(pretrain) == 20 and np.isfinite(pretrain[:, 1]).all()
+        assert len(derc) and np.isfinite(derc).all()
 
     def test_pipeline_deterministic(self, tmp_path):
         report_a, pred_a = pipeline(tmp_path / "a", seed=7)
@@ -273,6 +286,10 @@ BAD_INPUTS = {
                      ["bad.csv", "byte 12", "not UTF-8"]),
     "config-not-utf8": (_config_bytes(b"epochs = 2\n# caf\xe9\n"), 2,
                         ["run.cfg", "byte 16", "not UTF-8"]),
+    "series-matrix-not-utf8": (_prescreen_file(
+        "series_matrix.txt",
+        SERIES_HEADER + b'"cg\xe92"\t0.1\t0.2\n!series_matrix_table_end\n'), 2,
+        ["series_matrix.txt", "byte 53", "not UTF-8"]),
     "pred-not-utf8": (_pred_bytes(b"sample_id,cluster\ns\xff0,1\n"), 2,
                       ["pred.csv", "byte 19", "not UTF-8"]),
 }
@@ -389,7 +406,7 @@ class TestUtilities:
         assert len(lines) == 41
         # every cell is a plain float literal that round-trips the encoding
         params, _, _ = data.load_model(model)
-        z = encode(params, data.load_csv(raw, has_labels=True).values)
+        z = encode(params, data.load_csv(raw).values)
         cells = np.array([[float(c) for c in ln.split(",")[1:]] for ln in lines[1:]])
         np.testing.assert_array_equal(cells, z)
 

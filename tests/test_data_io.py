@@ -65,6 +65,15 @@ class TestSeriesMatrix:
         with pytest.raises(ValidationError, match=shape):
             data.load_series_matrix(write(tmp_path, "m.txt", text))
 
+    def test_undecodable_byte(self, tmp_path):
+        # a sample id holding a Latin-1 byte is an error, not U+FFFD in the id
+        p = tmp_path / "m.txt"
+        p.write_bytes(GEO_SMALL.replace('"GSM2"\t"GSM3"\n"cg', '"GSM\xff2"\t"GSM3"\n"cg')
+                      .encode("latin-1"))
+        offset = GEO_SMALL.index('GSM2"\t"GSM3"\n"cg') + 3
+        with pytest.raises(ParseError, match=f"m.txt: byte {offset} is not UTF-8"):
+            data.load_series_matrix(p)
+
     def test_out_of_range_value(self, tmp_path):
         text = GEO_SMALL.replace("0.9", "1.9")
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
@@ -170,38 +179,38 @@ class TestImputeFeatureMeans:
 class TestCsv:
     def test_with_labels(self, tmp_path):
         p = write(tmp_path, "d.csv", "f1,f2,label\n0.1,0.2,0\n0.3,0.4,1\n")
-        ds = data.load_csv(p, has_labels=True)
+        ds = data.load_csv(p)
         assert ds.values.shape == (2, 2)
         assert ds.labels.tolist() == [0, 1]
 
     def test_without_labels(self, tmp_path):
         p = write(tmp_path, "d.csv", "f1,f2\n0.1,0.2\n0.3,0.4\n")
-        ds = data.load_csv(p, has_labels=False)
+        ds = data.load_csv(p)
         assert ds.labels is None
 
     def test_out_of_range(self, tmp_path):
         p = write(tmp_path, "d.csv", "f1,f2\n0.1,1.2\n0.3,0.4\n")
         with pytest.raises(ValidationError):
-            data.load_csv(p, has_labels=False)
+            data.load_csv(p)
 
     def test_ragged_rows(self, tmp_path):
         p = write(tmp_path, "d.csv", "f1,f2\n0.1,0.2\n0.3\n")
         with pytest.raises(ParseError, match="row 1"):
-            data.load_csv(p, has_labels=False)
+            data.load_csv(p)
 
     def test_non_binary_label(self, tmp_path):
         p = write(tmp_path, "d.csv", "f1,label\n0.1,2\n0.3,1\n")
         with pytest.raises(ValidationError, match="label"):
-            data.load_csv(p, has_labels=True)
+            data.load_csv(p)
 
-    @pytest.mark.parametrize("text, has_labels, match", [
-        ("f1,f2\n", False, "0 samples and 2 features"),
-        ("label\n0\n1\n", True, "2 samples and 0 features"),
-        ("f1,f2\nNA,\n,null\n", False, "every cell"),
+    @pytest.mark.parametrize("text, match", [
+        ("f1,f2\n", "0 samples and 2 features"),
+        ("label\n0\n1\n", "2 samples and 0 features"),
+        ("f1,f2\nNA,\n,null\n", "every cell"),
     ], ids=["header-only", "label-only", "all-missing"])
-    def test_empty_table(self, tmp_path, text, has_labels, match):
+    def test_empty_table(self, tmp_path, text, match):
         with pytest.raises(ValidationError, match=match):
-            data.load_csv(write(tmp_path, "d.csv", text), has_labels=has_labels)
+            data.load_csv(write(tmp_path, "d.csv", text))
 
     def test_undecodable_byte(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -213,7 +222,7 @@ class TestCsv:
         ds = data.generate_synthetic(data.SynthSpec(n_samples=12, n_features=7, n_informative=3, seed=5))
         p = tmp_path / "round.csv"
         data.save_csv(ds, p)
-        back = data.load_csv(p, has_labels=True)
+        back = data.load_csv(p)
         np.testing.assert_allclose(back.values, ds.values, atol=1e-12)
         assert back.labels.tolist() == ds.labels.tolist()
 

@@ -120,20 +120,6 @@ class TestBackward:
                           nw.flatten_grads([*eg, *dg]))
         assert err <= 1e-4
 
-    def test_skipping_input_grad_keeps_layer_grads(self):
-        rng = np.random.default_rng(7)
-        params = build_ae([9, 6, 3], rng)
-        jitter_biases(params.all_layers(), rng)
-        layers = params.encoder_layers
-        _, cache = nw.forward_layers(layers, rng.uniform(size=(5, 9)))
-        grad_out = rng.normal(size=(5, 3))
-        ref, _ = nw.backward_layers(layers, cache, grad_out)
-        skipped, none_in = nw.backward_layers(layers, cache, grad_out,
-                                              input_grad=False)
-        assert none_in is None
-        for got, want in zip(nw.flatten_grads(skipped), nw.flatten_grads(ref)):
-            assert np.array_equal(got, want)
-
     def test_weight_grads_are_factors(self):
         rng = np.random.default_rng(7)
         layers = [nw.DenseLayer.create(4, 3, "relu", rng)]
@@ -176,11 +162,22 @@ class TestRowSpaceLayer:
         _, layer, x, rng = self.layer()
         rows = np.array([2, 5])
         _, cache = nw.forward_layers([layer], x[rows], rows)
-        assert cache[0][0] is rows
-        (dz, got_rows), _ = nw.backward_layers([layer], cache, rng.normal(size=(2, 5)),
-                                               input_grad=False)[0][0]
-        assert got_rows is rows and dz.shape == (2, 5)
+        e = cache[0][0]
+        assert np.array_equal(e, np.eye(len(x))[rows])
+        grads, none_in = nw.backward_layers([layer], cache, rng.normal(size=(2, 5)))
+        (got_e, dz), _ = grads[0]
+        assert got_e is e and dz.shape == (2, 5) and none_in is None
+        # e.T @ dz is the gradient whose row rows[i] is dz[i], in coef's shape
+        want = np.zeros_like(layer.coef)
+        want[rows] = dz
+        assert np.array_equal(nw.flatten_grads(grads)[0], want)
         assert nw.collect_params([layer])[0] is layer.coef
+
+    @pytest.mark.parametrize("rows", [[-1], [0, 7]], ids=["negative-row", "row-past-end"])
+    def test_forward_rejects_rows_outside_x(self, rows):
+        _, layer, x, _ = self.layer(n=7)
+        with pytest.raises(ValidationError, match="outside the 7 training rows"):
+            nw.forward_layers([layer], x[:len(rows)], np.array(rows))
 
     def test_w0_is_read_only(self):
         _, layer, _, _ = self.layer()
@@ -275,37 +272,35 @@ class TestSgdMomentum:
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     def test_row_scatter_matches_dense_reference(self, momentum):
+        # a RowSpaceLayer's coef gradient: one-hot rows e of distinct rows, as
+        # a permutation's batches give, and dz, each product of several blocks
         rng = np.random.default_rng(10)
-        # rows repeat within the second batch, and the third batch's product
-        # outgrows the scratch buffer, so it is applied in several blocks
         n, width = 40, 3000
+        assert nw.UPDATE_BLOCK // width < n
         params = [rng.normal(size=(n, width)), rng.normal(size=width)]
         ref_params = [p.copy() for p in params]
         ref_velocity = [np.zeros_like(p) for p in params]
         opt = nw.SgdMomentum(params, lr=0.05, momentum=momentum)
-        for rows in ([3, 0, 39, 7], [5, 5, 1], list(range(n))):
-            rows = np.array(rows)
+        for rows in ([3, 0, 39, 7], [5, 12, 1], rng.permutation(n)):
             dz = rng.normal(size=(len(rows), width))
             bias_grad = rng.normal(size=width)
             dense = np.zeros((n, width))
             np.add.at(dense, rows, dz)
-            opt.step([(dz, rows), bias_grad])
+            opt.step([(np.eye(n)[rows], dz), bias_grad])
             reference_sgd_step(ref_params, ref_velocity, [dense, bias_grad], 0.05, momentum)
             for p, ref in zip(params, ref_params):
-                np.testing.assert_allclose(p, ref, rtol=0.0, atol=1e-15)
+                assert np.array_equal(p, ref)
             if momentum:
                 for v, ref in zip(opt.velocity, ref_velocity):
-                    np.testing.assert_allclose(v, ref, rtol=0.0, atol=1e-15)
+                    assert np.array_equal(v, ref)
 
-    @pytest.mark.parametrize("dz, rows", [(np.ones((2, 4)), [0, 3]),
-                                          (np.ones((2, 5)), [0, 1]),
-                                          (np.ones((3, 4)), [0, 1]),
-                                          (np.ones((1, 4)), [-1])],
-                             ids=["row-past-end", "width", "count", "negative-row"])
-    def test_row_scatter_mismatch(self, dz, rows):
+    @pytest.mark.parametrize("e, dz", [(np.eye(3)[[0, 1]], np.ones((2, 5))),
+                                       (np.eye(3)[[0, 1]], np.ones((3, 4)))],
+                             ids=["width", "count"])
+    def test_row_scatter_mismatch(self, e, dz):
         opt = nw.SgdMomentum([np.zeros((3, 4))], lr=0.1)
         with pytest.raises(ValidationError):
-            opt.step([(dz, np.array(rows))])
+            opt.step([(e, dz)])
 
     def test_factor_shape_mismatch(self):
         opt = nw.SgdMomentum([np.zeros((3, 4))], lr=0.1)
