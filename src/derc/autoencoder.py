@@ -21,6 +21,7 @@ from .network import (
     backward_layers,
     check_finite,
     collect_params,
+    deferred_output_layer,
     forward_layers,
     mse_loss,
     row_space_first_layer,
@@ -189,7 +190,8 @@ def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
     split, then per epoch the permutation, the batches' and the validation
     draws. The first encoder layer trains in the training split's row space
     (network.RowSpaceLayer), except in a VAE without a trunk, whose two
-    heads both read the input.
+    heads both read the input. At momentum 0 the decoder's output layer
+    keeps its updates pending where that pays (network.DeferredLayer).
     """
     cfg.validate()
     x = np.asarray(values, dtype=float)
@@ -199,8 +201,9 @@ def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
     x_train, x_val = x[train_idx], x[val_idx]
     history = []
     row_space = params.logvar_head is None or len(params.encoder_layers) > 1
-    with (row_space_first_layer(params.encoder_layers, x_train) if row_space
-          else nullcontext()):
+    first = (row_space_first_layer(params.encoder_layers, x_train) if row_space
+             else nullcontext())
+    with first, deferred_output_layer(params.decoder_layers, cfg, len(x_train)):
         epochs = sgd_epochs(collect_params(params.all_layers()), len(x_train), cfg, rng,
                             lambda idx: batch_loss(params, x_train[idx], idx, rng),
                             f"pretrain {kind}")

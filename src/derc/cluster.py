@@ -25,6 +25,7 @@ from .network import (
     backward_layers,
     check_finite,
     collect_params,
+    deferred_output_layer,
     forward_layers,
     mse_loss,
     row_space_first_layer,
@@ -142,7 +143,9 @@ def train_derc(values: np.ndarray, params: NetworkParams,
     (iteration, cluster_loss_per_sample, recon_loss, total). A VAE model is
     trained through its mean encoding; its log-variance head is not updated.
     The first encoder layer trains in the row space of values
-    (network.RowSpaceLayer) and is dense again in the result.
+    (network.RowSpaceLayer), at momentum 0 the decoder's output layer keeps
+    its updates pending where that pays (network.DeferredLayer), and both
+    are dense again in the result.
     """
     from .autoencoder import encode
 
@@ -177,7 +180,8 @@ def train_derc(values: np.ndarray, params: NetworkParams,
         history.append((ite, cl_loss, rec_loss, total))
         return total, grads
 
-    with row_space_first_layer(params.encoder_layers, x):
+    with row_space_first_layer(params.encoder_layers, x), \
+            deferred_output_layer(params.decoder_layers, cfg, n):
         layers = [*params.encoder_layers, *params.decoder_layers]
         for _ in sgd_epochs([*collect_params(layers), centroids], n, cfg,
                             np.random.default_rng(cfg.seed), batch_step, "train-derc"):

@@ -16,8 +16,15 @@ INIT_SCALE = 1.0 / 3.0  # s in the uniform bound l = sqrt(3 * s / n_input)
 # the scratch product and the slices it touches stay in cache
 UPDATE_BLOCK = 1 << 15
 # elements of the scratch product when a row-space layer's weights are
-# formed: 2 MiB of float64, wide enough for an efficient GEMM
+# formed or a deferred layer's pending updates applied: 2 MiB of float64,
+# wide enough for an efficient GEMM
 FOLD_BLOCK = 1 << 18
+# steps a DeferredLayer keeps pending before it applies them. At the paper's
+# 2000 -> 10153 output layer and batch 8 the flush costs 9.5 / 6.2 / 5.0 ms
+# per step at 8 / 18 / 32 steps, for a window of 6 / 13 / 24 MiB, against
+# 44 ms for a step's dense update; a 137-sample cohort has 18 steps per
+# epoch, and every epoch ends in a flush, so a longer window gains nothing
+PENDING_STEPS = 18
 
 
 def init_bound(n_input: int) -> float:
@@ -92,6 +99,29 @@ class DenseLayer:
     def n_out(self) -> int:
         return self.weights.shape[0]
 
+    def forward(self, a: np.ndarray, rows: np.ndarray | None = None):
+        """(input to cache, pre-activation a @ W.T + bias); rows are unused."""
+        return a, a @ self.weights.T + self.bias
+
+    def backward(self, a_in: np.ndarray, dz: np.ndarray):
+        """(factors (dz, a_in) of the weight gradient, input gradient dz @ W)."""
+        return (dz, a_in), dz @ self.weights
+
+
+def _product_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (rows, block) with block = (a.T @ b)[rows], in row blocks.
+
+    Blocks of about FOLD_BLOCK elements are formed in one reused scratch
+    array, so the product never exists whole.
+    """
+    n_rows, d = a.shape[1], b.shape[1]
+    step = max(1, FOLD_BLOCK // d)
+    scratch = np.empty(min(step, n_rows) * d)
+    for r0 in range(0, n_rows, step):
+        r1 = min(r0 + step, n_rows)
+        block = scratch[:(r1 - r0) * d].reshape(r1 - r0, d)
+        yield slice(r0, r1), np.matmul(a[:, r0:r1].T, b, out=block)
+
 
 class RowSpaceLayer:
     """A dense layer trained in the row space of its training matrix x.
@@ -141,19 +171,21 @@ class RowSpaceLayer:
             return self.xw0 + self.gram @ self.coef + self.bias
         return a @ self.w0.T + (a @ self.x.T) @ self.coef + self.bias
 
+    def forward(self, a: np.ndarray, rows: np.ndarray | None = None):
+        """(input to cache, pre-activation); with rows, the input is one_hot(rows)."""
+        return (a if rows is None else self.one_hot(rows)), self.affine(a, rows)
+
+    def backward(self, e: np.ndarray, dz: np.ndarray):
+        """(factors (e, dz) of the coef gradient, None): the layer reads the data."""
+        return (e, dz), None
+
     def fold_into(self, out: np.ndarray) -> None:
         """Write W = w0 + coef.T @ x into out, which may be w0's own buffer.
 
         Rows are formed a block at a time, so no W-sized temporary exists.
         """
-        d = self.x.shape[1]
-        rows = max(1, FOLD_BLOCK // d)
-        scratch = np.empty(min(rows, self.n_out) * d)
-        for r0 in range(0, self.n_out, rows):
-            r1 = min(r0 + rows, self.n_out)
-            block = scratch[:(r1 - r0) * d].reshape(r1 - r0, d)
-            np.matmul(self.coef[:, r0:r1].T, self.x, out=block)
-            np.add(self.w0[r0:r1], block, out=out[r0:r1])
+        for rows, block in _product_blocks(self.coef, self.x):
+            np.add(self.w0[rows], block, out=out[rows])
 
 
 class row_space_first_layer:
@@ -174,6 +206,115 @@ class row_space_first_layer:
     def __exit__(self, *exc) -> None:
         self.layers[0].fold_into(self.dense.weights)
         self.layers[0] = self.dense
+
+
+class DeferredLayer:
+    """A dense layer whose momentum-0 SGD updates are applied in windows.
+
+    A step's update lr * dz.T @ h has rank len(dz), yet applying it reads
+    and writes all of W. The layer instead keeps the rows lr * dz in pending
+    and h in pending_in, and reads the effective weights
+    W - pending.T @ pending_in: the forward pass is
+    h @ W.T - (h @ pending_in.T) @ pending, the input gradient
+    dz @ W - (dz @ pending.T) @ pending_in. After PENDING_STEPS steps, and
+    on flush, the window is applied to W in one GEMM per block of rows.
+    The window holds `window` rows of each factor. W is the dense layer's
+    own array; the bias is updated directly.
+    """
+
+    def __init__(self, layer: DenseLayer, window: int):
+        self.weights, self.bias, self.activation = (layer.weights, layer.bias,
+                                                    layer.activation)
+        # both factors live in one anonymous mapping, outside malloc: at the
+        # paper's shape a malloc'd window, once freed, left the process up
+        # to 11 MiB larger through the joint training after it (glibc's mmap
+        # threshold grows to the size of a freed mapping); mmap loads lazily
+        # so that no CLI start-up pays for it
+        import mmap
+
+        buf = np.frombuffer(mmap.mmap(-1, 8 * window * (layer.n_out + layer.n_in)))
+        self.pending = buf[:window * layer.n_out].reshape(window, layer.n_out)
+        self.pending_in = buf[window * layer.n_out:].reshape(window, layer.n_in)
+        self.rows = self.steps = 0
+
+    @staticmethod
+    def pays(layer: DenseLayer, batch_size: int) -> bool:
+        """Whether a full window of both factors is smaller than W."""
+        return (PENDING_STEPS * batch_size * (layer.n_in + layer.n_out)
+                < layer.n_in * layer.n_out)
+
+    @property
+    def n_in(self) -> int:
+        return self.weights.shape[1]
+
+    @property
+    def n_out(self) -> int:
+        return self.weights.shape[0]
+
+    def forward(self, a: np.ndarray, rows: np.ndarray | None = None):
+        """As DenseLayer.forward, through the effective weights."""
+        z = a @ self.weights.T
+        if self.rows:
+            z -= (a @ self.pending_in[:self.rows].T) @ self.pending[:self.rows]
+        z += self.bias
+        return a, z
+
+    def backward(self, a_in: np.ndarray, dz: np.ndarray):
+        """As DenseLayer.backward, through the effective weights."""
+        g = dz @ self.weights
+        if self.rows:
+            g -= (dz @ self.pending[:self.rows].T) @ self.pending_in[:self.rows]
+        return (dz, a_in), g
+
+    def defer(self, dz: np.ndarray, h: np.ndarray, lr: float) -> None:
+        """Add the update lr * dz.T @ h to the window; flush a full one."""
+        r0, r1 = self.rows, self.rows + len(dz)
+        if r1 > len(self.pending):
+            raise ValidationError(f"a batch of {len(dz)} rows overflows the pending "
+                                  f"window of {len(self.pending)} rows")
+        np.multiply(dz, lr, out=self.pending[r0:r1])
+        self.pending_in[r0:r1] = h
+        self.rows, self.steps = r1, self.steps + 1
+        if self.steps == PENDING_STEPS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Apply the pending updates to W, a block of rows at a time."""
+        if self.rows:
+            for rows, block in _product_blocks(self.pending[:self.rows],
+                                               self.pending_in[:self.rows]):
+                self.weights[rows] -= block
+        self.rows = self.steps = 0
+
+
+class deferred_output_layer:
+    """Context manager: hold layers[-1] as a DeferredLayer where that pays.
+
+    The layer trains on n_samples rows per epoch, in cfg.batch_size batches.
+    It yields the DeferredLayer, or None where the layer stays dense: at a
+    nonzero momentum (the velocity is rewritten every step anyway), or
+    where a full window is not smaller than W (DeferredLayer.pays). On
+    exit, by an exception too, the window is applied and the dense layer
+    is put back, so what outlives training is dense.
+    """
+
+    def __init__(self, layers: list, cfg: SgdConfig, n_samples: int):
+        self.layers, self.dense = layers, layers[-1]
+        self.taken = cfg.momentum == 0 and DeferredLayer.pays(self.dense, cfg.batch_size)
+        # sgd_epochs flushes every epoch, so the window never holds more rows
+        # than the n_samples an epoch runs through
+        self.window = min(PENDING_STEPS * cfg.batch_size, n_samples)
+
+    def __enter__(self) -> DeferredLayer | None:
+        if not self.taken:
+            return None
+        self.layers[-1] = DeferredLayer(self.dense, self.window)
+        return self.layers[-1]
+
+    def __exit__(self, *exc) -> None:
+        if self.taken:
+            self.layers[-1].flush()
+            self.layers[-1] = self.dense
 
 
 @dataclass
@@ -209,7 +350,9 @@ def forward_layers(layers: list[DenseLayer], x: np.ndarray,
     rows, when given, are the indices of x's rows in the training matrix of
     a RowSpaceLayer at the bottom of the stack. That layer then reads them
     in place of x and caches their one-hot matrix as its input, from which
-    backward_layers forms the factors of its coef gradient.
+    backward_layers forms the factors of its coef gradient. Each layer
+    (DenseLayer, RowSpaceLayer, DeferredLayer) gives its own input to cache
+    and pre-activation through its forward method.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -221,12 +364,7 @@ def forward_layers(layers: list[DenseLayer], x: np.ndarray,
     cache = []
     a = x
     for layer in layers:
-        if isinstance(layer, RowSpaceLayer):
-            a_in = a if rows is None else layer.one_hot(rows)
-            z = layer.affine(a, rows)
-        else:
-            z = a @ layer.weights.T + layer.bias
-            a_in = a
+        a_in, z = layer.forward(a, rows)
         a_next = _activate(z, layer.activation)
         cache.append((a_in, z, a_next))
         a = a_next
@@ -248,9 +386,8 @@ def backward_layers(layers: list[DenseLayer], cache, grad_out: np.ndarray):
     for idx in range(len(layers) - 1, -1, -1):
         x_in, z, a = cache[idx]
         dz = g * _activation_grad(z, a, layers[idx].activation)
-        row_space = isinstance(layers[idx], RowSpaceLayer)
-        grads[idx] = ((x_in, dz) if row_space else (dz, x_in), dz.sum(axis=0))
-        g = None if row_space else dz @ layers[idx].weights
+        factors, g = layers[idx].backward(x_in, dz)
+        grads[idx] = (factors, dz.sum(axis=0))
     return grads, g
 
 
@@ -274,11 +411,16 @@ class SgdMomentum:
     each block of rows of the product is formed in the scratch buffer and
     applied at once, so the dense gradient never exists. With momentum 0
     the velocity would always equal -lr*g, so none is kept (velocity is
-    None) and the update is p <- p - lr*g.
+    None) and the update is p <- p - lr*g. A DeferredLayer in a weight's
+    place (momentum 0 only) is handed its factors to keep pending; flush
+    applies what it holds.
     """
 
-    def __init__(self, params: list[np.ndarray], lr: float, momentum: float = 0.0):
-        for p in params:
+    def __init__(self, params: list, lr: float, momentum: float = 0.0):
+        arrays = [p for p in params if not isinstance(p, DeferredLayer)]
+        if momentum and len(arrays) < len(params):
+            raise ValidationError("a DeferredLayer trains only at momentum 0")
+        for p in arrays:
             if not p.flags.c_contiguous:
                 raise ValidationError("parameters must be C-contiguous arrays")
         self.params = params
@@ -287,7 +429,7 @@ class SgdMomentum:
         self.velocity = [np.zeros_like(p) for p in params] if momentum else None
         # a row block (see step) holds at most UPDATE_BLOCK + n_cols elements,
         # or three rows where two rows exceed UPDATE_BLOCK
-        widest = max((p.shape[1] for p in params if p.ndim == 2), default=0)
+        widest = max((p.shape[1] for p in arrays if p.ndim == 2), default=0)
         self._scratch = np.empty(max(UPDATE_BLOCK + widest, 3 * widest))
 
     def step(self, grads: list) -> None:
@@ -297,9 +439,13 @@ class SgdMomentum:
             v = None if self.velocity is None else self.velocity[i]
             if isinstance(g, tuple):
                 a, b = g
-                if len(a) != len(b) or (a.shape[1], b.shape[1]) != p.shape:
+                shape = p.weights.shape if isinstance(p, DeferredLayer) else p.shape
+                if len(a) != len(b) or (a.shape[1], b.shape[1]) != shape:
                     raise ValidationError(f"gradient factors {a.shape} and {b.shape} "
-                                          f"do not form parameter {p.shape}")
+                                          f"do not form parameter {shape}")
+                if isinstance(p, DeferredLayer):
+                    p.defer(a, b, self.lr)
+                    continue
                 # rows of about UPDATE_BLOCK elements, never one alone unless p
                 # has one: numpy forms a one-row product by GEMV, which rounds
                 # unlike the GEMM of the whole gradient
@@ -331,12 +477,22 @@ class SgdMomentum:
             v -= t
             p += v
 
+    def flush(self) -> None:
+        """Apply the updates every DeferredLayer holds pending."""
+        for p in self.params:
+            if isinstance(p, DeferredLayer):
+                p.flush()
 
-def collect_params(layers: list[DenseLayer]) -> list[np.ndarray]:
-    """[W, b, ...] per layer; a RowSpaceLayer gives its coef in W's place."""
+
+def collect_params(layers: list[DenseLayer]) -> list:
+    """[W, b, ...] per layer; in W's place a RowSpaceLayer gives its coef and
+    a DeferredLayer itself, for SgdMomentum to hand its factors to."""
     out = []
     for layer in layers:
-        out.append(layer.coef if isinstance(layer, RowSpaceLayer) else layer.weights)
+        if isinstance(layer, RowSpaceLayer):
+            out.append(layer.coef)
+        else:
+            out.append(layer if isinstance(layer, DeferredLayer) else layer.weights)
         out.append(layer.bias)
     return out
 
@@ -387,7 +543,8 @@ def sgd_epochs(params: list[np.ndarray], n: int, cfg: SgdConfig,
     its gradients as tuples that concatenate in the order of params, as
     backward_layers' ((dz, x_in), db) do, or None to stop before the batch.
     A non-finite loss raises NumericError naming `what`. Work done between
-    epochs runs before the next permutation is drawn.
+    epochs runs before the next permutation is drawn, and after every
+    pending update (DeferredLayer) is applied.
     """
     opt = SgdMomentum(params, cfg.lr, cfg.momentum)
     starts = range(0, n, cfg.batch_size)
@@ -403,4 +560,5 @@ def sgd_epochs(params: list[np.ndarray], n: int, cfg: SgdConfig,
                                    f"epoch {epoch}, step {step}")
             opt.step([g for group in grads for g in group])
             epoch_loss += loss
+        opt.flush()
         yield epoch_loss / len(starts)

@@ -1,0 +1,349 @@
+"""The decoder's output layer, with its momentum-0 updates kept pending.
+
+At momentum 0, pretrain_ae, pretrain_vae and train_derc hold the decoder's
+output layer as a network.DeferredLayer wherever a full pending window is
+smaller than its weights. The oracle is the dense layer they used before:
+with deferred_output_layer replaced by a no-op, every step applies its
+update to W through SgdMomentum's factored path. Both must agree to
+rounding; where deferral is not taken, they must agree bit for bit.
+"""
+
+import contextlib
+import copy
+
+import numpy as np
+import pytest
+
+from conftest import traced_peak
+from derc import autoencoder as ae
+from derc import cluster as cl
+from derc import kmeans
+from derc import network as nw
+from derc.errors import NumericError, ValidationError
+
+K = nw.PENDING_STEPS
+BATCH = 2
+# an epoch of K + 2 batches, the last of one row: K steps fill the window
+# mid-epoch, the next two are flushed at the epoch's end
+N_TRAIN = BATCH * (K + 1) + 1
+# a 0.2 validation split of N_SAMPLES leaves N_TRAIN to train on
+N_SAMPLES = N_TRAIN + round(N_TRAIN / 4)
+# the 64 -> 300 output layer is deferred: K * BATCH * (64 + 300) < 64 * 300
+DIMS = [300, 64, 8, 3]
+# a 16 -> 60 output layer is not: K * BATCH * (16 + 60) > 16 * 60
+SMALL_DIMS = [60, 16, 6, 3]
+EPOCHS = 3
+WEIGHT_RTOL = 1e-12
+LOSS_RTOL = 1e-13
+
+
+def cohort(n, d=DIMS[0]):
+    rng = np.random.default_rng(0)
+    centers = rng.uniform(0.2, 0.8, size=(2, d))
+    x = centers[np.arange(n) % 2] + rng.normal(0, 0.05, size=(n, d))
+    return np.clip(x, 0, 1)
+
+
+@contextlib.contextmanager
+def spied(seen, flushed, defer=True):
+    """Patch the trainers' deferred_output_layer to record what it yields in
+    seen, or with defer=False to leave the layer dense, and DeferredLayer.flush
+    to record the pending rows it applies in flushed."""
+    flush = nw.DeferredLayer.flush
+
+    def spy_flush(self):
+        flushed.append(self.rows)
+        flush(self)
+
+    @contextlib.contextmanager
+    def spy(layers, cfg, n_samples):
+        with (nw.deferred_output_layer(layers, cfg, n_samples) if defer
+              else contextlib.nullcontext()) as layer:
+            seen.append((layers, layer))
+            yield layer
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (ae, cl):
+            mp.setattr(mod, "deferred_output_layer", spy)
+        mp.setattr(nw.DeferredLayer, "flush", spy_flush)
+        yield
+
+
+def run_dense(train, *args):
+    """train(*args) with the dense output layer."""
+    with spied([], [], defer=False):
+        return train(*args)
+
+
+def run_deferred(train, *args):
+    """train(*args) as shipped; checks that it deferred the output layer and
+    flushed a full window mid-epoch and the epoch's short rest at its end."""
+    seen, flushed = [], []
+    with spied(seen, flushed):
+        out = train(*args)
+    assert len(seen) == 1 and type(seen[0][1]) is nw.DeferredLayer
+    assert flushed[:2] == [K * BATCH, N_TRAIN - K * BATCH]
+    return out
+
+
+def run_not_deferred(train, *args):
+    """train(*args) as shipped; checks that the output layer stayed dense."""
+    seen, flushed = [], []
+    with spied(seen, flushed):
+        out = train(*args)
+    assert len(seen) == 1 and seen[0][1] is None and not flushed
+    return out
+
+
+def assert_close(got: np.ndarray, want: np.ndarray) -> None:
+    assert np.max(np.abs(got - want)) <= WEIGHT_RTOL * np.max(np.abs(want))
+
+
+def assert_weights_close(got: nw.NetworkParams, want: nw.NetworkParams) -> None:
+    for a, b in zip(got.all_layers(), want.all_layers(), strict=True):
+        assert type(a) is nw.DenseLayer
+        assert_close(a.weights, b.weights)
+        assert_close(a.bias, b.bias)
+
+
+def assert_weights_equal(got: nw.NetworkParams, want: nw.NetworkParams) -> None:
+    for a, b in zip(got.all_layers(), want.all_layers(), strict=True):
+        assert type(a) is nw.DenseLayer
+        assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+
+
+def assert_losses_close(got, want) -> None:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=LOSS_RTOL, atol=0.0)
+
+
+def pretrain_config(momentum, **kw):
+    return ae.PretrainConfig(epochs=EPOCHS, lr=0.5 if momentum == 0 else 0.05,
+                             momentum=momentum, batch_size=BATCH, seed=4,
+                             validation_fraction=0.2, **kw)
+
+
+def derc_setup(momentum):
+    x = cohort(N_TRAIN)
+    start, _ = ae.pretrain_ae(x, ae.AeSpec(list(DIMS)), pretrain_config(0.0))
+    centroids = kmeans.kmeans_fit(ae.encode(start, x), k=2, restarts=3).centroids
+    # target_interval 4 refreshes P mid-epoch through the full-cohort encode
+    cfg = cl.DercConfig(epochs=EPOCHS, lr=0.05, momentum=momentum, batch_size=BATCH,
+                        target_interval=4, k=2, seed=5)
+    return x, start, centroids, cfg
+
+
+TRAINERS = pytest.mark.parametrize("train", [ae.pretrain_ae, ae.pretrain_vae],
+                                   ids=["ae", "vae"])
+
+
+class TestDenseOracle:
+    @TRAINERS
+    def test_pretrain_matches_dense(self, train):
+        args = (cohort(N_SAMPLES), ae.AeSpec(list(DIMS)), pretrain_config(0.0))
+        params, history = run_deferred(train, *args)
+        ref_params, ref_history = run_dense(train, *args)
+        assert_weights_close(params, ref_params)
+        # train and validation losses of every epoch
+        assert_losses_close([h[1:] for h in history], [h[1:] for h in ref_history])
+        assert len(history) == EPOCHS and np.all(np.isfinite(history))
+
+    def test_derc_matches_dense(self):
+        x, start, centroids, cfg = derc_setup(0.0)
+        params = copy.deepcopy(start)
+        output = params.decoder_layers[-1]
+        result = run_deferred(cl.train_derc, x, params, centroids, cfg)
+        ref = run_dense(cl.train_derc, x, copy.deepcopy(start), centroids, cfg)
+        # the caller's own dense layer is back, holding the trained weights
+        assert result.params.decoder_layers[-1] is output
+        assert_weights_close(result.params, ref.params)
+        assert_close(result.centroids, ref.centroids)
+        # as in test_row_space: the cluster term is held relative to the total
+        got, want = np.array(result.history), np.array(ref.history)
+        assert_losses_close(got[:, 2:], want[:, 2:])
+        np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=0.0,
+                                   atol=LOSS_RTOL * np.min(want[:, 3]))
+        np.testing.assert_allclose(result.q, ref.q, rtol=0.0, atol=1e-13)
+        assert np.array_equal(result.cluster_ids, ref.cluster_ids)
+
+
+class TestNotTaken:
+    @TRAINERS
+    @pytest.mark.parametrize("momentum, dims", [(0.9, DIMS), (0.0, SMALL_DIMS)],
+                             ids=["momentum", "below-size-rule"])
+    def test_pretrain_is_bitwise_dense(self, train, momentum, dims):
+        args = (cohort(N_SAMPLES, dims[0]), ae.AeSpec(list(dims)), pretrain_config(momentum))
+        params, history = run_not_deferred(train, *args)
+        ref_params, ref_history = run_dense(train, *args)
+        assert_weights_equal(params, ref_params)
+        assert np.array_equal(history, ref_history, equal_nan=True)
+
+    def test_derc_at_momentum_is_bitwise_dense(self):
+        x, start, centroids, cfg = derc_setup(0.9)
+        result = run_not_deferred(cl.train_derc, x, copy.deepcopy(start), centroids, cfg)
+        ref = run_dense(cl.train_derc, x, copy.deepcopy(start), centroids, cfg)
+        assert_weights_equal(result.params, ref.params)
+        assert np.array_equal(result.centroids, ref.centroids)
+        assert np.array_equal(result.history, ref.history)
+
+
+def poison_loss(mp, module, at):
+    """Make module's mse_loss report a NaN loss on its call number `at`."""
+    mse_loss, calls = module.mse_loss, []
+
+    def poisoned(x, r):
+        loss, grad = mse_loss(x, r)
+        calls.append(None)
+        return (np.nan if len(calls) == at else loss), grad
+
+    mp.setattr(module, "mse_loss", poisoned)
+
+
+class TestErrors:
+    # the loss of step 5 is NaN: the first four steps are pending, not yet in W
+    POISONED_STEP = 5
+
+    def run_poisoned(self, defer, train, module, *args):
+        seen = []
+        with spied(seen, [], defer), pytest.MonkeyPatch.context() as mp:
+            poison_loss(mp, module, self.POISONED_STEP)
+            with pytest.raises(NumericError, match="non-finite loss nan at epoch 0, step 4"):
+                train(*args)
+        return seen[0][0][-1]
+
+    def test_pretrain_error_mid_window_leaves_dense_flushed_layer(self):
+        args = (cohort(N_SAMPLES), ae.AeSpec(list(DIMS)), pretrain_config(0.0))
+        got = self.run_poisoned(True, ae.pretrain_ae, ae, *args)
+        want = self.run_poisoned(False, ae.pretrain_ae, ae, *args)
+        assert type(got) is nw.DenseLayer
+        assert_close(got.weights, want.weights)
+
+    def test_derc_error_mid_window_leaves_dense_flushed_layer(self):
+        x, start, centroids, cfg = derc_setup(0.0)
+        params, ref = copy.deepcopy(start), copy.deepcopy(start)
+        output = params.decoder_layers[-1]
+        self.run_poisoned(True, cl.train_derc, cl, x, params, centroids, cfg)
+        self.run_poisoned(False, cl.train_derc, cl, x, ref, centroids, cfg)
+        got, want = params.decoder_layers[-1], ref.decoder_layers[-1]
+        assert got is output and type(got) is nw.DenseLayer
+        assert_close(got.weights, want.weights)
+        assert not np.array_equal(got.weights, start.decoder_layers[-1].weights)
+
+    # 2 epochs of K + 2 steps: the inf enters the window after the last loss
+    # is computed, so only the end-of-training check can see it in W
+    STEPS = 2 * (K + 2)
+
+    def poison_window_on_last_step(self, monkeypatch):
+        step, calls = nw.SgdMomentum.step, []
+
+        def poisoned(self, grads):
+            step(self, grads)
+            calls.append(None)
+            if len(calls) == TestErrors.STEPS:
+                (layer,) = [p for p in self.params if isinstance(p, nw.DeferredLayer)]
+                assert layer.rows > 0
+                layer.pending[0, 0] = np.inf
+
+        monkeypatch.setattr(nw.SgdMomentum, "step", poisoned)
+        return calls
+
+    @pytest.mark.parametrize("train, stage", [(ae.pretrain_ae, "pretrain ae"),
+                                              (ae.pretrain_vae, "pretrain vae")])
+    def test_pretrain_rejects_non_finite_window(self, monkeypatch, train, stage):
+        calls = self.poison_window_on_last_step(monkeypatch)
+        cfg = ae.PretrainConfig(epochs=2, lr=0.5, batch_size=BATCH, seed=0)
+        with pytest.raises(NumericError, match=f"^{stage}: non-finite"), \
+                np.errstate(invalid="ignore"):
+            train(cohort(N_TRAIN), ae.AeSpec(list(DIMS)), cfg)
+        assert len(calls) == self.STEPS
+
+    def test_derc_rejects_non_finite_window(self, monkeypatch):
+        x, params, centroids, _ = derc_setup(0.0)
+        calls = self.poison_window_on_last_step(monkeypatch)
+        cfg = cl.DercConfig(epochs=2, lr=0.05, momentum=0.0, batch_size=BATCH, k=2, seed=0)
+        with pytest.raises(NumericError, match="^train-derc: non-finite"), \
+                np.errstate(invalid="ignore"):
+            cl.train_derc(x, params, centroids, cfg)
+        assert len(calls) == self.STEPS
+        # the dense layer is back in place, holding the inf the check found
+        assert type(params.decoder_layers[-1]) is nw.DenseLayer
+        assert not np.isfinite(params.decoder_layers[-1].weights).all()
+
+
+class TestDeferredLayer:
+    # at batch 1 a full window, K rows of 40 + 50, is smaller than the 40 x 50 W
+    CFG = nw.SgdConfig(epochs=1, lr=0.1, momentum=0.0, batch_size=1)
+
+    def factors(self, rng, rows):
+        return rng.normal(size=(rows, 50)), rng.normal(size=(rows, 40))
+
+    def test_reads_go_through_the_effective_weights(self):
+        rng = np.random.default_rng(15)
+        dense = nw.DenseLayer.create(40, 50, "sigmoid", rng)
+        w = dense.weights.copy()
+        layer = nw.DeferredLayer(dense, window=6)
+        for _ in range(2):
+            dz, h = self.factors(rng, 3)
+            layer.defer(dz, h, 0.1)
+            w -= 0.1 * dz.T @ h
+        effective = nw.DenseLayer(w, dense.bias, dense.activation)
+        h, grad_out = rng.normal(size=(3, 40)), rng.normal(size=(3, 50))
+        (got, cache), (want, ref_cache) = (nw.forward_layers([layer], h),
+                                           nw.forward_layers([effective], h))
+        assert_close(got, want)
+        got_grads, got_in = nw.backward_layers([layer], cache, grad_out)
+        want_grads, want_in = nw.backward_layers([effective], ref_cache, grad_out)
+        assert_close(got_in, want_in)
+        assert_close(nw.flatten_grads(got_grads)[0], nw.flatten_grads(want_grads)[0])
+
+    def test_rejects_momentum_and_overflow(self):
+        rng = np.random.default_rng(16)
+        layer = nw.DeferredLayer(nw.DenseLayer.create(40, 50, "sigmoid", rng), window=6)
+        with pytest.raises(ValidationError, match="momentum 0"):
+            nw.SgdMomentum([layer, layer.bias], lr=0.1, momentum=0.9)
+        layer.defer(*self.factors(rng, 5), 0.1)
+        with pytest.raises(ValidationError, match="overflows the pending window of 6"):
+            layer.defer(*self.factors(rng, 2), 0.1)
+
+    def test_context_puts_the_flushed_dense_layer_back_on_error(self):
+        rng = np.random.default_rng(17)
+        layers = [nw.DenseLayer.create(40, 50, "sigmoid", rng)]
+        dense = layers[0]
+        dz, h = self.factors(rng, 1)
+        want = dense.weights - 0.1 * dz.T @ h
+        with pytest.raises(RuntimeError):
+            with nw.deferred_output_layer(layers, self.CFG, n_samples=10) as layer:
+                assert layers[0] is layer and len(layer.pending) == 10
+                layer.defer(dz, h, 0.1)
+                raise RuntimeError("stop")
+        assert layers[0] is dense
+        assert_close(dense.weights, want)
+
+
+class TestMemory:
+    # W is 9.6 MB, far wider than one FOLD_BLOCK; the window is 3.9 MB
+    N_IN, N_OUT, BS = 400, 3000, 8
+
+    def test_window_and_flush_hold_no_weight_sized_array(self):
+        rng = np.random.default_rng(14)
+        dense = nw.DenseLayer.create(self.N_IN, self.N_OUT, "sigmoid", rng)
+        assert nw.DeferredLayer.pays(dense, self.BS)
+        w_bytes = 8 * self.N_IN * self.N_OUT
+        window = K * self.BS
+        layer = nw.DeferredLayer(dense, window)
+        assert layer.pending.base is layer.pending_in.base
+        assert (layer.pending.nbytes + layer.pending_in.nbytes
+                == 8 * window * (self.N_IN + self.N_OUT) < w_bytes)
+        opt = nw.SgdMomentum(nw.collect_params([layer]), lr=0.1)
+        grads = [((rng.normal(size=(self.BS, self.N_OUT)), rng.normal(size=(self.BS, self.N_IN))),
+                  rng.normal(size=self.N_OUT)) for _ in range(K)]
+        want = dense.weights - 0.1 * sum(dz.T @ h for (dz, h), _ in grads)
+        for g in grads[:-1]:
+            opt.step([*g])
+        assert layer.rows == (K - 1) * self.BS
+        # the K-th step fills the window and flushes it, in FOLD_BLOCK blocks
+        peak = traced_peak(lambda: opt.step([*grads[-1]]))
+        assert layer.rows == 0
+        assert peak <= 8 * nw.FOLD_BLOCK + 4096 < w_bytes
+        assert_close(dense.weights, want)
