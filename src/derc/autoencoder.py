@@ -161,11 +161,17 @@ def vae_loss_and_grads(params: NetworkParams, x: np.ndarray, eps: np.ndarray,
     dmu = dz + (1.0 - w) * mu / n
     dlv = dz * cache["eps"] * 0.5 * np.exp(0.5 * lv) \
         + (1.0 - w) * (np.exp(lv) - 1.0) / (2.0 * n)
+    aux = dict(mse=mse, kl_mean=kl_mean, recon=r)
+    if len(enc) == 1:
+        # no trunk takes the heads' bs x d input gradients, so none is formed:
+        # both heads are linear (build_vae), so dmu and dlv are their
+        # pre-activation gradients, as backward_layers would find
+        x_in = enc_cache[0][0]
+        return loss, [((g, x_in), g.sum(axis=0)) for g in (dmu, dlv)] + dec_grads, aux
     mu_grads, dh_mu = backward_layers(enc[-1:], enc_cache[-1:], dmu)
     lv_grads, dh_lv = backward_layers([params.logvar_head], cache["lv"], dlv)
     trunk_grads, _ = backward_layers(enc[:-1], enc_cache[:-1], dh_mu + dh_lv)
-    return (loss, [*trunk_grads, *mu_grads, *lv_grads, *dec_grads],
-            dict(mse=mse, kl_mean=kl_mean, recon=r))
+    return loss, [*trunk_grads, *mu_grads, *lv_grads, *dec_grads], aux
 
 
 def _split_train_val(n: int, fraction: float, rng: np.random.Generator):
@@ -190,8 +196,8 @@ def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
     split, then per epoch the permutation, the batches' and the validation
     draws. The first encoder layer trains in the training split's row space
     (network.RowSpaceLayer), except in a VAE without a trunk, whose two
-    heads both read the input. At momentum 0 the decoder's output layer
-    keeps its updates pending where that pays (network.DeferredLayer).
+    heads both read the input. The decoder's output layer keeps its
+    updates pending where that pays (network.DeferredLayer).
     """
     cfg.validate()
     x = np.asarray(values, dtype=float)

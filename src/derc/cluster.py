@@ -143,9 +143,9 @@ def train_derc(values: np.ndarray, params: NetworkParams,
     (iteration, cluster_loss_per_sample, recon_loss, total). A VAE model is
     trained through its mean encoding; its log-variance head is not updated.
     The first encoder layer trains in the row space of values
-    (network.RowSpaceLayer), at momentum 0 the decoder's output layer keeps
-    its updates pending where that pays (network.DeferredLayer), and both
-    are dense again in the result.
+    (network.RowSpaceLayer), the decoder's output layer keeps its updates
+    and its velocity pending where that pays (network.DeferredLayer), and
+    both are dense again in the result.
     """
     from .autoencoder import encode
 

@@ -209,33 +209,52 @@ class row_space_first_layer:
 
 
 class DeferredLayer:
-    """A dense layer whose momentum-0 SGD updates are applied in windows.
+    """A dense layer whose SGD-momentum updates are applied in windows.
 
     A step's update lr * dz.T @ h has rank len(dz), yet applying it reads
-    and writes all of W. The layer instead keeps the rows lr * dz in pending
-    and h in pending_in, and reads the effective weights
-    W - pending.T @ pending_in: the forward pass is
-    h @ W.T - (h @ pending_in.T) @ pending, the input gradient
-    dz @ W - (dz @ pending.T) @ pending_in. After PENDING_STEPS steps, and
-    on flush, the window is applied to W in one GEMM per block of rows.
-    The window holds `window` rows of each factor. W is the dense layer's
-    own array; the bias is updated directly.
+    and writes all of W, and at a momentum m > 0 all of its velocity V.
+    Unrolled over a window of t steps that starts from W0 and V0, with the
+    rows D_s = lr * dz_s and H_s = h_s of step s, classical momentum gives
+
+        W_t = W0 + c_t * V0 - sum_s b_ts * D_s.T @ H_s,
+        V_t = m**t * V0 - sum_s m**(t - s) * D_s.T @ H_s,
+
+    with c_t = m (1 - m**t) / (1 - m) and b_ts = (1 - m**(t - s + 1)) / (1 - m);
+    at m = 0, c = 0 and b = 1. The layer keeps the rows D in pending, H in
+    pending_in and each row's step s in step_of, and reads the effective
+    W_t: the forward pass is h @ W0.T + c_t * (h @ V0.T) - ((h @ H.T) * b) @ D,
+    the input gradient dz @ W0 + c_t * (dz @ V0) - ((dz @ D.T) * b) @ H.
+    After PENDING_STEPS steps, and on flush, W_t is written to W in one GEMM
+    per block of rows. The velocity is the layer's own and formed lazily: a
+    flushed window's share of it only when the next window's first step
+    needs it, since right after a flush c = 0. A trainer that ends on a
+    flush, or trains at m = 0, never forms it. The window holds `window`
+    rows of each factor. W is the dense layer's own array; the bias is
+    updated directly.
     """
 
-    def __init__(self, layer: DenseLayer, window: int):
+    def __init__(self, layer: DenseLayer, window: int, momentum: float = 0.0):
         self.weights, self.bias, self.activation = (layer.weights, layer.bias,
                                                     layer.activation)
-        # both factors live in one anonymous mapping, outside malloc: at the
-        # paper's shape a malloc'd window, once freed, left the process up
-        # to 11 MiB larger through the joint training after it (glibc's mmap
-        # threshold grows to the size of a freed mapping); mmap loads lazily
-        # so that no CLI start-up pays for it
+        self.momentum = momentum
+        # the factors and a scaled copy of pending_in live in one anonymous
+        # mapping, outside malloc: at the paper's shape a malloc'd window,
+        # once freed, left the process up to 11 MiB larger through the joint
+        # training after it (glibc's mmap threshold grows to the size of a
+        # freed mapping); mmap loads lazily so that no CLI start-up pays for
+        # it, and pages never written (the copy, at momentum 0) cost nothing
         import mmap
 
-        buf = np.frombuffer(mmap.mmap(-1, 8 * window * (layer.n_out + layer.n_in)))
-        self.pending = buf[:window * layer.n_out].reshape(window, layer.n_out)
-        self.pending_in = buf[window * layer.n_out:].reshape(window, layer.n_in)
+        n_out, n_in = layer.n_out, layer.n_in
+        buf = np.frombuffer(mmap.mmap(-1, 8 * window * (n_out + 2 * n_in)))
+        self.pending = buf[:window * n_out].reshape(window, n_out)
+        self.pending_in, self._scaled_in = buf[window * n_out:].reshape(2, window, n_in)
+        self.step_of = np.zeros(window, dtype=int)
+        self.velocity = None
         self.rows = self.steps = 0
+        # (rows, steps) of the flushed window whose share of the velocity is
+        # not formed yet
+        self.unformed = (0, 0)
 
     @staticmethod
     def pays(layer: DenseLayer, batch_size: int) -> bool:
@@ -251,11 +270,32 @@ class DeferredLayer:
     def n_out(self) -> int:
         return self.weights.shape[0]
 
+    def _b(self) -> np.ndarray:
+        """b_ts of each pending row, all 1 at momentum 0."""
+        m = self.momentum
+        return (1.0 - m ** (self.steps - self.step_of[:self.rows] + 1)) / (1.0 - m)
+
+    def _c(self) -> float:
+        """c_t, the weight of V0 in W_t: 0 at momentum 0 and right after a flush."""
+        m = self.momentum
+        return m * (1.0 - m ** self.steps) / (1.0 - m)
+
+    def _scaled_pending_in(self, weights: np.ndarray) -> np.ndarray:
+        """The first len(weights) rows of pending_in, each times its weight,
+        in the layer's scratch copy; at momentum 0, where every weight is 1,
+        the rows themselves, so that the flush is the plain window's GEMM."""
+        h = self.pending_in[:len(weights)]
+        if not self.momentum:
+            return h
+        return np.multiply(h, weights[:, None], out=self._scaled_in[:len(weights)])
+
     def forward(self, a: np.ndarray, rows: np.ndarray | None = None):
         """As DenseLayer.forward, through the effective weights."""
         z = a @ self.weights.T
         if self.rows:
-            z -= (a @ self.pending_in[:self.rows].T) @ self.pending[:self.rows]
+            if self.velocity is not None:
+                z += self._c() * (a @ self.velocity.T)
+            z -= ((a @ self.pending_in[:self.rows].T) * self._b()) @ self.pending[:self.rows]
         z += self.bias
         return a, z
 
@@ -263,7 +303,9 @@ class DeferredLayer:
         """As DenseLayer.backward, through the effective weights."""
         g = dz @ self.weights
         if self.rows:
-            g -= (dz @ self.pending[:self.rows].T) @ self.pending_in[:self.rows]
+            if self.velocity is not None:
+                g += self._c() * (dz @ self.velocity)
+            g -= ((dz @ self.pending[:self.rows].T) * self._b()) @ self.pending_in[:self.rows]
         return (dz, a_in), g
 
     def defer(self, dz: np.ndarray, h: np.ndarray, lr: float) -> None:
@@ -272,35 +314,57 @@ class DeferredLayer:
         if r1 > len(self.pending):
             raise ValidationError(f"a batch of {len(dz)} rows overflows the pending "
                                   f"window of {len(self.pending)} rows")
+        if self.unformed[0]:
+            self._form_velocity()
         np.multiply(dz, lr, out=self.pending[r0:r1])
         self.pending_in[r0:r1] = h
         self.rows, self.steps = r1, self.steps + 1
+        self.step_of[r0:r1] = self.steps
         if self.steps == PENDING_STEPS:
             self.flush()
 
     def flush(self) -> None:
-        """Apply the pending updates to W, a block of rows at a time."""
+        """Write W_t to W, a block of rows at a time, and start a new window."""
         if self.rows:
+            c = self._c()
             for rows, block in _product_blocks(self.pending[:self.rows],
-                                               self.pending_in[:self.rows]):
+                                               self._scaled_pending_in(self._b())):
                 self.weights[rows] -= block
+                if self.velocity is not None:
+                    # block is the product's scratch, free once applied
+                    self.weights[rows] += np.multiply(self.velocity[rows], c, out=block)
+            if self.momentum:
+                self.unformed = (self.rows, self.steps)
         self.rows = self.steps = 0
+
+    def _form_velocity(self) -> None:
+        """Bring V0 to the flushed window's V_t, a block of rows at a time."""
+        rows, t = self.unformed
+        m = self.momentum
+        h = self._scaled_pending_in(m ** (t - self.step_of[:rows]))
+        if self.velocity is None:
+            self.velocity = np.zeros_like(self.weights)
+        for r, block in _product_blocks(self.pending[:rows], h):
+            v = self.velocity[r]
+            v *= m ** t
+            v -= block
+        self.unformed = (0, 0)
 
 
 class deferred_output_layer:
     """Context manager: hold layers[-1] as a DeferredLayer where that pays.
 
-    The layer trains on n_samples rows per epoch, in cfg.batch_size batches.
-    It yields the DeferredLayer, or None where the layer stays dense: at a
-    nonzero momentum (the velocity is rewritten every step anyway), or
-    where a full window is not smaller than W (DeferredLayer.pays). On
-    exit, by an exception too, the window is applied and the dense layer
-    is put back, so what outlives training is dense.
+    The layer trains at cfg.momentum on n_samples rows per epoch, in
+    cfg.batch_size batches. It yields the DeferredLayer, or None where the
+    layer stays dense because a full window is not smaller than W
+    (DeferredLayer.pays). On exit, by an exception too, the window is
+    applied and the dense layer is put back, so what outlives training is
+    dense.
     """
 
     def __init__(self, layers: list, cfg: SgdConfig, n_samples: int):
-        self.layers, self.dense = layers, layers[-1]
-        self.taken = cfg.momentum == 0 and DeferredLayer.pays(self.dense, cfg.batch_size)
+        self.layers, self.dense, self.momentum = layers, layers[-1], cfg.momentum
+        self.taken = DeferredLayer.pays(self.dense, cfg.batch_size)
         # sgd_epochs flushes every epoch, so the window never holds more rows
         # than the n_samples an epoch runs through
         self.window = min(PENDING_STEPS * cfg.batch_size, n_samples)
@@ -308,7 +372,7 @@ class deferred_output_layer:
     def __enter__(self) -> DeferredLayer | None:
         if not self.taken:
             return None
-        self.layers[-1] = DeferredLayer(self.dense, self.window)
+        self.layers[-1] = DeferredLayer(self.dense, self.window, self.momentum)
         return self.layers[-1]
 
     def __exit__(self, *exc) -> None:
@@ -412,21 +476,25 @@ class SgdMomentum:
     applied at once, so the dense gradient never exists. With momentum 0
     the velocity would always equal -lr*g, so none is kept (velocity is
     None) and the update is p <- p - lr*g. A DeferredLayer in a weight's
-    place (momentum 0 only) is handed its factors to keep pending; flush
-    applies what it holds.
+    place, made at the same momentum, is handed its factors to keep
+    pending; it keeps its own velocity, so its slot here is None, and
+    flush applies what it holds.
     """
 
     def __init__(self, params: list, lr: float, momentum: float = 0.0):
         arrays = [p for p in params if not isinstance(p, DeferredLayer)]
-        if momentum and len(arrays) < len(params):
-            raise ValidationError("a DeferredLayer trains only at momentum 0")
+        for p in params:
+            if isinstance(p, DeferredLayer) and p.momentum != momentum:
+                raise ValidationError(f"a DeferredLayer made at momentum {p.momentum} "
+                                      f"cannot train at momentum {momentum}")
         for p in arrays:
             if not p.flags.c_contiguous:
                 raise ValidationError("parameters must be C-contiguous arrays")
         self.params = params
         self.lr = lr
         self.momentum = momentum
-        self.velocity = [np.zeros_like(p) for p in params] if momentum else None
+        self.velocity = ([None if isinstance(p, DeferredLayer) else np.zeros_like(p)
+                          for p in params] if momentum else None)
         # a row block (see step) holds at most UPDATE_BLOCK + n_cols elements,
         # or three rows where two rows exceed UPDATE_BLOCK
         widest = max((p.shape[1] for p in arrays if p.ndim == 2), default=0)

@@ -105,6 +105,27 @@ class TestVae:
             nw.collect_params(params.all_layers()), nw.flatten_grads(grads))
         assert err <= 1e-4
 
+    def test_trunkless_loss_gradients_form_no_input_gradient(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        params = ae.build_vae([6, 3], rng)
+        jitter_biases(params.all_layers(), rng)
+        x = rng.uniform(0.2, 0.8, size=(4, 6))
+        eps = rng.standard_normal((4, 3))
+        backward, read = nw.DenseLayer.backward, []
+
+        def spy(layer, a_in, dz):
+            read.append(layer)
+            return backward(layer, a_in, dz)
+
+        monkeypatch.setattr(nw.DenseLayer, "backward", spy)
+        _, grads, _ = ae.vae_loss_and_grads(params, x, eps, 0.8)
+        # only the decoder's layers give an input gradient; the heads none
+        assert read == params.decoder_layers[::-1]
+        err = finite_diff(
+            lambda: ae.vae_loss_and_grads(params, x, eps, 0.8)[0],
+            nw.collect_params(params.all_layers()), nw.flatten_grads(grads))
+        assert err <= 1e-4
+
     def test_recon_weight_one_ignores_kl(self):
         rng = np.random.default_rng(2)
         params = ae.build_vae([6, 5, 3], rng)

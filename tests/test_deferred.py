@@ -1,11 +1,12 @@
-"""The decoder's output layer, with its momentum-0 updates kept pending.
+"""The decoder's output layer, with its SGD-momentum updates kept pending.
 
-At momentum 0, pretrain_ae, pretrain_vae and train_derc hold the decoder's
-output layer as a network.DeferredLayer wherever a full pending window is
-smaller than its weights. The oracle is the dense layer they used before:
-with deferred_output_layer replaced by a no-op, every step applies its
-update to W through SgdMomentum's factored path. Both must agree to
-rounding; where deferral is not taken, they must agree bit for bit.
+pretrain_ae, pretrain_vae and train_derc hold the decoder's output layer as
+a network.DeferredLayer wherever a full pending window is smaller than its
+weights, at momentum 0 and above. The oracle is the dense layer they used
+before: with deferred_output_layer replaced by a no-op, every step applies
+its update to W, and to its velocity, through SgdMomentum's factored path.
+Both must agree to rounding; where deferral is not taken, they must agree
+bit for bit.
 """
 
 import contextlib
@@ -24,7 +25,8 @@ from derc.errors import NumericError, ValidationError
 K = nw.PENDING_STEPS
 BATCH = 2
 # an epoch of K + 2 batches, the last of one row: K steps fill the window
-# mid-epoch, the next two are flushed at the epoch's end
+# mid-epoch, the next two are flushed at the epoch's end; at a momentum, the
+# second window starts from the velocity the first one left
 N_TRAIN = BATCH * (K + 1) + 1
 # a 0.2 validation split of N_SAMPLES leaves N_TRAIN to train on
 N_SAMPLES = N_TRAIN + round(N_TRAIN / 4)
@@ -33,6 +35,7 @@ DIMS = [300, 64, 8, 3]
 # a 16 -> 60 output layer is not: K * BATCH * (16 + 60) > 16 * 60
 SMALL_DIMS = [60, 16, 6, 3]
 EPOCHS = 3
+MOMENTUM = 0.9
 WEIGHT_RTOL = 1e-12
 LOSS_RTOL = 1e-13
 
@@ -76,14 +79,14 @@ def run_dense(train, *args):
 
 
 def run_deferred(train, *args):
-    """train(*args) as shipped; checks that it deferred the output layer and
+    """train(*args) as shipped, and the DeferredLayer it used; checks that it
     flushed a full window mid-epoch and the epoch's short rest at its end."""
     seen, flushed = [], []
     with spied(seen, flushed):
         out = train(*args)
     assert len(seen) == 1 and type(seen[0][1]) is nw.DeferredLayer
     assert flushed[:2] == [K * BATCH, N_TRAIN - K * BATCH]
-    return out
+    return out, seen[0][1]
 
 
 def run_not_deferred(train, *args):
@@ -138,54 +141,65 @@ TRAINERS = pytest.mark.parametrize("train", [ae.pretrain_ae, ae.pretrain_vae],
                                    ids=["ae", "vae"])
 
 
+def check_pretrain_matches_dense(train, momentum):
+    args = (cohort(N_SAMPLES), ae.AeSpec(list(DIMS)), pretrain_config(momentum))
+    (params, history), layer = run_deferred(train, *args)
+    ref_params, ref_history = run_dense(train, *args)
+    assert_weights_close(params, ref_params)
+    # train and validation losses of every epoch
+    assert_losses_close([h[1:] for h in history], [h[1:] for h in ref_history])
+    assert len(history) == EPOCHS and np.all(np.isfinite(history))
+    # at momentum 0 no velocity is kept
+    assert (layer.velocity is None) == (momentum == 0)
+
+
+def check_derc_matches_dense(momentum):
+    x, start, centroids, cfg = derc_setup(momentum)
+    params = copy.deepcopy(start)
+    output = params.decoder_layers[-1]
+    result, layer = run_deferred(cl.train_derc, x, params, centroids, cfg)
+    ref = run_dense(cl.train_derc, x, copy.deepcopy(start), centroids, cfg)
+    assert (layer.velocity is None) == (momentum == 0)
+    # the caller's own dense layer is back, holding the trained weights
+    assert result.params.decoder_layers[-1] is output
+    assert_weights_close(result.params, ref.params)
+    assert_close(result.centroids, ref.centroids)
+    # as in test_row_space: the cluster term is held relative to the total
+    got, want = np.array(result.history), np.array(ref.history)
+    assert_losses_close(got[:, 2:], want[:, 2:])
+    np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=0.0,
+                               atol=LOSS_RTOL * np.min(want[:, 3]))
+    np.testing.assert_allclose(result.q, ref.q, rtol=0.0, atol=1e-13)
+    assert np.array_equal(result.cluster_ids, ref.cluster_ids)
+
+
 class TestDenseOracle:
     @TRAINERS
     def test_pretrain_matches_dense(self, train):
-        args = (cohort(N_SAMPLES), ae.AeSpec(list(DIMS)), pretrain_config(0.0))
-        params, history = run_deferred(train, *args)
-        ref_params, ref_history = run_dense(train, *args)
-        assert_weights_close(params, ref_params)
-        # train and validation losses of every epoch
-        assert_losses_close([h[1:] for h in history], [h[1:] for h in ref_history])
-        assert len(history) == EPOCHS and np.all(np.isfinite(history))
+        check_pretrain_matches_dense(train, 0.0)
+
+    @TRAINERS
+    def test_pretrain_at_momentum_matches_dense(self, train):
+        check_pretrain_matches_dense(train, MOMENTUM)
 
     def test_derc_matches_dense(self):
-        x, start, centroids, cfg = derc_setup(0.0)
-        params = copy.deepcopy(start)
-        output = params.decoder_layers[-1]
-        result = run_deferred(cl.train_derc, x, params, centroids, cfg)
-        ref = run_dense(cl.train_derc, x, copy.deepcopy(start), centroids, cfg)
-        # the caller's own dense layer is back, holding the trained weights
-        assert result.params.decoder_layers[-1] is output
-        assert_weights_close(result.params, ref.params)
-        assert_close(result.centroids, ref.centroids)
-        # as in test_row_space: the cluster term is held relative to the total
-        got, want = np.array(result.history), np.array(ref.history)
-        assert_losses_close(got[:, 2:], want[:, 2:])
-        np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=0.0,
-                                   atol=LOSS_RTOL * np.min(want[:, 3]))
-        np.testing.assert_allclose(result.q, ref.q, rtol=0.0, atol=1e-13)
-        assert np.array_equal(result.cluster_ids, ref.cluster_ids)
+        check_derc_matches_dense(0.0)
+
+    def test_derc_at_momentum_matches_dense(self):
+        check_derc_matches_dense(MOMENTUM)
 
 
 class TestNotTaken:
     @TRAINERS
-    @pytest.mark.parametrize("momentum, dims", [(0.9, DIMS), (0.0, SMALL_DIMS)],
-                             ids=["momentum", "below-size-rule"])
-    def test_pretrain_is_bitwise_dense(self, train, momentum, dims):
-        args = (cohort(N_SAMPLES, dims[0]), ae.AeSpec(list(dims)), pretrain_config(momentum))
+    @pytest.mark.parametrize("momentum", [0.0, MOMENTUM],
+                             ids=["below-size-rule", "below-size-rule-momentum"])
+    def test_pretrain_is_bitwise_dense(self, train, momentum):
+        args = (cohort(N_SAMPLES, SMALL_DIMS[0]), ae.AeSpec(list(SMALL_DIMS)),
+                pretrain_config(momentum))
         params, history = run_not_deferred(train, *args)
         ref_params, ref_history = run_dense(train, *args)
         assert_weights_equal(params, ref_params)
         assert np.array_equal(history, ref_history, equal_nan=True)
-
-    def test_derc_at_momentum_is_bitwise_dense(self):
-        x, start, centroids, cfg = derc_setup(0.9)
-        result = run_not_deferred(cl.train_derc, x, copy.deepcopy(start), centroids, cfg)
-        ref = run_dense(cl.train_derc, x, copy.deepcopy(start), centroids, cfg)
-        assert_weights_equal(result.params, ref.params)
-        assert np.array_equal(result.centroids, ref.centroids)
-        assert np.array_equal(result.history, ref.history)
 
 
 def poison_loss(mp, module, at):
@@ -248,20 +262,20 @@ class TestErrors:
         monkeypatch.setattr(nw.SgdMomentum, "step", poisoned)
         return calls
 
-    @pytest.mark.parametrize("train, stage", [(ae.pretrain_ae, "pretrain ae"),
-                                              (ae.pretrain_vae, "pretrain vae")])
-    def test_pretrain_rejects_non_finite_window(self, monkeypatch, train, stage):
+    def check_pretrain_rejects(self, monkeypatch, train, stage, momentum):
         calls = self.poison_window_on_last_step(monkeypatch)
-        cfg = ae.PretrainConfig(epochs=2, lr=0.5, batch_size=BATCH, seed=0)
+        cfg = ae.PretrainConfig(epochs=2, lr=0.5 if momentum == 0 else 0.05,
+                                momentum=momentum, batch_size=BATCH, seed=0)
         with pytest.raises(NumericError, match=f"^{stage}: non-finite"), \
                 np.errstate(invalid="ignore"):
             train(cohort(N_TRAIN), ae.AeSpec(list(DIMS)), cfg)
         assert len(calls) == self.STEPS
 
-    def test_derc_rejects_non_finite_window(self, monkeypatch):
+    def check_derc_rejects(self, monkeypatch, momentum):
         x, params, centroids, _ = derc_setup(0.0)
         calls = self.poison_window_on_last_step(monkeypatch)
-        cfg = cl.DercConfig(epochs=2, lr=0.05, momentum=0.0, batch_size=BATCH, k=2, seed=0)
+        cfg = cl.DercConfig(epochs=2, lr=0.05, momentum=momentum, batch_size=BATCH, k=2,
+                            seed=0)
         with pytest.raises(NumericError, match="^train-derc: non-finite"), \
                 np.errstate(invalid="ignore"):
             cl.train_derc(x, params, centroids, cfg)
@@ -269,6 +283,23 @@ class TestErrors:
         # the dense layer is back in place, holding the inf the check found
         assert type(params.decoder_layers[-1]) is nw.DenseLayer
         assert not np.isfinite(params.decoder_layers[-1].weights).all()
+
+    PRETRAIN_STAGES = pytest.mark.parametrize(
+        "train, stage", [(ae.pretrain_ae, "pretrain ae"), (ae.pretrain_vae, "pretrain vae")])
+
+    @PRETRAIN_STAGES
+    def test_pretrain_rejects_non_finite_window(self, monkeypatch, train, stage):
+        self.check_pretrain_rejects(monkeypatch, train, stage, 0.0)
+
+    @PRETRAIN_STAGES
+    def test_pretrain_rejects_non_finite_window_at_momentum(self, monkeypatch, train, stage):
+        self.check_pretrain_rejects(monkeypatch, train, stage, MOMENTUM)
+
+    def test_derc_rejects_non_finite_window(self, monkeypatch):
+        self.check_derc_rejects(monkeypatch, 0.0)
+
+    def test_derc_rejects_non_finite_window_at_momentum(self, monkeypatch):
+        self.check_derc_rejects(monkeypatch, MOMENTUM)
 
 
 class TestDeferredLayer:
@@ -297,10 +328,41 @@ class TestDeferredLayer:
         assert_close(got_in, want_in)
         assert_close(nw.flatten_grads(got_grads)[0], nw.flatten_grads(want_grads)[0])
 
-    def test_rejects_momentum_and_overflow(self):
+    def test_reads_at_momentum_go_through_the_effective_weights(self):
+        # batches of 3 rows in a window of K of them: after 2K + 3 steps the
+        # window holds 3 steps on top of a velocity formed from two windows
+        rng = np.random.default_rng(18)
+        dense = nw.DenseLayer.create(40, 50, "sigmoid", rng)
+        w, v = dense.weights.copy(), np.zeros_like(dense.weights)
+        layer = nw.DeferredLayer(dense, window=3 * K, momentum=MOMENTUM)
+        for step in range(2 * K + 3):
+            dz, h = self.factors(rng, 3)
+            layer.defer(dz, h, 0.1)
+            v = MOMENTUM * v - 0.1 * dz.T @ h
+            w += v
+            if step % K == K - 1:
+                # flushed: W is exact, the velocity still the previous window's
+                assert layer.rows == 0
+                assert_close(dense.weights, w)
+        assert layer.rows == 9 and layer.velocity is not None
+        effective = nw.DenseLayer(w, dense.bias, dense.activation)
+        h, grad_out = rng.normal(size=(3, 40)), rng.normal(size=(3, 50))
+        (got, cache), (want, ref_cache) = (nw.forward_layers([layer], h),
+                                           nw.forward_layers([effective], h))
+        assert_close(got, want)
+        got_in = nw.backward_layers([layer], cache, grad_out)[1]
+        assert_close(got_in, nw.backward_layers([effective], ref_cache, grad_out)[1])
+        layer.flush()
+        assert_close(dense.weights, w)
+        # the next step first forms the velocity the flushed window ended with
+        layer.defer(*self.factors(rng, 3), 0.1)
+        assert_close(layer.velocity, v)
+
+    def test_rejects_mismatched_momentum_and_overflow(self):
         rng = np.random.default_rng(16)
         layer = nw.DeferredLayer(nw.DenseLayer.create(40, 50, "sigmoid", rng), window=6)
-        with pytest.raises(ValidationError, match="momentum 0"):
+        with pytest.raises(ValidationError, match="made at momentum 0.0 cannot train "
+                                                  "at momentum 0.9"):
             nw.SgdMomentum([layer, layer.bias], lr=0.1, momentum=0.9)
         layer.defer(*self.factors(rng, 5), 0.1)
         with pytest.raises(ValidationError, match="overflows the pending window of 6"):
@@ -347,3 +409,49 @@ class TestMemory:
         assert layer.rows == 0
         assert peak <= 8 * nw.FOLD_BLOCK + 4096 < w_bytes
         assert_close(dense.weights, want)
+
+    def test_momentum_flush_and_velocity_forming_hold_no_weight_sized_array(self):
+        rng = np.random.default_rng(19)
+        dense = nw.DenseLayer.create(self.N_IN, self.N_OUT, "sigmoid", rng)
+        w_bytes = 8 * self.N_IN * self.N_OUT
+        layer = nw.DeferredLayer(dense, K * self.BS, MOMENTUM)
+        opt = nw.SgdMomentum(nw.collect_params([layer]), lr=0.1, momentum=MOMENTUM)
+        # the layer keeps its own velocity; the optimizer keeps only the bias's
+        assert opt.velocity[0] is None and opt.velocity[1].shape == (self.N_OUT,)
+        w, v = dense.weights.copy(), np.zeros_like(dense.weights)
+        peaks = []
+        for _ in range(2 * K + 1):
+            dz, h = rng.normal(size=(self.BS, self.N_OUT)), rng.normal(size=(self.BS, self.N_IN))
+            grads = [(dz, h), rng.normal(size=self.N_OUT)]
+            peaks.append(traced_peak(lambda: opt.step(grads)))
+            v = MOMENTUM * v - 0.1 * dz.T @ h
+            w += v
+        # step K flushes with no velocity yet, step K + 1 allocates it (and
+        # nothing more), step 2K flushes through it and step 2K + 1 brings
+        # it up to date, each in FOLD_BLOCK row blocks
+        assert peaks[K] <= w_bytes + 8 * nw.FOLD_BLOCK + 4096
+        bound = 8 * nw.FOLD_BLOCK + 4096
+        assert max(peaks[K - 1], peaks[2 * K - 1], peaks[2 * K]) <= bound < w_bytes
+        assert layer.rows == self.BS
+        layer.flush()
+        assert_close(dense.weights, w)
+
+    @pytest.mark.parametrize("train", ["pretrain", "derc"])
+    def test_one_window_trainer_never_forms_the_velocity(self, train):
+        # one epoch of exactly K steps ends on the window's own flush
+        x = cohort(K * BATCH)
+        seen, flushed = [], []
+        with spied(seen, flushed):
+            if train == "pretrain":
+                cfg = ae.PretrainConfig(epochs=1, lr=0.05, momentum=MOMENTUM,
+                                        batch_size=BATCH, seed=2)
+                ae.pretrain_ae(x, ae.AeSpec(list(DIMS)), cfg)
+            else:
+                params = ae.build_ae(list(DIMS), np.random.default_rng(3))
+                centroids = kmeans.kmeans_fit(ae.encode(params, x), k=2, restarts=3).centroids
+                cfg = cl.DercConfig(epochs=1, lr=0.05, momentum=MOMENTUM, batch_size=BATCH,
+                                    target_interval=4, k=2, seed=5)
+                cl.train_derc(x, params, centroids, cfg)
+        layer = seen[0][1]
+        assert flushed[0] == K * BATCH and not any(flushed[1:])
+        assert layer.velocity is None and layer.unformed == (K * BATCH, K)
