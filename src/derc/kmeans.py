@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 DEFAULT_RESTARTS = 80  # Lloyd runs per fit; the lowest inertia wins
 MAX_ITER = 300  # Lloyd iterations per run at most
@@ -64,7 +64,10 @@ def _lloyd(z: np.ndarray, k: int, rng: np.random.Generator):
 
 def kmeans_fit(z: np.ndarray, k: int, restarts: int = DEFAULT_RESTARTS,
                seed: int = 0) -> KmeansResult:
-    """Best-of-restarts Lloyd clustering; deterministic per seed."""
+    """Best-of-restarts Lloyd clustering; deterministic per seed.
+
+    Raises NumericError when z holds fewer than k distinct points.
+    """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise ValidationError("data must be 2-D")
@@ -75,6 +78,12 @@ def kmeans_fit(z: np.ndarray, k: int, restarts: int = DEFAULT_RESTARTS,
         raise ValidationError(f"need at least k={k} samples, got {n}")
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
+    # fewer distinct points than k force coincident centroids and an empty
+    # cluster, as a collapsed latent (every unit dead) gives
+    distinct = len(np.unique(z, axis=0))
+    if distinct < k:
+        raise NumericError(f"degenerate cluster: {distinct} distinct point(s) "
+                           f"among {n}, fewer than k={k}")
 
     best = None
     for r in range(restarts):

@@ -32,11 +32,58 @@ def init_bound(n_input: int) -> float:
 
 
 def init_uniform(shape, n_input: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform weights on [-l, l] with l = sqrt(3*s/n_input), s = 1/3."""
+    """Uniform weights on [-l, l] with l = sqrt(3*s/n_input), s = 1/3.
+
+    The values, and rng's state afterwards, are those of
+    rng.uniform(-l, l, size=shape): each is low + (high - low) * d, d the
+    next double of rng's stream, formed as random(out=block), then * and +
+    in place, UPDATE_BLOCK values at a time. The array is drawn in
+    contiguous parts of at least FOLD_BLOCK values, one per CPU the process
+    may run on, each on its own thread from a copy of rng's bit generator
+    advanced to the part's start; PCG64's advance jumps n draws in O(log n)
+    (O'Neill 2014). A one-part array, or a bit generator whose advance does
+    not count single draws (any but PCG64 and PCG64DXSM), is drawn on the
+    calling thread.
+    """
     if n_input < 1:
         raise ValidationError("n_input must be >= 1")
+    import os
+
     l = init_bound(n_input)
-    return rng.uniform(-l, l, size=shape)
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+
+    def fill(gen: np.random.Generator, start: int, stop: int) -> None:
+        for b0 in range(start, stop, UPDATE_BLOCK):
+            block = flat[b0:min(b0 + UPDATE_BLOCK, stop)]
+            gen.random(out=block)
+            block *= l - -l
+            block += -l
+
+    bit_gen = rng.bit_generator
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    parts = max(1, min(cpus, flat.size // FOLD_BLOCK))
+    if parts == 1 or not isinstance(bit_gen, (np.random.PCG64, np.random.PCG64DXSM)):
+        fill(rng, 0, flat.size)
+        return out
+    import copy
+    from concurrent.futures import ThreadPoolExecutor
+
+    state = bit_gen.state
+    bounds = [flat.size * i // parts for i in range(parts + 1)]
+
+    def fill_part(start: int, stop: int) -> None:
+        fill(np.random.Generator(copy.deepcopy(bit_gen).advance(start)), start, stop)
+
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        list(pool.map(fill_part, bounds[:-1], bounds[1:]))
+    # advance clears the buffered half of a 32-bit draw; keep it, so later
+    # 32-bit draws are those of the serial stream
+    bit_gen.advance(flat.size)
+    bit_gen.state = {**bit_gen.state, "has_uint32": state["has_uint32"],
+                     "uinteger": state["uinteger"]}
+    return out
 
 
 def relu(z):
@@ -44,12 +91,13 @@ def relu(z):
 
 
 def sigmoid(z):
-    # branch form avoids overflow in exp for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # exp(-|z|) never overflows; minimum(z, -z) keeps a NaN's sign, so each
+    # value is bit for bit the branch form 1/(1 + exp(-z)), exp(z)/(1 + exp(z))
+    e = np.minimum(z, -z)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -567,10 +615,19 @@ def collect_params(layers: list[DenseLayer]) -> list:
 
 def check_finite(arrays: list[np.ndarray], what: str) -> None:
     """Raise NumericError naming `what` if an array holds a NaN or an inf."""
-    for i, a in enumerate(arrays):
-        # min and max propagate NaN and reach every inf, with no temporary
-        if a.size and not np.isfinite([a.min(), a.max()]).all():
-            raise NumericError(f"{what}: non-finite value in trained parameter {i}")
+    # a block's dot product with zeros is NaN iff the block holds a NaN or an
+    # inf (0 * inf = NaN; every other product is exactly 0, so nothing
+    # overflows): one BLAS pass over each array, against one UPDATE_BLOCK of
+    # zeros
+    with np.errstate(invalid="ignore"):
+        for i, a in enumerate(arrays):
+            flat = a.reshape(-1)
+            zeros = np.zeros(min(flat.size, UPDATE_BLOCK), dtype=flat.dtype)
+            for b0 in range(0, flat.size, UPDATE_BLOCK):
+                block = flat[b0:b0 + UPDATE_BLOCK]
+                if not np.isfinite(np.dot(block, zeros[:block.size])):
+                    raise NumericError(f"{what}: non-finite value in trained "
+                                       f"parameter {i}")
 
 
 def flatten_grads(grads) -> list[np.ndarray]:

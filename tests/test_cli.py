@@ -157,6 +157,16 @@ def _model_as_centroids(tmp_path):
             "--out", tmp_path / "t.derc", "--pred", tmp_path / "p.csv"]
 
 
+def _collapsed_latent(tmp_path):
+    # a latent layer with zero weights and bias maps every sample to the origin
+    raw, model = _small_model(tmp_path)
+    params, _, _ = data.load_model(model)
+    params.encoder_layers[-1].weights[:] = 0.0
+    params.encoder_layers[-1].bias[:] = 0.0
+    data.save_model(model, params)
+    return ["cluster-init", "--model", model, "--data", raw, "--out", tmp_path / "c.derc"]
+
+
 def _prescreen_normality_alpha(tmp_path):
     raw, _ = synth_csv(tmp_path)
     return ["prescreen", "--data", raw, "--out-data", tmp_path / "f.csv",
@@ -275,6 +285,9 @@ BAD_INPUTS = {
     "pretrain-validation-holds-out-all": (_pretrain_with("--validation-fraction", "0.99"),
                                           2, ["validation_fraction", "40 samples"]),
     "derc-non-finite-loss": (_train_derc_with("--lr", "1e200"), 3, ["non-finite loss"]),
+    "cluster-init-collapsed-latent": (_collapsed_latent, 3,
+                                      ["numeric error: degenerate cluster",
+                                       "1 distinct point(s) among 40", "k=2"]),
     "csv-header-only": (_prescreen_file("h.csv", b"f1,f2\n"), 2,
                         ["h.csv", "0 samples"]),
     "series-matrix-without-probes": (_prescreen_file(

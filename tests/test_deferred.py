@@ -15,7 +15,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import jitter_biases, traced_peak
 from derc import autoencoder as ae
 from derc import cluster as cl
 from derc import kmeans
@@ -448,6 +448,9 @@ class TestMemory:
                 ae.pretrain_ae(x, ae.AeSpec(list(DIMS)), cfg)
             else:
                 params = ae.build_ae(list(DIMS), np.random.default_rng(3))
+                # the untrained 3-unit ReLU latent is all zero on this cohort,
+                # which k-means rejects; biases off zero bring it to life
+                jitter_biases(params.encoder_layers, np.random.default_rng(3))
                 centroids = kmeans.kmeans_fit(ae.encode(params, x), k=2, restarts=3).centroids
                 cfg = cl.DercConfig(epochs=1, lr=0.05, momentum=MOMENTUM, batch_size=BATCH,
                                     target_interval=4, k=2, seed=5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from derc.errors import ValidationError
+from derc.errors import NumericError, ValidationError
 from derc.kmeans import kmeans_fit
 
 
@@ -71,6 +71,18 @@ class TestKmeansFit:
             kmeans_fit(z, k=4)
         with pytest.raises(ValidationError):
             kmeans_fit(z, k=0)
+
+    def test_fewer_distinct_points_than_k(self):
+        # a collapsed latent: every sample at the origin
+        with pytest.raises(NumericError, match=r"^degenerate cluster: 1 distinct "
+                                               r"point\(s\) among 60, fewer than k=2$"):
+            kmeans_fit(np.zeros((60, 4)), k=2)
+        z = np.repeat([[0.0, 1.0], [2.0, 3.0]], 3, axis=0)
+        with pytest.raises(NumericError, match="2 distinct point"):
+            kmeans_fit(z, k=3)
+        result = kmeans_fit(z, k=2, restarts=2)
+        assert result.inertia == 0.0
+        assert sorted(np.bincount(result.assignments).tolist()) == [3, 3]
 
 
 class TestKmeansAssign:

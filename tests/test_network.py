@@ -1,10 +1,14 @@
+import concurrent.futures
+import os
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import finite_diff, jitter_biases, traced_peak
 from derc import network as nw
 from derc.autoencoder import build_ae
-from derc.errors import ValidationError
+from derc.errors import NumericError, ValidationError
 
 
 class TestInit:
@@ -22,6 +26,145 @@ class TestInit:
         a = nw.init_uniform((4, 4), 4, np.random.default_rng(7))
         b = nw.init_uniform((4, 4), 4, np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+
+def later_draws(rng):
+    """What the trainers draw after the weights: doubles, permutations, and
+    32-bit integers, which use the buffered half of a 64-bit draw first."""
+    return [rng.random(3), rng.permutation(10),
+            rng.integers(0, 2**31 - 1, size=5, dtype=np.int32)]
+
+
+def assert_same_bits(xs, ys):
+    for x, y in zip(xs, ys, strict=True):
+        x, y = np.asarray(x), np.asarray(y)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+class TestInitSplit:
+    """init_uniform against rng.uniform, bit for bit, however it is split."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """A function that sets the CPU count to n and returns the list that
+        gets each thread pool's size."""
+        sizes = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+
+        def cpus(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                                raising=False)
+            return sizes
+        return cpus
+
+    @staticmethod
+    def both(shape, n_input, make_rng):
+        """(split draw, serial draw), each with the draws around it; a 32-bit
+        draw comes first, so the generator's buffered half is live."""
+        out = []
+        for draw in (nw.init_uniform,
+                     lambda shape, n, rng: rng.uniform(-nw.init_bound(n), nw.init_bound(n),
+                                                       size=shape)):
+            rng = make_rng()
+            first = rng.integers(0, 1000, dtype=np.int32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+            out.append([first, draw(shape, n_input, rng), *later_draws(rng)])
+        return out
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+    def test_parts_match_serial(self, cpus, pools, monkeypatch):
+        # 221 values in parts of at least 16, drawn 5 at a time
+        monkeypatch.setattr(nw, "FOLD_BLOCK", 16)
+        monkeypatch.setattr(nw, "UPDATE_BLOCK", 5)
+        sizes = pools(cpus)
+        split, serial = self.both((13, 17), 17, lambda: np.random.default_rng(11))
+        assert sizes == ([] if cpus == 1 else [cpus])
+        assert split[1].flags.c_contiguous
+        assert_same_bits(split, serial)
+
+    @pytest.mark.parametrize("values, sizes", [(2 * nw.FOLD_BLOCK, [2]),
+                                               (2 * nw.FOLD_BLOCK - 1, [])])
+    def test_part_unit(self, values, sizes, pools):
+        got = pools(2)
+        split, serial = self.both((values,), 300, lambda: np.random.default_rng(3))
+        assert got == sizes
+        assert_same_bits(split, serial)
+
+    # Philox's advance counts blocks of four draws, not single draws
+    @pytest.mark.parametrize("bit_generator, sizes", [(np.random.PCG64DXSM, [3]),
+                                                      (np.random.Philox, [])])
+    def test_other_bit_generators(self, bit_generator, sizes, pools, monkeypatch):
+        monkeypatch.setattr(nw, "FOLD_BLOCK", 16)
+        got = pools(3)
+        split, serial = self.both((9, 11), 11,
+                                  lambda: np.random.Generator(bit_generator(5)))
+        assert got == sizes
+        assert_same_bits(split, serial)
+
+
+def masked_sigmoid(z):
+    """The branch form sigmoid replaced, kept as its bitwise oracle."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_masked_form_bitwise(self):
+        edges = [0.0, 1e-300, 5e-324, 1e-8, 0.5, 1.0, 36.7, 37.0, 709.0, 710.0,
+                 745.2, 800.0, 1e308, np.inf, np.nan]
+        z = np.array(edges + [-v for v in edges])
+        z = np.concatenate([z, np.random.default_rng(0).normal(0.0, 20.0, 200)])
+        with np.errstate(all="ignore"):
+            expected = masked_sigmoid(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nw.sigmoid(z)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        grid = z[:-200].reshape(2, -1)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(nw.sigmoid(grid).view(np.uint64),
+                                  masked_sigmoid(grid).view(np.uint64))
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 3, 4, 7, 9])
+    def test_catches_at_block_and_array_ends(self, bad, at, monkeypatch):
+        # blocks of 4 over 10 values: [0, 4), [4, 8), [8, 10)
+        monkeypatch.setattr(nw, "UPDATE_BLOCK", 4)
+        x = np.full(10, 1e308)
+        x[at] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^stage: non-finite value in "
+                                                   "trained parameter 2$"):
+                nw.check_finite([np.ones(3), np.zeros((2, 2)), x.reshape(2, 5)], "stage")
+
+    @pytest.mark.parametrize("at", [0, nw.UPDATE_BLOCK - 1, nw.UPDATE_BLOCK])
+    def test_catches_at_real_block_ends(self, at):
+        x = np.zeros(nw.UPDATE_BLOCK + 1)
+        x[at] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="parameter 0"):
+                nw.check_finite([x], "stage")
+
+    def test_accepts_finite_and_empty(self):
+        extremes = np.array([1e308, -1e308, 5e-324, -0.0, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nw.check_finite([extremes, np.empty(0), np.empty((0, 3)),
+                             np.ones((3, nw.UPDATE_BLOCK // 2))], "stage")
 
 
 class TestForward:
