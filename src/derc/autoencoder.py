@@ -8,7 +8,6 @@ clustering.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +19,10 @@ from .network import (
     SgdConfig,
     backward_layers,
     check_finite,
-    collect_params,
-    deferred_output_layer,
     forward_layers,
     mse_loss,
-    row_space_first_layer,
     sgd_epochs,
+    training_layers,
 )
 
 DEFAULT_HIDDEN_DIMS = (2000, 500, 70, 10)
@@ -194,10 +191,8 @@ def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
     val_loss(params, x_val, rng) scores the validation split after each
     epoch. All draws come from one generator seeded by cfg.seed: build,
     split, then per epoch the permutation, the batches' and the validation
-    draws. The first encoder layer trains in the training split's row space
-    (network.RowSpaceLayer), except in a VAE without a trunk, whose two
-    heads both read the input. The decoder's output layer keeps its
-    updates pending where that pays (network.DeferredLayer).
+    draws. The layers train in the forms network.training_layers picks for
+    the training split.
     """
     cfg.validate()
     x = np.asarray(values, dtype=float)
@@ -206,17 +201,14 @@ def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
     train_idx, val_idx = _split_train_val(x.shape[0], cfg.validation_fraction, rng)
     x_train, x_val = x[train_idx], x[val_idx]
     history = []
-    row_space = params.logvar_head is None or len(params.encoder_layers) > 1
-    first = (row_space_first_layer(params.encoder_layers, x_train) if row_space
-             else nullcontext())
-    with first, deferred_output_layer(params.decoder_layers, cfg, len(x_train)):
-        epochs = sgd_epochs(collect_params(params.all_layers()), len(x_train), cfg, rng,
+    with training_layers(params, x_train, cfg):
+        epochs = sgd_epochs(params.all_layers(), len(x_train), cfg, rng,
                             lambda idx: batch_loss(params, x_train[idx], idx, rng),
                             f"pretrain {kind}")
         for epoch, train_loss in enumerate(epochs):
             val = val_loss(params, x_val, rng) if len(x_val) else float("nan")
             history.append((epoch, train_loss, val))
-    check_finite(collect_params(params.all_layers()), f"pretrain {kind}")
+    check_finite(params.all_layers(), f"pretrain {kind}")
     return params, history
 
 

@@ -24,12 +24,10 @@ from .network import (
     SgdConfig,
     backward_layers,
     check_finite,
-    collect_params,
-    deferred_output_layer,
     forward_layers,
     mse_loss,
-    row_space_first_layer,
     sgd_epochs,
+    training_layers,
 )
 
 
@@ -117,7 +115,7 @@ def _derc_batch_loss(params: NetworkParams, centroids: np.ndarray,
 
     Returns (total, cluster term, reconstruction term, gradients); the
     gradients are backward_layers' ((dz, x_in), db) per encoder and decoder
-    layer, then the centroids' (dmu,). rows are the batch's indices in the
+    layer, then the centroids' gradient. rows are the batch's indices in the
     training matrix (see network.forward_layers).
     """
     bs = len(batch)
@@ -131,7 +129,7 @@ def _derc_batch_loss(params: NetworkParams, centroids: np.ndarray,
     # dz_rec already carries beta, from the decoder's beta * dmse
     dec_grads, dz_rec = backward_layers(params.decoder_layers, dec_cache, beta * dmse)
     enc_grads, _ = backward_layers(params.encoder_layers, enc_cache, dz_rec + dz_cl / bs)
-    return total, cl_loss / bs, rec_loss, [*enc_grads, *dec_grads, (dmu / bs,)]
+    return total, cl_loss / bs, rec_loss, [*enc_grads, *dec_grads, dmu / bs]
 
 
 def train_derc(values: np.ndarray, params: NetworkParams,
@@ -142,10 +140,8 @@ def train_derc(values: np.ndarray, params: NetworkParams,
     every cfg.target_interval mini-batch steps. History rows are
     (iteration, cluster_loss_per_sample, recon_loss, total). A VAE model is
     trained through its mean encoding; its log-variance head is not updated.
-    The first encoder layer trains in the row space of values
-    (network.RowSpaceLayer), the decoder's output layer keeps its updates
-    and its velocity pending where that pays (network.DeferredLayer), and
-    both are dense again in the result.
+    The layers train in the forms network.training_layers picks for values,
+    and are dense again in the result.
     """
     from .autoencoder import encode
 
@@ -180,14 +176,15 @@ def train_derc(values: np.ndarray, params: NetworkParams,
         history.append((ite, cl_loss, rec_loss, total))
         return total, grads
 
-    with row_space_first_layer(params.encoder_layers, x), \
-            deferred_output_layer(params.decoder_layers, cfg, n):
-        layers = [*params.encoder_layers, *params.decoder_layers]
-        for _ in sgd_epochs([*collect_params(layers), centroids], n, cfg,
+    # the network trained here: the log-variance head is neither read nor
+    # updated, so even a VAE without a trunk trains its mean head in row space
+    trained = NetworkParams(params.encoder_layers, params.decoder_layers)
+    with training_layers(trained, x, cfg):
+        for _ in sgd_epochs([*trained.all_layers(), centroids], n, cfg,
                             np.random.default_rng(cfg.seed), batch_step, "train-derc"):
             pass
         q_final = soft_assign(encode(params, x), centroids)
-    check_finite([*collect_params(params.all_layers()), centroids], "train-derc")
+    check_finite([*params.all_layers(), centroids], "train-derc")
     return DercResult(params=params, centroids=centroids, q=q_final,
                       p=target_distribution(q_final),
                       cluster_ids=np.argmax(q_final, axis=1), history=history)

@@ -47,15 +47,43 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def blas_threads() -> int | None:
+    """The thread count of the OpenBLAS that numpy bundles, or None where
+    no such library or thread-count symbol is found."""
+    import ctypes
+    import glob
+    from pathlib import Path
+
+    for lib in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
+
+
 def write_manifest(out_path, stage: str, inputs: list[str], settings: dict) -> None:
-    """Provenance record next to a stage output; deterministic content."""
+    """Provenance record next to a stage output; deterministic content at a
+    given BLAS thread count, which changes GEMM bits and is recorded."""
     from . import __version__
 
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy older than show_config's dicts
+        blas = {}
     manifest = {
         "stage": stage,
         "version": __version__,
         "inputs": {str(p): sha256_file(p) for p in sorted(map(str, inputs))},
         "settings": {k: settings[k] for k in sorted(settings)},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "threads": blas_threads()},
     }
     with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -377,5 +377,15 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
         arrays = {k: archive[k] for k in archive.files}
     except (zipfile.BadZipFile, ValueError, OSError, EOFError) as exc:
         raise ParseError(f"{path}: truncated or corrupt container payload: {exc}")
-    meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+    try:
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
+    except KeyError:
+        raise ParseError(f"{path}: container holds no __meta__ record")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: container meta byte {exc.start} is not UTF-8 "
+                         f"({exc.reason})")
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: container meta is not JSON: {exc}")
+    if not isinstance(meta, dict):
+        raise ParseError(f"{path}: container meta is JSON but not an object")
     return arrays, meta

@@ -5,6 +5,7 @@ All arithmetic is double precision so finite-difference checks stay tight.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,8 +123,30 @@ def _activation_grad(z, a, name):
     raise ValidationError(f"unknown activation {name!r}")
 
 
+class Layer:
+    """A layer kind's training: params are the arrays SgdMomentum updates
+    for it, update applies the ((a, b), db) gradient backward_layers gives,
+    by default each part to its array in params, and flush applies what
+    the layer holds pending, by default nothing."""
+
+    @property
+    def n_in(self) -> int:
+        return self.weights.shape[1]
+
+    @property
+    def n_out(self) -> int:
+        return self.weights.shape[0]
+
+    def update(self, opt: SgdMomentum, grad) -> None:
+        for p, g in zip(self.params, grad):
+            opt.update(p, g)
+
+    def flush(self) -> None:
+        pass
+
+
 @dataclass
-class DenseLayer:
+class DenseLayer(Layer):
     """Dense layer y = act(x @ W.T + b), weights stored n_out x n_in."""
 
     weights: np.ndarray
@@ -140,12 +163,8 @@ class DenseLayer:
         )
 
     @property
-    def n_in(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def n_out(self) -> int:
-        return self.weights.shape[0]
+    def params(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.weights, self.bias
 
     def forward(self, a: np.ndarray, rows: np.ndarray | None = None):
         """(input to cache, pre-activation a @ W.T + bias); rows are unused."""
@@ -171,7 +190,7 @@ def _product_blocks(a: np.ndarray, b: np.ndarray):
         yield slice(r0, r1), np.matmul(a[:, r0:r1].T, b, out=block)
 
 
-class RowSpaceLayer:
+class RowSpaceLayer(Layer):
     """A dense layer trained in the row space of its training matrix x.
 
     A layer that only ever reads rows of x gets SGD updates dz.T @ x[rows],
@@ -180,7 +199,7 @@ class RowSpaceLayer:
     2017, arXiv:1611.03530, sec. 5). The layer keeps the read-only w0 and
     x @ w0.T and x @ x.T, each computed once, and trains coef in place of W:
     a batch's gradient on coef is e.T @ dz, e its one-hot rows (one_hot),
-    which SgdMomentum.step takes as factors like any weight gradient. The
+    which SgdMomentum.update takes as factors like any weight gradient. The
     bias is layer's own array.
     """
 
@@ -199,6 +218,10 @@ class RowSpaceLayer:
     @property
     def n_out(self) -> int:
         return self.w0.shape[0]
+
+    @property
+    def params(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.coef, self.bias
 
     def one_hot(self, rows: np.ndarray) -> np.ndarray:
         """The len(rows) x n_samples matrix e with e[i, rows[i]] = 1, else 0."""
@@ -236,27 +259,7 @@ class RowSpaceLayer:
             np.add(self.w0[rows], block, out=out[rows])
 
 
-class row_space_first_layer:
-    """Context manager: hold layers[0] as a RowSpaceLayer on x, and yield it.
-
-    On exit, by an exception too, the trained weights are formed in the
-    dense layer's own weight array and the dense layer is put back, so what
-    outlives training (a saved model, a caller's params) is dense.
-    """
-
-    def __init__(self, layers: list, x: np.ndarray):
-        self.layers, self.dense, self.x = layers, layers[0], x
-
-    def __enter__(self) -> RowSpaceLayer:
-        self.layers[0] = RowSpaceLayer(self.dense, self.x)
-        return self.layers[0]
-
-    def __exit__(self, *exc) -> None:
-        self.layers[0].fold_into(self.dense.weights)
-        self.layers[0] = self.dense
-
-
-class DeferredLayer:
+class DeferredLayer(Layer):
     """A dense layer whose SGD-momentum updates are applied in windows.
 
     A step's update lr * dz.T @ h has rank len(dz), yet applying it reads
@@ -278,7 +281,7 @@ class DeferredLayer:
     needs it, since right after a flush c = 0. A trainer that ends on a
     flush, or trains at m = 0, never forms it. The window holds `window`
     rows of each factor. W is the dense layer's own array; the bias is
-    updated directly.
+    updated directly, so it alone is in params.
     """
 
     def __init__(self, layer: DenseLayer, window: int, momentum: float = 0.0):
@@ -311,12 +314,18 @@ class DeferredLayer:
                 < layer.n_in * layer.n_out)
 
     @property
-    def n_in(self) -> int:
-        return self.weights.shape[1]
+    def params(self) -> tuple[np.ndarray]:
+        return (self.bias,)
 
-    @property
-    def n_out(self) -> int:
-        return self.weights.shape[0]
+    def update(self, opt: SgdMomentum, grad) -> None:
+        """Keep the weight update pending (defer); the bias's goes through opt."""
+        (dz, h), db = grad
+        if opt.momentum != self.momentum:
+            raise ValidationError(f"a DeferredLayer made at momentum {self.momentum} "
+                                  f"cannot train at momentum {opt.momentum}")
+        _check_factors(dz, h, self.weights.shape)
+        self.defer(dz, h, opt.lr)
+        opt.update(self.bias, db)
 
     def _b(self) -> np.ndarray:
         """b_ts of each pending row, all 1 at momentum 0."""
@@ -399,36 +408,6 @@ class DeferredLayer:
         self.unformed = (0, 0)
 
 
-class deferred_output_layer:
-    """Context manager: hold layers[-1] as a DeferredLayer where that pays.
-
-    The layer trains at cfg.momentum on n_samples rows per epoch, in
-    cfg.batch_size batches. It yields the DeferredLayer, or None where the
-    layer stays dense because a full window is not smaller than W
-    (DeferredLayer.pays). On exit, by an exception too, the window is
-    applied and the dense layer is put back, so what outlives training is
-    dense.
-    """
-
-    def __init__(self, layers: list, cfg: SgdConfig, n_samples: int):
-        self.layers, self.dense, self.momentum = layers, layers[-1], cfg.momentum
-        self.taken = DeferredLayer.pays(self.dense, cfg.batch_size)
-        # sgd_epochs flushes every epoch, so the window never holds more rows
-        # than the n_samples an epoch runs through
-        self.window = min(PENDING_STEPS * cfg.batch_size, n_samples)
-
-    def __enter__(self) -> DeferredLayer | None:
-        if not self.taken:
-            return None
-        self.layers[-1] = DeferredLayer(self.dense, self.window, self.momentum)
-        return self.layers[-1]
-
-    def __exit__(self, *exc) -> None:
-        if self.taken:
-            self.layers[-1].flush()
-            self.layers[-1] = self.dense
-
-
 @dataclass
 class NetworkParams:
     """The model of both kinds: encoder/decoder stacks with chained shapes.
@@ -453,6 +432,36 @@ class NetworkParams:
     def all_layers(self) -> list[DenseLayer]:
         heads = [] if self.logvar_head is None else [self.logvar_head]
         return [*self.encoder_layers, *heads, *self.decoder_layers]
+
+
+@contextmanager
+def training_layers(params: NetworkParams, x: np.ndarray, cfg: SgdConfig):
+    """Context: hold params' layers in the forms they train in on x.
+
+    The first encoder layer trains in x's row space (RowSpaceLayer), except
+    in a VAE without a trunk, whose two heads both read the input. The
+    decoder's output layer keeps its updates pending (DeferredLayer) where
+    that pays at cfg.batch_size. On exit, by an exception too, the dense
+    layers are put back, holding the trained weights, so what outlives
+    training (a saved model, a caller's params) is dense.
+    """
+    enc, dec = params.encoder_layers, params.decoder_layers
+    first, last = enc[0], dec[-1]
+    try:
+        if params.logvar_head is None or len(enc) > 1:
+            enc[0] = RowSpaceLayer(first, x)
+        if DeferredLayer.pays(last, cfg.batch_size):
+            # sgd_epochs flushes every epoch, so the window never holds more
+            # rows than the len(x) an epoch runs through
+            dec[-1] = DeferredLayer(last, min(PENDING_STEPS * cfg.batch_size, len(x)),
+                                    cfg.momentum)
+        yield
+    finally:
+        row_space, deferred = enc[0], dec[-1]
+        enc[0], dec[-1] = first, last
+        if row_space is not first:
+            row_space.fold_into(first.weights)
+        deferred.flush()
 
 
 def forward_layers(layers: list[DenseLayer], x: np.ndarray,
@@ -488,10 +497,11 @@ def backward_layers(layers: list[DenseLayer], cache, grad_out: np.ndarray):
 
     Returns ([((a, b), db)] aligned with layers, gradient w.r.t. the stack
     input). Each weight gradient a.T @ b is returned as its factors and
-    never formed; flatten_grads gives the dense arrays and SgdMomentum.step
-    takes the factors. They are (dz, x_in) for a dense layer's weights and
-    (e, dz) for a RowSpaceLayer's coef, e the one-hot rows forward_layers
-    cached. A RowSpaceLayer has no input gradient: None is returned for it.
+    never formed; flatten_grads gives the dense arrays and each layer's
+    update takes the factors. They are (dz, x_in) for a dense layer's
+    weights and (e, dz) for a RowSpaceLayer's coef, e the one-hot rows
+    forward_layers cached. A RowSpaceLayer has no input gradient: None is
+    returned for it.
     """
     grads = [None] * len(layers)
     g = grad_out
@@ -513,73 +523,76 @@ def mse_loss(x: np.ndarray, r: np.ndarray):
     return loss, grad
 
 
+def _check_factors(a: np.ndarray, b: np.ndarray, shape: tuple) -> None:
+    if len(a) != len(b) or (a.shape[1], b.shape[1]) != shape:
+        raise ValidationError(f"gradient factors {a.shape} and {b.shape} "
+                              f"do not form parameter {shape}")
+
+
 class SgdMomentum:
     """Classical-momentum SGD: v <- m*v - lr*g; p <- p + v.
 
-    Parameters are updated in place, about UPDATE_BLOCK elements at a time,
-    through one reusable scratch buffer, so a step allocates nothing and
-    leaves the gradients untouched. A gradient is a dense array, or for a
-    2-D parameter the factors (a, b) of a.T @ b from backward_layers: then
-    each block of rows of the product is formed in the scratch buffer and
-    applied at once, so the dense gradient never exists. With momentum 0
-    the velocity would always equal -lr*g, so none is kept (velocity is
-    None) and the update is p <- p - lr*g. A DeferredLayer in a weight's
-    place, made at the same momentum, is handed its factors to keep
-    pending; it keeps its own velocity, so its slot here is None, and
-    flush applies what it holds.
+    params are layers, each applying its own gradient (Layer.update), and
+    arrays such as DERC's centroids. Arrays are updated in place by update,
+    about UPDATE_BLOCK elements at a time, through one reusable scratch
+    buffer, so a step allocates nothing and leaves the gradients untouched.
+    A gradient is a dense array, or for a 2-D array the factors (a, b) of
+    a.T @ b: then each block of rows of the product is formed in the
+    scratch buffer and applied at once, so the dense gradient never exists.
+    With momentum 0 the velocity would always equal -lr*g, so none is kept
+    (velocity is None) and the update is p <- p - lr*g; else velocity holds
+    one array for each of collect_params(params).
     """
 
     def __init__(self, params: list, lr: float, momentum: float = 0.0):
-        arrays = [p for p in params if not isinstance(p, DeferredLayer)]
-        for p in params:
-            if isinstance(p, DeferredLayer) and p.momentum != momentum:
-                raise ValidationError(f"a DeferredLayer made at momentum {p.momentum} "
-                                      f"cannot train at momentum {momentum}")
+        arrays = collect_params(params)
         for p in arrays:
             if not p.flags.c_contiguous:
                 raise ValidationError("parameters must be C-contiguous arrays")
         self.params = params
         self.lr = lr
         self.momentum = momentum
-        self.velocity = ([None if isinstance(p, DeferredLayer) else np.zeros_like(p)
-                          for p in params] if momentum else None)
-        # a row block (see step) holds at most UPDATE_BLOCK + n_cols elements,
-        # or three rows where two rows exceed UPDATE_BLOCK
+        self.velocity = [np.zeros_like(p) for p in arrays] if momentum else None
+        self._velocity_of = dict(zip(map(id, arrays), self.velocity or ()))
+        # a row block (see update) holds at most UPDATE_BLOCK + n_cols
+        # elements, or three rows where two rows exceed UPDATE_BLOCK
         widest = max((p.shape[1] for p in arrays if p.ndim == 2), default=0)
         self._scratch = np.empty(max(UPDATE_BLOCK + widest, 3 * widest))
 
     def step(self, grads: list) -> None:
         if len(grads) != len(self.params):
             raise ValidationError("gradient list does not match parameter list")
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            v = None if self.velocity is None else self.velocity[i]
-            if isinstance(g, tuple):
-                a, b = g
-                shape = p.weights.shape if isinstance(p, DeferredLayer) else p.shape
-                if len(a) != len(b) or (a.shape[1], b.shape[1]) != shape:
-                    raise ValidationError(f"gradient factors {a.shape} and {b.shape} "
-                                          f"do not form parameter {shape}")
-                if isinstance(p, DeferredLayer):
-                    p.defer(a, b, self.lr)
-                    continue
-                # rows of about UPDATE_BLOCK elements, never one alone unless p
-                # has one: numpy forms a one-row product by GEMV, which rounds
-                # unlike the GEMM of the whole gradient
-                rows = max(2, UPDATE_BLOCK // p.shape[1])
-                bounds = [0, *range(rows, p.shape[0] - 1, rows), p.shape[0]]
-                for r0, r1 in zip(bounds, bounds[1:]):
-                    g_rows = self._scratch[:(r1 - r0) * p.shape[1]].reshape(r1 - r0, -1)
-                    np.matmul(a[:, r0:r1].T, b, out=g_rows)
-                    self._apply(p, v, slice(r0, r1), g_rows)
+        for p, g in zip(self.params, grads):
+            if isinstance(p, np.ndarray):
+                self.update(p, g)
             else:
-                if g.shape != p.shape:
-                    raise ValidationError(
-                        f"gradient shape {g.shape} does not match parameter {p.shape}")
-                p, g = p.reshape(-1), g.reshape(-1)
-                v = None if v is None else v.reshape(-1)
-                for start in range(0, p.size, UPDATE_BLOCK):
-                    block = slice(start, start + UPDATE_BLOCK)
-                    self._apply(p, v, block, g[block])
+                p.update(self, g)
+
+    def update(self, p: np.ndarray, g) -> None:
+        """Apply g, a dense gradient or factors (a, b), to p, one of
+        collect_params(params)."""
+        v = None if self.velocity is None else self._velocity_of[id(p)]
+        if isinstance(g, tuple):
+            a, b = g
+            _check_factors(a, b, p.shape)
+            # rows of about UPDATE_BLOCK elements, never one alone unless p
+            # has one: numpy forms a one-row product by GEMV, which rounds
+            # unlike the GEMM of the whole gradient
+            rows = max(2, UPDATE_BLOCK // p.shape[1])
+            bounds = [0, *range(rows, p.shape[0] - 1, rows), p.shape[0]]
+            for r0, r1 in zip(bounds, bounds[1:]):
+                g_rows = self._scratch[:(r1 - r0) * p.shape[1]].reshape(r1 - r0, -1)
+                np.matmul(a[:, r0:r1].T, b, out=g_rows)
+                self._apply(p, v, slice(r0, r1), g_rows)
+        else:
+            if g.shape != p.shape:
+                raise ValidationError(
+                    f"gradient shape {g.shape} does not match parameter {p.shape}")
+            p, g = p.reshape(-1), g.reshape(-1)
+            v = None if v is None else v.reshape(-1)
+            for start in range(0, p.size, UPDATE_BLOCK):
+                block = slice(start, start + UPDATE_BLOCK)
+                self._apply(p, v, block, g[block])
 
     def _apply(self, p, v, block, g) -> None:
         """Update p[block], v[block] by their gradient g; lr*g goes to scratch."""
@@ -594,33 +607,27 @@ class SgdMomentum:
             p += v
 
     def flush(self) -> None:
-        """Apply the updates every DeferredLayer holds pending."""
+        """Apply the updates the layers hold pending."""
         for p in self.params:
-            if isinstance(p, DeferredLayer):
+            if not isinstance(p, np.ndarray):
                 p.flush()
 
 
-def collect_params(layers: list[DenseLayer]) -> list:
-    """[W, b, ...] per layer; in W's place a RowSpaceLayer gives its coef and
-    a DeferredLayer itself, for SgdMomentum to hand its factors to."""
-    out = []
-    for layer in layers:
-        if isinstance(layer, RowSpaceLayer):
-            out.append(layer.coef)
-        else:
-            out.append(layer if isinstance(layer, DeferredLayer) else layer.weights)
-        out.append(layer.bias)
-    return out
+def collect_params(params: list) -> list[np.ndarray]:
+    """The arrays of params, layers and arrays: each layer's own params
+    ([W, b], or a RowSpaceLayer's [coef, b]), and each array itself."""
+    return [a for p in params for a in ((p,) if isinstance(p, np.ndarray) else p.params)]
 
 
-def check_finite(arrays: list[np.ndarray], what: str) -> None:
-    """Raise NumericError naming `what` if an array holds a NaN or an inf."""
+def check_finite(params: list, what: str) -> None:
+    """Raise NumericError naming `what` if one of collect_params(params)
+    holds a NaN or an inf."""
     # a block's dot product with zeros is NaN iff the block holds a NaN or an
     # inf (0 * inf = NaN; every other product is exactly 0, so nothing
     # overflows): one BLAS pass over each array, against one UPDATE_BLOCK of
     # zeros
     with np.errstate(invalid="ignore"):
-        for i, a in enumerate(arrays):
+        for i, a in enumerate(collect_params(params)):
             flat = a.reshape(-1)
             zeros = np.zeros(min(flat.size, UPDATE_BLOCK), dtype=flat.dtype)
             for b0 in range(0, flat.size, UPDATE_BLOCK):
@@ -659,15 +666,15 @@ class SgdConfig:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
-def sgd_epochs(params: list[np.ndarray], n: int, cfg: SgdConfig,
+def sgd_epochs(params: list, n: int, cfg: SgdConfig,
                rng: np.random.Generator, batch_step, what: str):
-    """Mini-batch SGD with momentum on params; yields each epoch's mean loss.
+    """Mini-batch SGD with momentum on params, layers and arrays (see
+    SgdMomentum); yields each epoch's mean loss.
 
     Each epoch slices a permutation of range(n), drawn from rng, into batches
     of cfg.batch_size indices. batch_step(idx) returns the batch's loss and
-    its gradients as tuples that concatenate in the order of params, as
-    backward_layers' ((dz, x_in), db) do, or None to stop before the batch.
-    A non-finite loss raises NumericError naming `what`. Work done between
+    one gradient for each of params, or None to stop before the batch. A
+    non-finite loss raises NumericError naming `what`. Work done between
     epochs runs before the next permutation is drawn, and after every
     pending update (DeferredLayer) is applied.
     """
@@ -683,7 +690,7 @@ def sgd_epochs(params: list[np.ndarray], n: int, cfg: SgdConfig,
             if not np.isfinite(loss):
                 raise NumericError(f"{what}: non-finite loss {loss} at "
                                    f"epoch {epoch}, step {step}")
-            opt.step([g for group in grads for g in group])
+            opt.step(grads)
             epoch_loss += loss
         opt.flush()
         yield epoch_loss / len(starts)

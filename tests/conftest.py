@@ -29,11 +29,12 @@ def finite_diff(loss_fn, tensors, grads, eps=1e-5):
 
 
 def poison_last_step(monkeypatch, n_steps):
-    """Make SgdMomentum.step write an inf into its first parameter on call n_steps.
+    """Make SgdMomentum.step write an inf into its first parameter array on
+    call n_steps.
 
     Returns the list that gets one entry per step.
     """
-    from derc.network import SgdMomentum
+    from derc.network import SgdMomentum, collect_params
 
     calls = []
     step = SgdMomentum.step
@@ -42,7 +43,7 @@ def poison_last_step(monkeypatch, n_steps):
         step(self, grads)
         calls.append(None)
         if len(calls) == n_steps:
-            self.params[0].flat[0] = np.inf
+            collect_params(self.params)[0].flat[0] = np.inf
 
     monkeypatch.setattr(SgdMomentum, "step", poisoned)
     return calls

@@ -1,4 +1,6 @@
+import io
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import poison_last_step
-from derc import data
+from derc import config, data
 from derc.autoencoder import encode
 from derc.cli import main
 
@@ -133,6 +135,23 @@ def _centroids_as_model(tmp_path):
                         dict(kind="centroids", k=2))
     return ["export-latent", "--model", cents, "--data", raw,
             "--out", tmp_path / "z.csv"]
+
+
+def _model_meta(raw):
+    """export-latent on a model container whose __meta__ record holds the
+    bytes raw, or that has no such record when raw is None."""
+    def argv(tmp_path):
+        path, _ = synth_csv(tmp_path)
+        arrays = {"enc0_w": np.zeros((4, 30))}
+        if raw is not None:
+            arrays["__meta__"] = np.frombuffer(raw, dtype=np.uint8)
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        model = tmp_path / "meta.derc"
+        model.write_bytes(data.CONTAINER_MAGIC + struct.pack("<I", data.CONTAINER_VERSION)
+                          + buf.getvalue())
+        return ["export-latent", "--model", model, "--data", path, "--out", tmp_path / "z.csv"]
+    return argv
 
 
 def _ae_container_without_layers(tmp_path):
@@ -305,6 +324,12 @@ BAD_INPUTS = {
         ["series_matrix.txt", "byte 53", "not UTF-8"]),
     "pred-not-utf8": (_pred_bytes(b"sample_id,cluster\ns\xff0,1\n"), 2,
                       ["pred.csv", "byte 19", "not UTF-8"]),
+    "model-meta-missing": (_model_meta(None), 2, ["meta.derc", "no __meta__"]),
+    "model-meta-not-utf8": (_model_meta(b'{"kind": "a\xffe"}'), 2,
+                            ["meta.derc", "meta byte 11", "not UTF-8"]),
+    "model-meta-not-json": (_model_meta(b'{"kind": ae}'), 2,
+                            ["meta.derc", "not JSON", "column 10"]),
+    "model-meta-not-object": (_model_meta(b'["ae"]'), 2, ["meta.derc", "not an object"]),
 }
 
 
@@ -435,7 +460,7 @@ class TestUtilities:
                     "--config", cfg, "--epochs", "5", "--history", hist]) == 0
         assert len(hist.read_text().splitlines()) == 6  # header + 5 epochs
 
-    def test_manifest_written(self, tmp_path):
+    def test_manifest_written(self, tmp_path, monkeypatch):
         import json
 
         raw, _ = synth_csv(tmp_path, n=24, d=12, informative=4)
@@ -449,16 +474,24 @@ class TestUtilities:
         assert settings["dims"] == [12, 8, 4]
         for key in ("momentum", "vae_recon_weight", "validation_fraction"):
             assert key in settings
+        # GEMM bits follow the BLAS's thread count, so each manifest records it
+        blas = manifest["blas"]
+        assert set(blas) == {"name", "version", "threads"}
+        assert blas["threads"] == config.blas_threads()
 
         cents = tmp_path / "c.derc"
         assert run(["cluster-init", "--model", model, "--data", raw,
                     "--out", cents, "--k", "3", "--restarts", "2"]) == 0
         trained = tmp_path / "t.derc"
+        # a BLAS that gives no thread count is recorded as null
+        monkeypatch.setattr(config, "blas_threads", lambda: None)
         assert run(["train-derc", "--model", model, "--centroids", cents,
                     "--data", raw, "--out", trained, "--pred", tmp_path / "p.csv",
                     "--epochs", "1"]) == 0
         manifest = json.loads((tmp_path / "t.derc.manifest.json").read_text())
         assert manifest["settings"]["k"] == 3
+        assert manifest["blas"]["threads"] is None
+        assert manifest["blas"]["name"] == blas["name"]
 
 
 # stage argv without settings -> the settings, given once as flags and once as

@@ -104,7 +104,7 @@ class TestDercBatchLoss:
         assert total == pytest.approx(cl_loss + 0.75 * rec_loss)
 
         tensors = [*nw.collect_params(params.all_layers()), centroids]
-        dense = [*nw.flatten_grads(grads[:-1]), grads[-1][0]]
+        dense = [*nw.flatten_grads(grads[:-1]), grads[-1]]
         err = finite_diff(
             lambda: cl._derc_batch_loss(params, centroids, x, p, 0.75)[0],
             tensors, dense, eps=1e-6)

@@ -3,14 +3,16 @@
 pretrain_ae, pretrain_vae and train_derc hold the decoder's output layer as
 a network.DeferredLayer wherever a full pending window is smaller than its
 weights, at momentum 0 and above. The oracle is the dense layer they used
-before: with deferred_output_layer replaced by a no-op, every step applies
-its update to W, and to its velocity, through SgdMomentum's factored path.
+before: with network.training_layers making no DeferredLayer, every step
+applies its update to W, and to its velocity, through SgdMomentum's
+factored path.
 Both must agree to rounding; where deferral is not taken, they must agree
 bit for bit.
 """
 
 import contextlib
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -49,9 +51,10 @@ def cohort(n, d=DIMS[0]):
 
 @contextlib.contextmanager
 def spied(seen, flushed, defer=True):
-    """Patch the trainers' deferred_output_layer to record what it yields in
-    seen, or with defer=False to leave the layer dense, and DeferredLayer.flush
-    to record the pending rows it applies in flushed."""
+    """Patch the trainers' training_layers to record in seen the params it
+    holds and the decoder's output layer it trains, or with defer=False to
+    leave that layer dense, and DeferredLayer.flush to record the pending
+    rows it applies in flushed."""
     flush = nw.DeferredLayer.flush
 
     def spy_flush(self):
@@ -59,15 +62,16 @@ def spied(seen, flushed, defer=True):
         flush(self)
 
     @contextlib.contextmanager
-    def spy(layers, cfg, n_samples):
-        with (nw.deferred_output_layer(layers, cfg, n_samples) if defer
-              else contextlib.nullcontext()) as layer:
-            seen.append((layers, layer))
-            yield layer
+    def spy(params, x, cfg):
+        with nw.training_layers(params, x, cfg):
+            seen.append((params, params.decoder_layers[-1]))
+            yield
 
     with pytest.MonkeyPatch.context() as mp:
         for mod in (ae, cl):
-            mp.setattr(mod, "deferred_output_layer", spy)
+            mp.setattr(mod, "training_layers", spy)
+        if not defer:
+            mp.setattr(nw.DeferredLayer, "pays", staticmethod(lambda layer, batch_size: False))
         mp.setattr(nw.DeferredLayer, "flush", spy_flush)
         yield
 
@@ -94,7 +98,7 @@ def run_not_deferred(train, *args):
     seen, flushed = [], []
     with spied(seen, flushed):
         out = train(*args)
-    assert len(seen) == 1 and seen[0][1] is None and not flushed
+    assert len(seen) == 1 and type(seen[0][1]) is nw.DenseLayer and not flushed
     return out
 
 
@@ -127,9 +131,10 @@ def pretrain_config(momentum, **kw):
                              validation_fraction=0.2, **kw)
 
 
-def derc_setup(momentum):
+def derc_setup(momentum, pretrain=ae.pretrain_ae, dims=DIMS, lr=0.5):
     x = cohort(N_TRAIN)
-    start, _ = ae.pretrain_ae(x, ae.AeSpec(list(DIMS)), pretrain_config(0.0))
+    start, _ = pretrain(x, ae.AeSpec(list(dims)),
+                        dataclasses.replace(pretrain_config(0.0), lr=lr))
     centroids = kmeans.kmeans_fit(ae.encode(start, x), k=2, restarts=3).centroids
     # target_interval 4 refreshes P mid-epoch through the full-cohort encode
     cfg = cl.DercConfig(epochs=EPOCHS, lr=0.05, momentum=momentum, batch_size=BATCH,
@@ -139,6 +144,14 @@ def derc_setup(momentum):
 
 TRAINERS = pytest.mark.parametrize("train", [ae.pretrain_ae, ae.pretrain_vae],
                                    ids=["ae", "vae"])
+# each kind of model training_layers holds, with a momentum-0 pretraining lr:
+# the first encoder layer trains in row space except in the VAE without a
+# trunk, which diverges at lr 0.5; the 64 -> 300 output layer is deferred in
+# all three
+MODELS = pytest.mark.parametrize("train, dims, lr", [(ae.pretrain_ae, DIMS, 0.5),
+                                                     (ae.pretrain_vae, DIMS, 0.5),
+                                                     (ae.pretrain_vae, DIMS[:2], 0.1)],
+                                 ids=["ae", "vae", "trunkless-vae"])
 
 
 def check_pretrain_matches_dense(train, momentum):
@@ -219,30 +232,37 @@ class TestErrors:
     POISONED_STEP = 5
 
     def run_poisoned(self, defer, train, module, *args):
+        """The params training_layers held, after train(*args) stopped on
+        the poisoned loss; with defer, checks the output layer was deferred."""
         seen = []
         with spied(seen, [], defer), pytest.MonkeyPatch.context() as mp:
             poison_loss(mp, module, self.POISONED_STEP)
             with pytest.raises(NumericError, match="non-finite loss nan at epoch 0, step 4"):
                 train(*args)
-        return seen[0][0][-1]
+        assert (type(seen[0][1]) is nw.DeferredLayer) == defer
+        return seen[0][0]
 
-    def test_pretrain_error_mid_window_leaves_dense_flushed_layer(self):
-        args = (cohort(N_SAMPLES), ae.AeSpec(list(DIMS)), pretrain_config(0.0))
-        got = self.run_poisoned(True, ae.pretrain_ae, ae, *args)
-        want = self.run_poisoned(False, ae.pretrain_ae, ae, *args)
-        assert type(got) is nw.DenseLayer
-        assert_close(got.weights, want.weights)
+    @MODELS
+    def test_pretrain_error_mid_window_leaves_dense_flushed_layer(self, train, dims, lr):
+        args = (cohort(N_SAMPLES), ae.AeSpec(list(dims)),
+                dataclasses.replace(pretrain_config(0.0), lr=lr))
+        got = self.run_poisoned(True, train, ae, *args)
+        want = self.run_poisoned(False, train, ae, *args)
+        # every layer is dense, the pending window applied
+        assert_weights_close(got, want)
 
-    def test_derc_error_mid_window_leaves_dense_flushed_layer(self):
-        x, start, centroids, cfg = derc_setup(0.0)
+    @MODELS
+    def test_derc_error_mid_window_leaves_dense_flushed_layer(self, train, dims, lr):
+        x, start, centroids, cfg = derc_setup(0.0, train, dims, lr)
         params, ref = copy.deepcopy(start), copy.deepcopy(start)
-        output = params.decoder_layers[-1]
+        layers = params.all_layers()
         self.run_poisoned(True, cl.train_derc, cl, x, params, centroids, cfg)
         self.run_poisoned(False, cl.train_derc, cl, x, ref, centroids, cfg)
-        got, want = params.decoder_layers[-1], ref.decoder_layers[-1]
-        assert got is output and type(got) is nw.DenseLayer
-        assert_close(got.weights, want.weights)
-        assert not np.array_equal(got.weights, start.decoder_layers[-1].weights)
+        # the caller's own dense layers are back, the pending window applied
+        assert all(a is b for a, b in zip(params.all_layers(), layers, strict=True))
+        assert_weights_close(params, ref)
+        assert not np.array_equal(params.decoder_layers[-1].weights,
+                                  start.decoder_layers[-1].weights)
 
     # 2 epochs of K + 2 steps: the inf enters the window after the last loss
     # is computed, so only the end-of-training check can see it in W
@@ -363,24 +383,42 @@ class TestDeferredLayer:
         layer = nw.DeferredLayer(nw.DenseLayer.create(40, 50, "sigmoid", rng), window=6)
         with pytest.raises(ValidationError, match="made at momentum 0.0 cannot train "
                                                   "at momentum 0.9"):
-            nw.SgdMomentum([layer, layer.bias], lr=0.1, momentum=0.9)
+            nw.SgdMomentum([layer], lr=0.1, momentum=0.9).step(
+                [(self.factors(rng, 1), np.zeros(50))])
         layer.defer(*self.factors(rng, 5), 0.1)
         with pytest.raises(ValidationError, match="overflows the pending window of 6"):
             layer.defer(*self.factors(rng, 2), 0.1)
 
-    def test_context_puts_the_flushed_dense_layer_back_on_error(self):
+    # the first encoder layer trains in row space except in the VAE without a
+    # trunk; the 40 -> 50 output layer is deferred in all three
+    @pytest.mark.parametrize("build, dims, row_space",
+                             [(ae.build_ae, [50, 40, 3], True),
+                              (ae.build_vae, [50, 40, 3], True),
+                              (ae.build_vae, [50, 40], False)],
+                             ids=["ae", "vae", "trunkless-vae"])
+    def test_context_puts_the_flushed_dense_layer_back_on_error(self, build, dims,
+                                                                row_space):
         rng = np.random.default_rng(17)
-        layers = [nw.DenseLayer.create(40, 50, "sigmoid", rng)]
-        dense = layers[0]
+        params = build(dims, rng)
+        layers = params.all_layers()
+        first, dense = params.encoder_layers[0], params.decoder_layers[-1]
+        x = rng.uniform(size=(10, 50))
         dz, h = self.factors(rng, 1)
         want = dense.weights - 0.1 * dz.T @ h
+        want_first = first.weights + (np.outer(np.ones(40), x[1]) if row_space else 0.0)
         with pytest.raises(RuntimeError):
-            with nw.deferred_output_layer(layers, self.CFG, n_samples=10) as layer:
-                assert layers[0] is layer and len(layer.pending) == 10
+            with nw.training_layers(params, x, self.CFG):
+                layer, held = params.decoder_layers[-1], params.encoder_layers[0]
+                assert type(layer) is nw.DeferredLayer and len(layer.pending) == 10
                 layer.defer(dz, h, 0.1)
+                assert type(held) is (nw.RowSpaceLayer if row_space else nw.DenseLayer)
+                if row_space:
+                    held.coef[1] = 1.0
                 raise RuntimeError("stop")
-        assert layers[0] is dense
+        assert all(a is b for a, b in zip(params.all_layers(), layers, strict=True))
+        assert all(type(layer) is nw.DenseLayer for layer in layers)
         assert_close(dense.weights, want)
+        np.testing.assert_allclose(first.weights, want_first, rtol=1e-15)
 
 
 class TestMemory:
@@ -397,15 +435,15 @@ class TestMemory:
         assert layer.pending.base is layer.pending_in.base
         assert (layer.pending.nbytes + layer.pending_in.nbytes
                 == 8 * window * (self.N_IN + self.N_OUT) < w_bytes)
-        opt = nw.SgdMomentum(nw.collect_params([layer]), lr=0.1)
+        opt = nw.SgdMomentum([layer], lr=0.1)
         grads = [((rng.normal(size=(self.BS, self.N_OUT)), rng.normal(size=(self.BS, self.N_IN))),
                   rng.normal(size=self.N_OUT)) for _ in range(K)]
         want = dense.weights - 0.1 * sum(dz.T @ h for (dz, h), _ in grads)
         for g in grads[:-1]:
-            opt.step([*g])
+            opt.step([g])
         assert layer.rows == (K - 1) * self.BS
         # the K-th step fills the window and flushes it, in FOLD_BLOCK blocks
-        peak = traced_peak(lambda: opt.step([*grads[-1]]))
+        peak = traced_peak(lambda: opt.step([grads[-1]]))
         assert layer.rows == 0
         assert peak <= 8 * nw.FOLD_BLOCK + 4096 < w_bytes
         assert_close(dense.weights, want)
@@ -415,14 +453,14 @@ class TestMemory:
         dense = nw.DenseLayer.create(self.N_IN, self.N_OUT, "sigmoid", rng)
         w_bytes = 8 * self.N_IN * self.N_OUT
         layer = nw.DeferredLayer(dense, K * self.BS, MOMENTUM)
-        opt = nw.SgdMomentum(nw.collect_params([layer]), lr=0.1, momentum=MOMENTUM)
+        opt = nw.SgdMomentum([layer], lr=0.1, momentum=MOMENTUM)
         # the layer keeps its own velocity; the optimizer keeps only the bias's
-        assert opt.velocity[0] is None and opt.velocity[1].shape == (self.N_OUT,)
+        assert [v.shape for v in opt.velocity] == [(self.N_OUT,)]
         w, v = dense.weights.copy(), np.zeros_like(dense.weights)
         peaks = []
         for _ in range(2 * K + 1):
             dz, h = rng.normal(size=(self.BS, self.N_OUT)), rng.normal(size=(self.BS, self.N_IN))
-            grads = [(dz, h), rng.normal(size=self.N_OUT)]
+            grads = [((dz, h), rng.normal(size=self.N_OUT))]
             peaks.append(traced_peak(lambda: opt.step(grads)))
             v = MOMENTUM * v - 0.1 * dz.T @ h
             w += v

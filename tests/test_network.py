@@ -1,6 +1,8 @@
+import ast
 import concurrent.futures
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,15 +341,16 @@ class TestRowSpaceLayer:
     def test_context_puts_the_dense_layer_back_on_error(self):
         rng = np.random.default_rng(13)
         x = rng.uniform(size=(6, 9))
-        layers = [nw.DenseLayer.create(9, 4, "relu", rng)]
-        dense = layers[0]
+        params = build_ae([9, 4], rng)
+        dense = params.encoder_layers[0]
         w0 = dense.weights.copy()
         with pytest.raises(RuntimeError):
-            with nw.row_space_first_layer(layers, x) as layer:
-                assert layers[0] is layer
+            with nw.training_layers(params, x, nw.SgdConfig(epochs=1, lr=0.1, momentum=0.0)):
+                layer = params.encoder_layers[0]
+                assert type(layer) is nw.RowSpaceLayer
                 layer.coef[1] = 1.0
                 raise RuntimeError("stop")
-        assert layers[0] is dense
+        assert params.encoder_layers[0] is dense
         np.testing.assert_allclose(dense.weights, w0 + np.outer(np.ones(4), x[1]),
                                    rtol=1e-15)
 
@@ -517,3 +520,37 @@ class TestSgdMomentum:
         for la, lb in zip(a.all_layers(), b.all_layers()):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.bias, lb.bias)
+
+
+LAYER_TYPES = {"DenseLayer", "RowSpaceLayer", "DeferredLayer"}
+
+
+def layer_type_checks(source: str) -> list[int]:
+    """Lines of the isinstance calls on a layer type outside the layer
+    classes' bodies."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name in LAYER_TYPES
+              for node in ast.walk(cls)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and id(node) not in inside
+            and LAYER_TYPES & {getattr(n, "id", getattr(n, "attr", None))
+                               for n in ast.walk(node.args[1])}]
+
+
+class TestLayersOwnTheirUpdate:
+    def test_finds_a_layer_type_check(self):
+        source = ("class DeferredLayer:\n    def f(self, p):\n"
+                  "        return isinstance(p, DenseLayer)\n"
+                  "def g(p):\n    return isinstance(p, (np.ndarray, nw.DeferredLayer))\n"
+                  "def h(p):\n    return isinstance(p, RowSpaceLayer | DenseLayer)\n")
+        assert layer_type_checks(source) == [5, 7]
+
+    def test_no_layer_type_check_outside_the_layers(self):
+        # the optimizer, the trainers and the I/O treat every layer alike
+        src = Path(nw.__file__).parent
+        found = {path.name: lines for path in sorted(src.glob("*.py"))
+                 if (lines := layer_type_checks(path.read_text(encoding="utf-8")))}
+        assert found == {}

@@ -2,9 +2,9 @@
 
 pretrain_ae, pretrain_vae and train_derc train the first encoder layer as
 W = w0 + coef.T @ x (network.RowSpaceLayer). The oracle is the dense first
-layer they used before: with row_space_first_layer replaced by a no-op,
-the layer runs the dense forward x @ W.T and SgdMomentum's dense factored
-update. Both must agree to rounding.
+layer they used before: with network.training_layers making no
+RowSpaceLayer, the layer runs the dense forward x @ W.T and SgdMomentum's
+dense factored update. Both must agree to rounding.
 """
 
 import contextlib
@@ -38,9 +38,7 @@ def cohort():
 def run_dense(train, *args):
     """train(*args) with the dense first layer."""
     with pytest.MonkeyPatch.context() as mp:
-        for mod in (ae, cl):
-            mp.setattr(mod, "row_space_first_layer",
-                       lambda layers, x: contextlib.nullcontext())
+        mp.setattr(nw, "RowSpaceLayer", lambda layer, x: layer)
         return train(*args)
 
 
@@ -49,16 +47,16 @@ def run_row_space(train, *args):
     seen = []
 
     @contextlib.contextmanager
-    def spy(layers, x):
-        with nw.row_space_first_layer(layers, x) as layer:
-            seen.append(layer)
-            yield layer
+    def spy(params, x, cfg):
+        with nw.training_layers(params, x, cfg):
+            seen.append(params.encoder_layers[0])
+            yield
 
     with pytest.MonkeyPatch.context() as mp:
         for mod in (ae, cl):
-            mp.setattr(mod, "row_space_first_layer", spy)
+            mp.setattr(mod, "training_layers", spy)
         out = train(*args)
-    assert len(seen) == 1 and seen[0].coef.any()
+    assert len(seen) == 1 and type(seen[0]) is nw.RowSpaceLayer and seen[0].coef.any()
     return out
 
 
