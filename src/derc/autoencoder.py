@@ -41,6 +41,10 @@ class AeSpec:
 
     def resolve(self, d_in: int) -> list[int]:
         dims = self.layer_dims if self.layer_dims is not None else [d_in, *DEFAULT_HIDDEN_DIMS]
+        for pos, width in enumerate(dims):
+            if width < 1:
+                raise ValidationError(f"layer width {width} at position {pos} of "
+                                      f"{list(dims)} must be >= 1")
         if dims[0] != d_in:
             raise ValidationError(
                 f"spec input width {dims[0]} does not match data width {d_in}"
@@ -159,12 +163,6 @@ def vae_loss_and_grads(params: NetworkParams, x: np.ndarray, eps: np.ndarray,
     dlv = dz * cache["eps"] * 0.5 * np.exp(0.5 * lv) \
         + (1.0 - w) * (np.exp(lv) - 1.0) / (2.0 * n)
     aux = dict(mse=mse, kl_mean=kl_mean, recon=r)
-    if len(enc) == 1:
-        # no trunk takes the heads' bs x d input gradients, so none is formed:
-        # both heads are linear (build_vae), so dmu and dlv are their
-        # pre-activation gradients, as backward_layers would find
-        x_in = enc_cache[0][0]
-        return loss, [((g, x_in), g.sum(axis=0)) for g in (dmu, dlv)] + dec_grads, aux
     mu_grads, dh_mu = backward_layers(enc[-1:], enc_cache[-1:], dmu)
     lv_grads, dh_lv = backward_layers([params.logvar_head], cache["lv"], dlv)
     trunk_grads, _ = backward_layers(enc[:-1], enc_cache[:-1], dh_mu + dh_lv)

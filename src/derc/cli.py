@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 
 import numpy as np
 
@@ -76,14 +77,13 @@ def _stage_config(cls, args, **fixed):
 
     Fields that no flag set keep their dataclass default; `fixed` sets the
     values the command works out itself (k from the centroids, the stage
-    seed). Also returns the manifest settings: every field a flag or `fixed`
-    sets, with the global seed in place of the stage seed.
+    seed). Also returns the manifest settings: every field that is not None
+    (an unset stop_delta), with the global seed in place of the stage seed.
     """
     names = [f.name for f in dataclasses.fields(cls)]
-    flags = [n for n in names if hasattr(args, n)]
-    given = {n: getattr(args, n) for n in flags if getattr(args, n) is not None}
+    given = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
     cfg = cls(**{**given, **fixed})
-    settings = {n: getattr(cfg, n) for n in names if n in flags or n in fixed}
+    settings = {n: getattr(cfg, n) for n in names if getattr(cfg, n) is not None}
     if "seed" in settings:
         settings["seed"] = args.seed
     return cfg, settings
@@ -282,27 +282,31 @@ def build_parser() -> CliParser:
         p.set_defaults(func=func)
         return p
 
+    def settings(p, cls, *fixed):
+        # --<field> for each field of cls, typed by its annotation (float | None
+        # as float), but seed, the global --seed, and the fields in fixed,
+        # which the command works out itself
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if f.name not in ("seed", *fixed):
+                hint = hints[f.name]
+                p.add_argument("--" + f.name.replace("_", "-"),
+                               type=(typing.get_args(hint) or (hint,))[0])
+
     p = command("prescreen", cmd_prescreen, "statistical feature filtering")
     p.add_argument("--data", required=True)
     p.add_argument("--labels", help="labels file when the dataset has no label column")
     p.add_argument("--out-data", required=True)
     p.add_argument("--out-report", required=True)
     p.add_argument("--out-kept", required=True)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--rho-threshold", type=float)
-    p.add_argument("--normality-alpha", type=float)
+    settings(p, ps.PrescreenConfig)
 
     p = command("pretrain", cmd_pretrain, "train the AE or VAE")
     p.add_argument("kind", choices=["ae", "vae"])
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--history")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--vae-recon-weight", type=float)
-    p.add_argument("--validation-fraction", type=float)
+    settings(p, ae.PretrainConfig)
     p.add_argument("--latent-dim", type=int)
     p.add_argument("--dims", type=_int_list,
                    help="comma list of layer widths, input first")
@@ -322,12 +326,7 @@ def build_parser() -> CliParser:
     p.add_argument("--out", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--history")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--target-interval", type=int)
+    settings(p, derc_cluster.DercConfig, "k")
 
     p = command("evaluate", cmd_evaluate, "score predictions against labels")
     p.add_argument("--pred", required=True)
@@ -344,10 +343,7 @@ def build_parser() -> CliParser:
 
     p = command("synth", cmd_synth, "generate a synthetic cohort")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-samples", type=int)
-    p.add_argument("--n-features", type=int)
-    p.add_argument("--n-informative", type=int)
-    p.add_argument("--class-ratio", type=float)
+    settings(p, data_io.SynthSpec)
 
     return parser
 

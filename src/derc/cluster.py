@@ -51,6 +51,8 @@ class DercConfig(SgdConfig):
             raise ValidationError("target_interval must be >= 1")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
+        if self.stop_delta is not None and not 0.0 <= self.stop_delta <= 1.0:
+            raise ValidationError(f"stop_delta must be in [0, 1], got {self.stop_delta}")
 
 
 @dataclass

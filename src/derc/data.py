@@ -93,10 +93,19 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.n_features < 1:
+            raise ValidationError(f"n_features must be >= 1, got {self.n_features}")
         if self.n_informative > self.n_features:
             raise ValidationError("n_informative must be <= n_features")
         if not 0.0 < self.class_ratio < 1.0:
             raise ValidationError("class_ratio must be in (0, 1)")
+        # every later stage needs both classes
+        n1 = int(round(self.n_samples * self.class_ratio))
+        if not 1 <= n1 <= self.n_samples - 1:
+            raise ValidationError(
+                f"n_samples {self.n_samples} at class_ratio {self.class_ratio} "
+                f"gives classes of {self.n_samples - n1} and {n1} samples; "
+                f"each needs at least 1")
 
 
 def _parse_cell(token: str, row: int, col: int) -> float:

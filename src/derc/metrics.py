@@ -126,9 +126,14 @@ def confusion_counts(y, c, mapping: dict[int, int], positive_label: int = 1):
 
 def evaluate(y, c, positive_label: int = 1) -> MetricsReport:
     """ACC, error rate and FP/FN; each cluster id must be a label class
-    0..max(y), because FP/FN count the clusters mapped onto real classes."""
+    0..max(y), because FP/FN count the clusters mapped onto real classes,
+    and positive_label must be one of 0..max(1, max(y))."""
     y, c = _label_arrays(y, c)
-    classes = set(range(int(np.max(y)) + 1))
+    top = int(np.max(y))
+    if not 0 <= positive_label <= max(1, top):
+        raise ValidationError(f"positive label {positive_label} is outside the "
+                              f"label classes 0..{max(1, top)}")
+    classes = set(range(top + 1))
     outside = sorted(set(c.tolist()) - classes)
     if outside:
         raise ValidationError(f"cluster ids {outside} are outside the label "

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import poison_last_step
-from derc import config, data
+from derc import autoencoder, cluster, config, data, prescreen
 from derc.autoencoder import encode
 from derc.cli import main
 
@@ -212,14 +214,22 @@ def _train_derc_with(*flags):
     return argv
 
 
-def _pred_for_every_sample(n_clusters, extra=""):
-    """A pred file with a line per sample of the 40-sample cohort, then extra."""
+def _pred_for_every_sample(n_clusters, extra="", flags=()):
+    """evaluate, with flags, on a pred file with a line per sample of the
+    40-sample cohort, then extra."""
     def argv(tmp_path):
         raw, ds = synth_csv(tmp_path)
         pred = tmp_path / "pred.csv"
         pred.write_text("sample_id,cluster\n" + "".join(
             f"{sid},{i % n_clusters}\n" for i, sid in enumerate(ds.sample_ids)) + extra)
-        return ["evaluate", "--pred", pred, "--data", raw, "--out", tmp_path / "r.txt"]
+        return ["evaluate", "--pred", pred, "--data", raw, "--out", tmp_path / "r.txt",
+                *flags]
+    return argv
+
+
+def _synth_with(*flags):
+    def argv(tmp_path):
+        return ["synth", "--out", tmp_path / "s.csv", *flags]
     return argv
 
 
@@ -301,6 +311,8 @@ BAD_INPUTS = {
     "derc-infinite-lr": (_train_derc_with("--lr", "inf"), 2, ["lr", "finite", "inf"]),
     "derc-momentum-one": (_train_derc_with("--momentum", "1"), 2,
                           ["momentum", "[0, 1)"]),
+    "derc-stop-delta-nan": (_train_derc_with("--stop-delta", "nan"), 2,
+                            ["stop_delta", "[0, 1]", "nan"]),
     "pretrain-validation-holds-out-all": (_pretrain_with("--validation-fraction", "0.99"),
                                           2, ["validation_fraction", "40 samples"]),
     "derc-non-finite-loss": (_train_derc_with("--lr", "1e200"), 3, ["non-finite loss"]),
@@ -330,6 +342,22 @@ BAD_INPUTS = {
     "model-meta-not-json": (_model_meta(b'{"kind": ae}'), 2,
                             ["meta.derc", "not JSON", "column 10"]),
     "model-meta-not-object": (_model_meta(b'["ae"]'), 2, ["meta.derc", "not an object"]),
+    "pretrain-negative-width": (_pretrain_with("--dims", "30,8,-2"), 2,
+                                ["layer width -2", "position 2", "[30, 8, -2]"]),
+    "pretrain-zero-width": (_pretrain_with("--dims", "30,0,2"), 2,
+                            ["layer width 0", "position 1", "[30, 0, 2]"]),
+    "synth-no-samples": (_synth_with("--n-samples", "0"), 2,
+                         ["n_samples 0", "classes of 0 and 0", "at least 1"]),
+    "synth-one-class": (_synth_with("--n-samples", "1"), 2,
+                        ["n_samples 1", "classes of 1 and 0", "at least 1"]),
+    "synth-no-features": (_synth_with("--n-features", "0", "--n-informative", "0"), 2,
+                          ["n_features", ">= 1", "got 0"]),
+    "evaluate-positive-label-above-classes": (
+        _pred_for_every_sample(2, flags=("--positive-label", "5")), 2,
+        ["positive label 5", "0..1"]),
+    "evaluate-positive-label-negative": (
+        _pred_for_every_sample(2, flags=("--positive-label", "-1")), 2,
+        ["positive label -1", "0..1"]),
 }
 
 
@@ -490,6 +518,8 @@ class TestUtilities:
                     "--epochs", "1"]) == 0
         manifest = json.loads((tmp_path / "t.derc.manifest.json").read_text())
         assert manifest["settings"]["k"] == 3
+        # an unset stop_delta (the full epoch budget) is not recorded
+        assert "stop_delta" not in manifest["settings"]
         assert manifest["blas"]["threads"] is None
         assert manifest["blas"]["name"] == blas["name"]
 
@@ -512,7 +542,7 @@ CONFIGURED_STAGES = (
       "--data", "raw.csv", "--out", "trained.derc", "--pred", "pred.csv",
       "--history", "derc_hist.csv"],
      {"beta": "0.5", "epochs": "2", "lr": "0.02", "momentum": "0.8",
-      "batch-size": "4", "target-interval": "3", "seed": "5"}),
+      "batch-size": "4", "target-interval": "3", "stop-delta": "1.0", "seed": "5"}),
 )
 
 
@@ -548,6 +578,33 @@ class TestConfig:
         assert settings["normality_alpha"] == 0.01
         settings = json.loads(by_config["trained.derc.manifest.json"])["settings"]
         assert settings["target_interval"] == 3 and settings["seed"] == 5
+        assert settings["stop_delta"] == 1.0
+        # under a tolerance of every sample, the second target refresh (at
+        # iteration 3 of the 20 that 2 epochs of 40 samples in batches of 4
+        # give) stops joint training
+        rows = by_config["derc_hist.csv"].decode().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == [0, 1, 2]
+
+    # subcommand -> its settings dataclass and the fields it sets itself
+    SETTINGS = {
+        "prescreen": (prescreen.PrescreenConfig, ()),
+        "pretrain": (autoencoder.PretrainConfig, ("seed",)),
+        "train-derc": (cluster.DercConfig, ("seed", "k")),
+        "synth": (data.SynthSpec, ("seed",)),
+    }
+
+    @pytest.mark.parametrize("command", SETTINGS)
+    def test_every_setting_is_an_option(self, command, capsys):
+        cls, fixed = self.SETTINGS[command]
+        assert run([command, "--help"]) == 0
+        options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        for f in dataclasses.fields(cls):
+            flag = "--" + f.name.replace("_", "-")
+            if f.name in fixed:
+                # seed comes from the global --seed
+                assert f.name == "seed" or flag not in options, flag
+            else:
+                assert flag in options, flag
 
     @pytest.mark.parametrize("line, key", [
         ("epochz = 1", "epochz"),        # unknown key

@@ -168,3 +168,19 @@ class TestReport:
     def test_csv_row_format(self):
         report = evaluate([0, 0, 1, 1], [0, 0, 1, 1])
         assert report.csv_row("ae+kmeans") == "ae+kmeans,1.0000,0.00,0,0"
+
+    @pytest.mark.parametrize("positive_label", [-1, 2, 5])
+    def test_positive_label_outside_classes_rejected(self, positive_label):
+        # such a label matches no class, so FP and FN would both read 0
+        with pytest.raises(ValidationError, match=f"positive label {positive_label} "):
+            evaluate([0, 0, 1, 1], [0, 1, 1, 1], positive_label=positive_label)
+
+    def test_positive_label_in_range_accepted(self):
+        # 0..max(1, max(y)): a cohort of one class still scores class 1
+        report = evaluate([0, 0, 0], [0, 0, 0], positive_label=1)
+        assert (report.fp, report.fn) == (0, 0)
+        # the one error, sample 3 predicted as class 0, is an FP for class 0
+        # and an FN for class 1
+        for label, fp_fn in ((0, (1, 0)), (1, (0, 1))):
+            report = evaluate([0, 0, 1, 1], [1, 1, 0, 1], positive_label=label)
+            assert (report.fp, report.fn) == fp_fn
