@@ -95,6 +95,8 @@ class SynthSpec:
     def validate(self) -> None:
         if self.n_features < 1:
             raise ValidationError(f"n_features must be >= 1, got {self.n_features}")
+        if self.n_informative < 0:
+            raise ValidationError(f"n_informative must be >= 0, got {self.n_informative}")
         if self.n_informative > self.n_features:
             raise ValidationError("n_informative must be <= n_features")
         if not 0.0 < self.class_ratio < 1.0:
@@ -380,12 +382,17 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
                 f"{path}: container version {version} is newer than supported "
                 f"version {CONTAINER_VERSION}"
             )
-        payload = fh.read()
-    try:
-        archive = np.load(io.BytesIO(payload), allow_pickle=False)
-        arrays = {k: archive[k] for k in archive.files}
-    except (zipfile.BadZipFile, ValueError, OSError, EOFError) as exc:
-        raise ParseError(f"{path}: truncated or corrupt container payload: {exc}")
+        # the archive is read from the open file past the header, and its
+        # members only when indexed, so every read sits in the try
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if isinstance(archive, np.ndarray):
+                raise ParseError(f"{path}: container payload is one .npy array, "
+                                 f"not an archive")
+            with archive:
+                arrays = {k: archive[k] for k in archive.files}
+        except (zipfile.BadZipFile, ValueError, OSError, EOFError) as exc:
+            raise ParseError(f"{path}: truncated or corrupt container payload: {exc}")
     try:
         meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
     except KeyError:

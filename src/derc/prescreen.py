@@ -4,6 +4,8 @@ Two passes: (1) drop near-duplicate features whose pairwise correlation is
 both strong (|rho| >= threshold) and significant (p <= alpha); (2) keep
 only features that discriminate the two classes, using Welch's t-test when
 both class subsamples look normal and the Wilcoxon rank-sum test otherwise.
+The normality gates of the survivors of (1) run over blocks of features
+(normality_gates); each survivor then gets one class_test of its own.
 
 The test statistics are computed directly with numpy and scipy.special,
 following scipy.stats operation for operation (normaltest, ttest_ind with
@@ -112,7 +114,10 @@ def correlation_prune(data: Dataset, cfg: PrescreenConfig):
 
 # The two scores below repeat scipy.stats' expressions in scipy's order, with
 # `**0.5` where scipy has it, so that they round exactly as scipy does. The
-# terms that depend on n alone are computed once per sample size.
+# terms that depend on n alone are computed once per sample size. scipy
+# scores one sample, so its powers are the C library's pow on scalars; on
+# arrays `**` may take numpy's SIMD power, which rounds differently in the
+# last bit, while np.float_power calls pow on each element.
 
 
 @lru_cache(maxsize=64)
@@ -126,13 +131,12 @@ def _skewtest_constants(n: float) -> tuple[float, float, float]:
     return scale, delta, alpha
 
 
-def _skewtest_z(b2: float, n: float) -> float:
-    """D'Agostino's normal score of the sample skewness b2 (scipy's skewtest)."""
+def _skewtest_z(b2: np.ndarray, n: float) -> np.ndarray:
+    """D'Agostino's normal score of each sample skewness in b2 (scipy's skewtest)."""
     scale, delta, alpha = _skewtest_constants(n)
     y = b2 * scale
-    if y == 0:
-        y = 1.0
-    return delta * np.log(y / alpha + np.sqrt((y / alpha)**2 + 1))
+    y[y == 0] = 1.0
+    return delta * np.log(y / alpha + np.sqrt(np.float_power(y / alpha, 2) + 1))
 
 
 @lru_cache(maxsize=64)
@@ -146,17 +150,15 @@ def _kurtosistest_constants(n: float) -> tuple[float, ...]:
             (2/(9.0*a))**0.5)
 
 
-def _kurtosistest_z(b2: float, n: float) -> float:
-    """Anscombe-Glynn normal score of the sample kurtosis b2 (scipy's
+def _kurtosistest_z(b2: np.ndarray, n: float) -> np.ndarray:
+    """Anscombe-Glynn normal score of each sample kurtosis in b2 (scipy's
     kurtosistest); NaN where the transform is undefined."""
     e, sd_b2, term1, slope, base, scale = _kurtosistest_constants(n)
     x = (b2-e) / sd_b2
     denom = 1 + x * slope
-    if denom == 0.0:
-        return np.nan
-    term2 = (base / abs(denom))**(1/3)
-    if denom < 0:
-        term2 = -term2
+    term2 = np.float_power(base / np.abs(denom), 1/3)
+    np.negative(term2, out=term2, where=denom < 0)
+    term2[denom == 0.0] = np.nan
     return (term1 - term2) / scale
 
 
@@ -170,31 +172,42 @@ def _mean(x: np.ndarray) -> np.float64:
     return np.add.reduce(x) / len(x)
 
 
-def normality_gate(x, alpha: float) -> bool:
-    """D'Agostino-Pearson omnibus normality check (skewness + kurtosis, chi2 df=2).
+def normality_gates(samples, alpha: float) -> np.ndarray:
+    """D'Agostino-Pearson omnibus normality check (skewness + kurtosis, chi2
+    df=2) of each row of a features x observations block.
 
-    Returns True iff the sample is long enough (>= 8) and the test fails to
-    reject normality at alpha. Skewness and kurtosis come from the biased
-    central moments; a sample constant up to rounding is not normal.
+    A row passes iff it is long enough (>= 8) and the test fails to reject
+    normality at alpha. Skewness and kurtosis come from the biased central
+    moments; a row constant up to rounding is not normal. Every moment is a
+    pairwise sum along the contiguous axis, as in the 1-D _mean, so each
+    row's moments, K² and decision do not depend on the rows beside it.
     """
     from scipy import special
 
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    if n < MIN_NORMALITY_N or x.max() == x.min():
-        return False
-    mean = _mean(x)
-    dev = x - mean
+    x = np.ascontiguousarray(samples, dtype=float)
+    rows, n = x.shape
+    if n < MIN_NORMALITY_N:
+        return np.zeros(rows, dtype=bool)
+    mean = np.add.reduce(x, axis=1) / n
+    dev = x - mean[:, None]
     dev2 = dev * dev
-    m2 = _mean(dev2)
-    if m2 <= (EPS * mean)**2:
-        return False
-    m3 = _mean(np.multiply(dev2, dev, out=dev))
-    m4 = _mean(np.multiply(dev2, dev2, out=dev2))
-    with np.errstate(divide="ignore", invalid="ignore"):  # m2**1.5 may underflow
-        z_skew = _skewtest_z(m3 / m2**1.5, float(n))
-        z_kurt = _kurtosistest_z(m4 / m2**2.0, float(n))
-    return bool(special.chdtrc(2, z_skew*z_skew + z_kurt*z_kurt) > alpha)
+    m2 = np.add.reduce(dev2, axis=1) / n
+    m3 = np.add.reduce(np.multiply(dev2, dev, out=dev), axis=1) / n
+    m4 = np.add.reduce(np.multiply(dev2, dev2, out=dev2), axis=1) / n
+    # constant and near-constant rows are scored too, then cut: their
+    # moments may be 0, subnormal or NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z_skew = _skewtest_z(m3 / np.float_power(m2, 1.5), float(n))
+        z_kurt = _kurtosistest_z(m4 / np.float_power(m2, 2.0), float(n))
+        passed = special.chdtrc(2, z_skew*z_skew + z_kurt*z_kurt) > alpha
+    passed &= np.maximum.reduce(x, axis=1) != np.minimum.reduce(x, axis=1)
+    passed &= m2 > np.float_power(EPS * mean, 2)
+    return passed
+
+
+def normality_gate(x, alpha: float) -> bool:
+    """normality_gates of one sample: True iff it looks normal at alpha."""
+    return bool(normality_gates(np.asarray(x, dtype=float)[None, :], alpha)[0])
 
 
 @lru_cache(maxsize=128)
@@ -297,11 +310,13 @@ def welch_ttest(a, b) -> float:
     return float(2 * special.stdtr(df, -abs(t)))
 
 
-def class_test(x, labels, cfg: PrescreenConfig) -> float:
+def class_test(x, labels, cfg: PrescreenConfig, normal: bool | None = None) -> float:
     """Per-feature class-discrimination p-value with a normality gate.
 
     Welch's t-test when both class subsamples pass the gate, Wilcoxon
-    rank-sum otherwise.
+    rank-sum otherwise. `normal` is that gate's decision when the caller has
+    already made it (normality_gates over a block of features); None gates
+    here.
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
@@ -311,25 +326,43 @@ def class_test(x, labels, cfg: PrescreenConfig) -> float:
         raise ValidationError("both classes must be non-empty")
     if x.max() == x.min():
         return 1.0
-    if normality_gate(a, cfg.normality_alpha) and normality_gate(b, cfg.normality_alpha):
+    if normal is None:
+        normal = (normality_gate(a, cfg.normality_alpha)
+                  and normality_gate(b, cfg.normality_alpha))
+    if normal:
         return welch_ttest(a, b)
     return wilcoxon_rank_sum(a, b)
 
 
 def discriminative_filter(data: Dataset, cfg: PrescreenConfig) -> PrescreenReport:
-    """Correlation pruning followed by the class-discrimination filter."""
+    """Correlation pruning followed by the class-discrimination filter.
+
+    The normality gates of the survivors run in blocks; each survivor then
+    gets one class_test on its column.
+    """
     if data.labels is None:
         raise ValidationError("discriminative_filter requires labels")
     cfg.validate()
     kept_corr, removed_corr = correlation_prune(data, cfg)
 
+    # a loaded matrix is F-contiguous, so its columns gather fast as rows
+    values = np.asarray(data.values, dtype=float)
+    labels = np.asarray(data.labels)
+    rows_a, rows_b = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+    normal = np.empty(len(kept_corr), dtype=bool)
+    for start in range(0, len(kept_corr), PRUNE_BLOCK):
+        block = values.T[kept_corr[start:start + PRUNE_BLOCK]]
+        normal[start:start + len(block)] = (
+            normality_gates(block.take(rows_a, axis=1), cfg.normality_alpha)
+            & normality_gates(block.take(rows_b, axis=1), cfg.normality_alpha))
+
     kept_ids = []
     kept_idx = []
     removed_test = []
     pvalues = {}
-    for j in kept_corr:
+    for j, gate in zip(kept_corr, normal.tolist()):
         fid = data.feature_ids[j]
-        p = class_test(data.values[:, j], data.labels, cfg)
+        p = class_test(values[:, j], labels, cfg, gate)
         pvalues[fid] = p
         if p <= cfg.alpha:
             kept_ids.append(fid)

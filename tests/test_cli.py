@@ -156,6 +156,17 @@ def _model_meta(raw):
     return argv
 
 
+def _npy_payload(tmp_path):
+    """export-latent on a container whose payload is one .npy array."""
+    raw, _ = synth_csv(tmp_path)
+    buf = io.BytesIO()
+    np.save(buf, np.zeros((4, 30)))
+    model = tmp_path / "npy.derc"
+    model.write_bytes(data.CONTAINER_MAGIC + struct.pack("<I", data.CONTAINER_VERSION)
+                      + buf.getvalue())
+    return ["export-latent", "--model", model, "--data", raw, "--out", tmp_path / "z.csv"]
+
+
 def _ae_container_without_layers(tmp_path):
     raw, _ = synth_csv(tmp_path)
     empty = tmp_path / "empty.derc"
@@ -342,6 +353,7 @@ BAD_INPUTS = {
     "model-meta-not-json": (_model_meta(b'{"kind": ae}'), 2,
                             ["meta.derc", "not JSON", "column 10"]),
     "model-meta-not-object": (_model_meta(b'["ae"]'), 2, ["meta.derc", "not an object"]),
+    "model-npy-payload": (_npy_payload, 2, ["npy.derc", "one .npy array"]),
     "pretrain-negative-width": (_pretrain_with("--dims", "30,8,-2"), 2,
                                 ["layer width -2", "position 2", "[30, 8, -2]"]),
     "pretrain-zero-width": (_pretrain_with("--dims", "30,0,2"), 2,
@@ -352,6 +364,8 @@ BAD_INPUTS = {
                         ["n_samples 1", "classes of 1 and 0", "at least 1"]),
     "synth-no-features": (_synth_with("--n-features", "0", "--n-informative", "0"), 2,
                           ["n_features", ">= 1", "got 0"]),
+    "synth-negative-informative": (_synth_with("--n-informative", "-1"), 2,
+                                   ["n_informative", ">= 0", "got -1"]),
     "evaluate-positive-label-above-classes": (
         _pred_for_every_sample(2, flags=("--positive-label", "5")), 2,
         ["positive label 5", "0..1"]),

@@ -367,6 +367,18 @@ class TestModelContainer:
         with pytest.raises(ValidationError, match="99"):
             data.load_model(path)
 
+    def test_corrupt_member(self, tmp_path):
+        # members are read from the file only when indexed: a flipped byte in
+        # the first weights fails their CRC there, still as a ParseError
+        path = tmp_path / "model.derc"
+        params = self._model()
+        data.save_model(path, params)
+        raw = bytearray(path.read_bytes())
+        raw[raw.find(params.encoder_layers[0].weights.tobytes())] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="corrupt.*CRC"):
+            data.load_model(path)
+
     def test_truncated(self, tmp_path):
         path = tmp_path / "model.derc"
         data.save_model(path, self._model())

@@ -15,6 +15,7 @@ from derc.prescreen import (
     correlation_prune,
     discriminative_filter,
     normality_gate,
+    normality_gates,
     welch_ttest,
     wilcoxon_rank_sum,
 )
@@ -294,6 +295,21 @@ SAMPLE_KINDS = {
 CLASS_SIZES = [(5, 5), (8, 8), (20, 20), (21, 30), (114, 23)]
 
 
+def seeded_matrix_114_23():
+    """The benchmark's cohort shape, 137 x 2,000, every sample kind in each
+    class, classes interleaved: (values, labels)."""
+    rng = np.random.default_rng(2021)
+    kinds = list(SAMPLE_KINDS)
+    labels = rng.permutation(np.repeat([0, 1], [114, 23]))
+    values = np.empty((137, 2000))
+    for j in range(values.shape[1]):
+        values[labels == 0, j] = SAMPLE_KINDS[kinds[j % len(kinds)]](
+            rng.normal(size=114), rng)
+        values[labels == 1, j] = SAMPLE_KINDS[kinds[j // len(kinds) % len(kinds)]](
+            rng.normal(0.3, 1.2, size=23), rng)
+    return values, labels
+
+
 def make_dataset(columns, labels=None):
     values = np.column_stack(columns)
     return data.Dataset(
@@ -502,6 +518,38 @@ class TestNormalityGate:
 
     def test_short_sample_rule(self):
         assert normality_gate([1.0, 2.0, 0.5, 1.5, 1.2], 0.05) is False
+
+    @pytest.mark.parametrize("n", sorted({7, *(n for sizes in CLASS_SIZES for n in sizes)}))
+    def test_gates_match_current_gate_row_by_row(self, n):
+        # every sample kind, constant and near-constant-cut rows among them,
+        # 270 rows: more than one PRUNE_BLOCK
+        rng = np.random.default_rng(n)
+        rows = np.array([SAMPLE_KINDS[kind](rng.normal(loc, scale, size=n), rng)
+                         for kind in SAMPLE_KINDS
+                         for loc, scale in [(0.0, 1.0), (0.5, 1.5)] for _ in range(15)])
+        assert len(rows) > prescreen.PRUNE_BLOCK
+        for alpha in (0.05, 0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = normality_gates(rows, alpha)
+            assert got.dtype == bool and got.shape == (len(rows),)
+            assert got.tolist() == [current_normality_gate(r, alpha) for r in rows]
+            assert got.tolist() == [normality_gate(r, alpha) for r in rows]
+        if n >= prescreen.MIN_NORMALITY_N:
+            assert 0 < normality_gates(rows, 0.05).sum() < len(rows)
+        # each row's p-value is chdtrc(2, K²) of normaltest's K², bit for bit
+        scored = 0
+        for i, r in enumerate(rows):
+            if not current_normality_gate(r, 0.0):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                p = special.chdtrc(2, stats.normaltest(r).statistic)
+            if p > 0.0:
+                assert normality_gates(rows, np.nextafter(p, 0.0))[i]
+                assert not normality_gates(rows, p)[i]
+                scored += 1
+        assert scored > 0 or n < prescreen.MIN_NORMALITY_N
 
 
 class TestClassTest:
@@ -717,17 +765,7 @@ class TestPerCallPath:
                 assert bits(got) == bits(want)
 
     def test_seeded_matrix_114_23(self):
-        # the benchmark's cohort shape, every sample kind, classes interleaved
-        rng = np.random.default_rng(2021)
-        kinds = list(SAMPLE_KINDS)
-        labels = rng.permutation(np.repeat([0, 1], [114, 23]))
-        values = np.empty((137, 2000))
-        for j in range(values.shape[1]):
-            values[labels == 0, j] = SAMPLE_KINDS[kinds[j % len(kinds)]](
-                rng.normal(size=114), rng)
-            values[labels == 1, j] = SAMPLE_KINDS[kinds[j // len(kinds) % len(kinds)]](
-                rng.normal(0.3, 1.2, size=23), rng)
-        self._check_matrix(values, labels)
+        self._check_matrix(*seeded_matrix_114_23())
 
     def test_exact_path_with_planted_ties(self):
         # 20 vs 20: the exact rank-sum path; rounding to 1-3 decimals plants
@@ -794,14 +832,47 @@ class TestPerCallPath:
         assert len(removed) == 2
         seen = []
 
-        def counting(x, labels, cfg):
+        def counting(x, labels, cfg, normal=None):
             seen.append(np.array(x))
-            return class_test(x, labels, cfg)
+            return class_test(x, labels, cfg, normal)
 
         monkeypatch.setattr(prescreen, "class_test", counting)
         discriminative_filter(ds, cfg)
         assert len(seen) == len(survivors)
         np.testing.assert_array_equal(np.column_stack(seen), ds.values[:, survivors])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_filter_matches_per_survivor_loop(self, order):
+        values, labels = seeded_matrix_114_23()
+        ds = data.Dataset(values=np.asarray(values, order=order),
+                          feature_ids=[f"f{j}" for j in range(values.shape[1])],
+                          sample_ids=[f"s{i}" for i in range(values.shape[0])],
+                          labels=labels)
+        survivors, removed = correlation_prune(ds, self.cfg)
+        assert len(survivors) > 2 * prescreen.PRUNE_BLOCK
+        want = {ds.feature_ids[j]: current_class_test(values[:, j], labels, self.cfg)
+                for j in survivors}
+        report = discriminative_filter(ds, self.cfg)
+        assert report.kept_feature_ids == [f for f, p in want.items() if p <= self.cfg.alpha]
+        assert report.removed_by_class_test == [f for f, p in want.items()
+                                                if p > self.cfg.alpha]
+        assert report.removed_by_correlation == [ds.feature_ids[j] for j in removed]
+        assert list(report.per_feature_pvalues) == list(want)
+        assert bits(list(report.per_feature_pvalues.values())) == bits(list(want.values()))
+
+    @pytest.mark.parametrize("n_samples, n_probes", [(60, 3000), (300, 1200)])
+    def test_filter_peak_one_matrix_and_one_block(self, tmp_path, n_samples, n_probes):
+        # the bound correlation_prune meets: the gates' blocks and the
+        # per-survivor tests add nothing that scales with the matrix. With
+        # 300 samples, gating every survivor at once would break it.
+        # (scipy.special is imported with this module, before tracing)
+        ds = data.load_series_matrix(
+            write_series_matrix(tmp_path / "m.txt", n_samples, n_probes, 6))
+        ds.labels = np.random.default_rng(6).permutation(
+            np.repeat([0, 1], [n_samples * 3 // 4, n_samples - n_samples * 3 // 4]))
+        peak = traced_peak(lambda: discriminative_filter(ds, self.cfg))
+        block_bytes = 8 * prescreen.PRUNE_BLOCK * ds.n_features
+        assert peak < 1.25 * (ds.values.nbytes + block_bytes)
 
     def test_pvalues_are_python_floats(self):
         # welch, exact and approximate rank sums, and the constant shortcut
