@@ -103,12 +103,12 @@ def build_vae(dims: list[int], rng: np.random.Generator) -> NetworkParams:
 
 def encode(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Deterministic latent map: encoder output (AE) or mean vector (VAE)."""
-    z, _ = forward_layers(params.encoder_layers, np.asarray(x, dtype=float))
+    z, _ = forward_layers(params.encoder_layers, x)
     return z
 
 
 def reconstruct(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    z, _ = forward_layers(params.encoder_layers, np.asarray(x, dtype=float))
+    z, _ = forward_layers(params.encoder_layers, x)
     r, _ = forward_layers(params.decoder_layers, z)
     return r
 

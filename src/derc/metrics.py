@@ -116,12 +116,9 @@ def confusion_counts(y, c, mapping: dict[int, int], positive_label: int = 1):
     if sorted(mapping.keys()) != vals or len(set(vals)) != len(vals):
         raise ValidationError("mapping must be a bijection on cluster ids")
     pred = np.asarray([mapping[ci] for ci in c], dtype=int)
-    fp = int(np.sum((pred == positive_label) & (y != positive_label)))
-    fn = int(np.sum((pred != positive_label) & (y == positive_label)))
-    confusion = np.zeros((2, 2), dtype=int)
-    for yi, pi in zip(y, pred):
-        confusion[int(yi == positive_label), int(pi == positive_label)] += 1
-    return fp, fn, confusion
+    confusion = np.bincount(2 * (y == positive_label) + (pred == positive_label),
+                            minlength=4).reshape(2, 2)
+    return int(confusion[0, 1]), int(confusion[1, 0]), confusion
 
 
 def evaluate(y, c, positive_label: int = 1) -> MetricsReport:

@@ -4,7 +4,7 @@ Two passes: (1) drop near-duplicate features whose pairwise correlation is
 both strong (|rho| >= threshold) and significant (p <= alpha); (2) keep
 only features that discriminate the two classes, using Welch's t-test when
 both class subsamples look normal and the Wilcoxon rank-sum test otherwise.
-The normality gates of the survivors of (1) run over blocks of features
+The survivors of (1) are split by class and gated over blocks of features
 (normality_gates); each survivor then gets one class_test of its own.
 
 The test statistics are computed directly with numpy and scipy.special,
@@ -310,65 +310,53 @@ def welch_ttest(a, b) -> float:
     return float(2 * special.stdtr(df, -abs(t)))
 
 
-def class_test(x, labels, cfg: PrescreenConfig, normal: bool | None = None) -> float:
-    """Per-feature class-discrimination p-value with a normality gate.
-
-    Welch's t-test when both class subsamples pass the gate, Wilcoxon
-    rank-sum otherwise. `normal` is that gate's decision when the caller has
-    already made it (normality_gates over a block of features); None gates
-    here.
+def class_test(a: np.ndarray, b: np.ndarray, normal: bool) -> float:
+    """Class-discrimination p-value of one feature from its two class
+    subsamples: Welch's t-test when the normality gate passed both (`normal`),
+    Wilcoxon rank-sum otherwise. A constant feature fails the gate, and its
+    rank sum gives p = 1.
     """
-    x = np.asarray(x, dtype=float)
-    labels = np.asarray(labels)
-    a = x[labels == 0]
-    b = x[labels == 1]
-    if len(a) == 0 or len(b) == 0:
-        raise ValidationError("both classes must be non-empty")
-    if x.max() == x.min():
-        return 1.0
-    if normal is None:
-        normal = (normality_gate(a, cfg.normality_alpha)
-                  and normality_gate(b, cfg.normality_alpha))
-    if normal:
-        return welch_ttest(a, b)
-    return wilcoxon_rank_sum(a, b)
+    return welch_ttest(a, b) if normal else wilcoxon_rank_sum(a, b)
 
 
 def discriminative_filter(data: Dataset, cfg: PrescreenConfig) -> PrescreenReport:
     """Correlation pruning followed by the class-discrimination filter.
 
-    The normality gates of the survivors run in blocks; each survivor then
-    gets one class_test on its column.
+    The survivors are gathered and their class subsamples gated one block
+    of features at a time; each survivor then gets one class_test on its
+    row of the two subsamples.
     """
     if data.labels is None:
         raise ValidationError("discriminative_filter requires labels")
     cfg.validate()
+    labels = np.asarray(data.labels)
+    rows_a, rows_b = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+    if len(rows_a) == 0 or len(rows_b) == 0:
+        raise ValidationError(f"labels hold {len(rows_a)} samples of class 0 and "
+                              f"{len(rows_b)} of class 1; the class tests need both")
     kept_corr, removed_corr = correlation_prune(data, cfg)
 
     # a loaded matrix is F-contiguous, so its columns gather fast as rows
     values = np.asarray(data.values, dtype=float)
-    labels = np.asarray(data.labels)
-    rows_a, rows_b = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
-    normal = np.empty(len(kept_corr), dtype=bool)
-    for start in range(0, len(kept_corr), PRUNE_BLOCK):
-        block = values.T[kept_corr[start:start + PRUNE_BLOCK]]
-        normal[start:start + len(block)] = (
-            normality_gates(block.take(rows_a, axis=1), cfg.normality_alpha)
-            & normality_gates(block.take(rows_b, axis=1), cfg.normality_alpha))
-
     kept_ids = []
     kept_idx = []
     removed_test = []
     pvalues = {}
-    for j, gate in zip(kept_corr, normal.tolist()):
-        fid = data.feature_ids[j]
-        p = class_test(values[:, j], labels, cfg, gate)
-        pvalues[fid] = p
-        if p <= cfg.alpha:
-            kept_ids.append(fid)
-            kept_idx.append(int(j))
-        else:
-            removed_test.append(fid)
+    for start in range(0, len(kept_corr), PRUNE_BLOCK):
+        cols = kept_corr[start:start + PRUNE_BLOCK]
+        block = values.T[cols]
+        a, b = block.take(rows_a, axis=1), block.take(rows_b, axis=1)
+        normal = (normality_gates(a, cfg.normality_alpha)
+                  & normality_gates(b, cfg.normality_alpha))
+        for j, a_j, b_j, gate in zip(cols.tolist(), a, b, normal.tolist()):
+            fid = data.feature_ids[j]
+            p = class_test(a_j, b_j, gate)
+            pvalues[fid] = p
+            if p <= cfg.alpha:
+                kept_ids.append(fid)
+                kept_idx.append(j)
+            else:
+                removed_test.append(fid)
     return PrescreenReport(
         kept_feature_ids=kept_ids,
         removed_by_correlation=[data.feature_ids[j] for j in removed_corr],

@@ -206,6 +206,14 @@ def _prescreen_normality_alpha(tmp_path):
             "--normality-alpha", "5"]
 
 
+def _prescreen_one_class(tmp_path):
+    raw, ds = synth_csv(tmp_path)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n" * ds.n_samples)
+    return ["prescreen", "--data", raw, "--labels", labels, "--out-data", tmp_path / "f.csv",
+            "--out-report", tmp_path / "r.csv", "--out-kept", tmp_path / "k.txt"]
+
+
 def _pretrain_with(*flags):
     def argv(tmp_path):
         raw, _ = synth_csv(tmp_path)
@@ -315,6 +323,8 @@ BAD_INPUTS = {
         ["pred.csv", "line 42", "not in the data", "'ghost0'", "'ghost4'"]),
     "prescreen-normality-alpha-above-one": (_prescreen_normality_alpha, 2,
                                             ["normality_alpha", "(0, 1)"]),
+    "prescreen-one-class-labels": (_prescreen_one_class, 2,
+                                   ["40 samples of class 0", "0 of class 1"]),
     "pretrain-negative-lr": (_pretrain_with("--lr", "-1", "--momentum", "3"), 2,
                              ["lr", "> 0", "-1.0"]),
     "pretrain-momentum-above-one": (_pretrain_with("--momentum", "3"), 2,

@@ -290,13 +290,15 @@ class TestSynthetic:
 
     def test_uninformative_when_zero(self):
         # with n_informative=0 no feature should separate the classes
-        from derc.prescreen import PrescreenConfig, class_test
+        from derc.prescreen import PrescreenConfig, class_test, normality_gate
 
         spec = data.SynthSpec(n_samples=200, n_features=300, n_informative=0, seed=3)
         ds = data.generate_synthetic(spec)
-        cfg = PrescreenConfig()
-        pvals = np.array([class_test(ds.values[:, j], ds.labels, cfg)
-                          for j in range(ds.n_features)])
+        alpha = PrescreenConfig().normality_alpha
+        a, b = ds.values[ds.labels == 0].T, ds.values[ds.labels == 1].T
+        pvals = np.array([class_test(a_j, b_j, normality_gate(a_j, alpha)
+                                     and normality_gate(b_j, alpha))
+                          for a_j, b_j in zip(a, b)])
         assert np.mean(pvals > 0.001) >= 0.99
 
     def test_invalid_spec(self):

@@ -225,12 +225,22 @@ def current_class_test(x, labels, cfg):
     return current_wilcoxon_rank_sum(a, b)
 
 
+def gated_class_test(a, b, cfg):
+    """class_test on the class subsamples, with both one-sample gates' decision."""
+    return class_test(a, b, normality_gate(a, cfg.normality_alpha)
+                      and normality_gate(b, cfg.normality_alpha))
+
+
+def split_current_class_test(a, b, cfg):
+    """current_class_test on the column the two class subsamples make up."""
+    return current_class_test(np.concatenate([a, b]),
+                              np.repeat([0, 1], [len(a), len(b)]), cfg)
+
+
 def class_test_outputs(tests, a, b, cfg):
     """(class_test, welch, wilcoxon, gate a, gate b) from one set of tests."""
     class_fn, welch_fn, wilcoxon_fn, gate_fn = tests
-    x = np.concatenate([a, b])
-    labels = np.repeat([0, 1], [len(a), len(b)])
-    return (class_fn(x, labels, cfg), welch_fn(a, b), wilcoxon_fn(a, b),
+    return (class_fn(a, b, cfg), welch_fn(a, b), wilcoxon_fn(a, b),
             gate_fn(a, cfg.normality_alpha), gate_fn(b, cfg.normality_alpha))
 
 
@@ -239,8 +249,8 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
-NEW_TESTS = (class_test, welch_ttest, wilcoxon_rank_sum, normality_gate)
-CURRENT_TESTS = (current_class_test, current_welch_ttest, current_wilcoxon_rank_sum,
+NEW_TESTS = (gated_class_test, welch_ttest, wilcoxon_rank_sum, normality_gate)
+CURRENT_TESTS = (split_current_class_test, current_welch_ttest, current_wilcoxon_rank_sum,
                  current_normality_gate)
 
 
@@ -556,9 +566,8 @@ class TestClassTest:
     cfg = PrescreenConfig()
 
     def test_identical_multisets(self):
-        x = np.array([1, 2, 3, 1, 2, 3], dtype=float)
-        y = np.array([0, 0, 0, 1, 1, 1])
-        assert class_test(x, y, self.cfg) == 1.0
+        a = np.array([1, 2, 3], dtype=float)
+        assert gated_class_test(a, a, self.cfg) == 1.0
 
     def test_exact_wilcoxon_3v3(self):
         p = wilcoxon_rank_sum([1, 2, 3], [10, 11, 12])
@@ -577,9 +586,7 @@ class TestClassTest:
             for idx in combinations(range(6), 3)
             if abs(ranks[list(idx)].sum() - mean) >= abs(w_obs - mean) - 1e-12
         )
-        x = np.concatenate([a, b])
-        y = np.array([0, 0, 0, 1, 1, 1])
-        assert class_test(x, y, self.cfg) == pytest.approx(count / 20)
+        assert gated_class_test(a, b, self.cfg) == pytest.approx(count / 20)
 
     def test_large_sample_tie_correction(self):
         rng = np.random.default_rng(0)
@@ -592,13 +599,8 @@ class TestClassTest:
 
     def test_welch_strong_separation(self):
         rng = np.random.default_rng(7)
-        x = np.concatenate([rng.normal(0, 1, 50), rng.normal(3, 1, 50)])
-        y = np.repeat([0, 1], 50)
-        assert class_test(x, y, self.cfg) < 1e-10
-
-    def test_empty_class_error(self):
-        with pytest.raises(ValidationError):
-            class_test(np.ones(4), np.zeros(4, dtype=int), self.cfg)
+        a, b = rng.normal(0, 1, 50), rng.normal(3, 1, 50)
+        assert gated_class_test(a, b, self.cfg) < 1e-10
 
     @pytest.mark.parametrize("a, b", [([], [1.0, 2.0, 3.0]), ([0.5], [0.1, 0.2, 0.3]),
                                       ([0.1, 0.2, 0.3], [0.4])])
@@ -613,16 +615,18 @@ class TestClassTest:
         x = rng.uniform(size=30)
         y = rng.integers(0, 2, size=30)
         y[:2] = [0, 1]
-        assert class_test(x, y, self.cfg) == pytest.approx(
-            class_test(x + 5.0, y, self.cfg))
+        a, b = x[y == 0], x[y == 1]
+        assert gated_class_test(a, b, self.cfg) == pytest.approx(
+            gated_class_test(a + 5.0, b + 5.0, self.cfg))
 
     def test_monotone_invariance_on_wilcoxon_path(self):
         rng = np.random.default_rng(9)
         x = rng.integers(0, 2, size=30).astype(float)  # forces non-normal path
         y = rng.integers(0, 2, size=30)
         y[:2] = [0, 1]
-        assert class_test(x, y, self.cfg) == pytest.approx(
-            class_test(np.exp(3 * x), y, self.cfg))
+        a, b = x[y == 0], x[y == 1]
+        assert gated_class_test(a, b, self.cfg) == pytest.approx(
+            gated_class_test(np.exp(3 * a), np.exp(3 * b), self.cfg))
 
 
 class TestScipyOracle:
@@ -746,6 +750,18 @@ class TestDiscriminativeFilter:
         with pytest.raises(ValidationError):
             discriminative_filter(ds, PrescreenConfig())
 
+    def test_one_class_error(self, monkeypatch):
+        ds = data.generate_synthetic(data.SynthSpec(n_samples=20, n_features=10,
+                                                    n_informative=2, seed=5))
+        # rejected before correlation pruning runs
+        monkeypatch.setattr(prescreen, "correlation_prune", None)
+        for present, n_a, n_b in [(0, 20, 0), (1, 0, 20)]:
+            ds.labels = np.full(20, present)
+            with pytest.raises(ValidationError, match=(
+                    f"labels hold {n_a} samples of class 0 and {n_b} of class 1; "
+                    "the class tests need both")):
+                discriminative_filter(ds, PrescreenConfig())
+
 
 class TestPerCallPath:
     """The direct-ufunc class tests and the memoised exact null distribution
@@ -758,8 +774,7 @@ class TestPerCallPath:
             warnings.simplefilter("error")
             for x in values.T:
                 a, b = x[labels == 0], x[labels == 1]
-                got = (class_test(x, labels, self.cfg),
-                       *class_test_outputs(NEW_TESTS, a, b, self.cfg)[1:])
+                got = class_test_outputs(NEW_TESTS, a, b, self.cfg)
                 want = (current_class_test(x, labels, self.cfg),
                         *class_test_outputs(CURRENT_TESTS, a, b, self.cfg)[1:])
                 assert bits(got) == bits(want)
@@ -832,14 +847,18 @@ class TestPerCallPath:
         assert len(removed) == 2
         seen = []
 
-        def counting(x, labels, cfg, normal=None):
-            seen.append(np.array(x))
-            return class_test(x, labels, cfg, normal)
+        def counting(a, b, normal):
+            seen.append((np.array(a), np.array(b), normal))
+            return class_test(a, b, normal)
 
         monkeypatch.setattr(prescreen, "class_test", counting)
         discriminative_filter(ds, cfg)
         assert len(seen) == len(survivors)
-        np.testing.assert_array_equal(np.column_stack(seen), ds.values[:, survivors])
+        for (a, b, normal), j in zip(seen, survivors):
+            np.testing.assert_array_equal(a, ds.values[labels == 0, j])
+            np.testing.assert_array_equal(b, ds.values[labels == 1, j])
+            assert normal == (normality_gate(a, cfg.normality_alpha)
+                              and normality_gate(b, cfg.normality_alpha))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_filter_matches_per_survivor_loop(self, order):
@@ -875,7 +894,7 @@ class TestPerCallPath:
         assert peak < 1.25 * (ds.values.nbytes + block_bytes)
 
     def test_pvalues_are_python_floats(self):
-        # welch, exact and approximate rank sums, and the constant shortcut
+        # welch, exact and approximate rank sums, and a constant feature
         rng = np.random.default_rng(5)
         for n_a, n_b in [(114, 23), (20, 20), (21, 30)]:
             labels = np.repeat([0, 1], [n_a, n_b])
