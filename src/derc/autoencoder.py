@@ -125,48 +125,63 @@ def vae_kl(mu: np.ndarray, log_var: np.ndarray) -> float:
     return float(-0.5 * np.sum(1.0 + log_var - mu * mu - np.exp(log_var)))
 
 
-def vae_forward(params: NetworkParams, x: np.ndarray, eps: np.ndarray,
+def vae_forward(params: NetworkParams, x: np.ndarray, eps: np.ndarray | None,
                 rows: np.ndarray | None = None):
-    """Reparameterised forward pass; returns reconstruction and caches.
+    """The forward pass of every model; returns reconstruction and caches.
 
-    rows are x's row indices in the training matrix (see forward_layers).
+    z is the encoder's output; a model with a logvar_head samples
+    z = mu + exp(lv / 2) * eps from it, and an AE takes eps=None. rows are
+    x's row indices in the training matrix (see forward_layers).
     """
     mu, enc_cache = forward_layers(params.encoder_layers, x, rows)
-    # the log-variance head reads the mean head's input
-    lv, lv_cache = forward_layers([params.logvar_head], enc_cache[-1][0])
-    z = mu + np.exp(0.5 * lv) * eps
-    r, dec_cache = forward_layers(params.decoder_layers, z)
-    cache = dict(enc=enc_cache, lv=lv_cache, dec=dec_cache,
-                 mu_val=mu, lv_val=lv, eps=eps, z=z)
+    cache = dict(enc=enc_cache, mu_val=mu, z=mu)
+    if params.logvar_head is not None:
+        # the log-variance head reads the mean head's input
+        lv, lv_cache = forward_layers([params.logvar_head], enc_cache[-1][0])
+        cache.update(lv=lv_cache, lv_val=lv, eps=eps, z=mu + np.exp(0.5 * lv) * eps)
+    r, cache["dec"] = forward_layers(params.decoder_layers, cache["z"])
     return r, cache
 
 
-def vae_loss_and_grads(params: NetworkParams, x: np.ndarray, eps: np.ndarray,
-                       recon_weight: float, rows: np.ndarray | None = None):
-    """Weighted loss w*MSE + (1-w)*mean-KL and gradients for every tensor.
+def vae_loss_and_grads(params: NetworkParams, x: np.ndarray, eps: np.ndarray | None,
+                       recon_weight: float, rows: np.ndarray | None = None,
+                       latent=None):
+    """The training objective of every model, and its gradients.
 
+    The loss is w*MSE, plus (1-w)*mean-KL for a model with a logvar_head,
+    plus the loss of latent(z) -> (loss, dz, own gradients) when given.
     Gradients are backward_layers' ((dz, x_in), db) per layer, ordered as
-    params.all_layers(); rows are as in vae_forward.
+    params.all_layers(), then latent's own; eps and rows are as in
+    vae_forward.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     r, cache = vae_forward(params, x, eps, rows)
     mse, dmse = mse_loss(x, r)
-    mu, lv = cache["mu_val"], cache["lv_val"]
-    kl_mean = vae_kl(mu, lv) / n
     w = recon_weight
-    loss = w * mse + (1.0 - w) * kl_mean
-
-    enc, enc_cache = params.encoder_layers, cache["enc"]
+    loss = w * mse
+    aux = dict(mse=mse)
     dec_grads, dz = backward_layers(params.decoder_layers, cache["dec"], w * dmse)
+    own = []
+    if latent is not None:
+        aux["latent"], dz_latent, own = latent(cache["z"])
+        loss += aux["latent"]
+        dz = dz + dz_latent
+    enc, enc_cache = params.encoder_layers, cache["enc"]
+    if params.logvar_head is None:
+        enc_grads, _ = backward_layers(enc, enc_cache, dz)
+        return loss, [*enc_grads, *dec_grads, *own], aux
+
+    mu, lv = cache["mu_val"], cache["lv_val"]
+    aux["kl_mean"] = vae_kl(mu, lv) / n
+    loss += (1.0 - w) * aux["kl_mean"]
     dmu = dz + (1.0 - w) * mu / n
     dlv = dz * cache["eps"] * 0.5 * np.exp(0.5 * lv) \
         + (1.0 - w) * (np.exp(lv) - 1.0) / (2.0 * n)
-    aux = dict(mse=mse, kl_mean=kl_mean, recon=r)
     mu_grads, dh_mu = backward_layers(enc[-1:], enc_cache[-1:], dmu)
     lv_grads, dh_lv = backward_layers([params.logvar_head], cache["lv"], dlv)
     trunk_grads, _ = backward_layers(enc[:-1], enc_cache[:-1], dh_mu + dh_lv)
-    return loss, [*trunk_grads, *mu_grads, *lv_grads, *dec_grads], aux
+    return loss, [*trunk_grads, *mu_grads, *lv_grads, *dec_grads, *own], aux
 
 
 def _split_train_val(n: int, fraction: float, rng: np.random.Generator):
@@ -179,48 +194,38 @@ def _split_train_val(n: int, fraction: float, rng: np.random.Generator):
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
-def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str, build,
-              batch_loss, val_loss):
+def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str):
     """Both pretrainers on network.sgd_epochs; returns (params, history).
 
-    build(dims, rng) makes the model. batch_loss(params, batch, rows, rng)
-    returns a batch's loss and its backward_layers gradients, ordered as
-    params.all_layers(); rows are the batch's indices in the training split.
-    val_loss(params, x_val, rng) scores the validation split after each
-    epoch. All draws come from one generator seeded by cfg.seed: build,
-    split, then per epoch the permutation, the batches' and the validation
-    draws. The layers train in the forms network.training_layers picks for
-    the training split.
+    Each batch's loss and gradients are vae_loss_and_grads', at w = 1 for
+    an AE and cfg.vae_recon_weight for a VAE; vae_reconstruction_loss scores
+    the validation split after each epoch. All draws come from one generator
+    seeded by cfg.seed: build, split, then per epoch the permutation, the
+    batches' and the validation draws, which only a VAE makes. The layers
+    train in the forms network.training_layers picks for the training split.
     """
     cfg.validate()
     x = np.asarray(values, dtype=float)
     rng = np.random.default_rng(cfg.seed)
+    build, w = (build_vae, cfg.vae_recon_weight) if kind == "vae" else (build_ae, 1.0)
     params = build(spec.resolve(x.shape[1]), rng)
     train_idx, val_idx = _split_train_val(x.shape[0], cfg.validation_fraction, rng)
     x_train, x_val = x[train_idx], x[val_idx]
+
+    def batch_loss(idx):
+        eps = (None if params.logvar_head is None
+               else rng.standard_normal((len(idx), params.latent_dim)))
+        return vae_loss_and_grads(params, x_train[idx], eps, w, idx)[:2]
+
     history = []
     with training_layers(params, x_train, cfg):
-        epochs = sgd_epochs(params.all_layers(), len(x_train), cfg, rng,
-                            lambda idx: batch_loss(params, x_train[idx], idx, rng),
+        epochs = sgd_epochs(params.all_layers(), len(x_train), cfg, rng, batch_loss,
                             f"pretrain {kind}")
         for epoch, train_loss in enumerate(epochs):
-            val = val_loss(params, x_val, rng) if len(x_val) else float("nan")
+            val = vae_reconstruction_loss(params, x_val, rng) if len(x_val) else float("nan")
             history.append((epoch, train_loss, val))
     check_finite(params.all_layers(), f"pretrain {kind}")
     return params, history
-
-
-def _ae_batch_loss(params: NetworkParams, batch, rows, rng):
-    z, enc_cache = forward_layers(params.encoder_layers, batch, rows)
-    r, dec_cache = forward_layers(params.decoder_layers, z)
-    loss, dmse = mse_loss(batch, r)
-    dec_grads, dz = backward_layers(params.decoder_layers, dec_cache, dmse)
-    enc_grads, _ = backward_layers(params.encoder_layers, enc_cache, dz)
-    return loss, [*enc_grads, *dec_grads]
-
-
-def _ae_val_loss(params: NetworkParams, x_val, rng) -> float:
-    return mse_loss(x_val, reconstruct(params, x_val))[0]
 
 
 def pretrain_ae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
@@ -229,7 +234,7 @@ def pretrain_ae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
     History rows are (epoch, train_loss, val_loss); val_loss is NaN when
     no validation split is configured.
     """
-    return _pretrain(values, spec, cfg, "ae", build_ae, _ae_batch_loss, _ae_val_loss)
+    return _pretrain(values, spec, cfg, "ae")
 
 
 def pretrain_vae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
@@ -238,18 +243,14 @@ def pretrain_vae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
     History rows are as in pretrain_ae; val_loss is the reconstruction MSE
     with sampled latents.
     """
-    def batch_loss(params, batch, rows, rng):
-        eps = rng.standard_normal((batch.shape[0], params.latent_dim))
-        return vae_loss_and_grads(params, batch, eps, cfg.vae_recon_weight, rows)[:2]
-
-    return _pretrain(values, spec, cfg, "vae", build_vae, batch_loss,
-                     vae_reconstruction_loss)
+    return _pretrain(values, spec, cfg, "vae")
 
 
 def vae_reconstruction_loss(params: NetworkParams, x: np.ndarray,
                             seed: int | np.random.Generator = 0) -> float:
-    """Reconstruction MSE with z sampled from seed (an int or a Generator)."""
+    """Reconstruction MSE; a VAE's z is sampled from seed (an int or a Generator)."""
     x = np.asarray(x, dtype=float)
-    eps = np.random.default_rng(seed).standard_normal((x.shape[0], params.latent_dim))
+    eps = (None if params.logvar_head is None else
+           np.random.default_rng(seed).standard_normal((x.shape[0], params.latent_dim)))
     r, _ = vae_forward(params, x, eps)
     return mse_loss(x, r)[0]

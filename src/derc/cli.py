@@ -186,6 +186,11 @@ def cmd_train_derc(args):
     if "centroids" not in arrays:
         raise ValidationError(f"{args.centroids}: container holds no centroids")
     centroids = arrays["centroids"]
+    if (centroids.dtype.kind not in "fiu" or centroids.ndim != 2
+            or centroids.shape[1] != params.latent_dim):
+        raise ValidationError(
+            f"{args.centroids}: centroids are a {centroids.dtype} array of shape "
+            f"{centroids.shape}, not a numeric k x {params.latent_dim} matrix")
     ds = _load_dataset(args.data)
     _check_width(meta, ds, "train-derc")
     dcfg, settings = _stage_config(derc_cluster.DercConfig, args,

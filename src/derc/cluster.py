@@ -9,7 +9,8 @@ into a target distribution, and minimises
 where L_cluster = KL(P || Q). Encoder weights receive gradients from both
 terms, decoder weights only from the reconstruction term, centroids only
 from the clustering term. Targets are refreshed on the full dataset every
-T mini-batch iterations.
+T mini-batch iterations. A batch's L is autoencoder.vae_loss_and_grads at
+w = beta, with clustering_term as its latent term.
 """
 
 from __future__ import annotations
@@ -19,16 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .network import (
-    NetworkParams,
-    SgdConfig,
-    backward_layers,
-    check_finite,
-    forward_layers,
-    mse_loss,
-    sgd_epochs,
-    training_layers,
-)
+from .network import NetworkParams, SgdConfig, check_finite, sgd_epochs, training_layers
 
 
 @dataclass
@@ -110,28 +102,15 @@ def cluster_kl_loss(p: np.ndarray, q: np.ndarray, z: np.ndarray,
     return loss, dz, dmu
 
 
-def _derc_batch_loss(params: NetworkParams, centroids: np.ndarray,
-                     batch: np.ndarray, p: np.ndarray, beta: float,
-                     rows: np.ndarray | None = None):
-    """A batch's loss KL(P || Q) / bs + beta * MSE with the targets p held fixed.
-
-    Returns (total, cluster term, reconstruction term, gradients); the
-    gradients are backward_layers' ((dz, x_in), db) per encoder and decoder
-    layer, then the centroids' gradient. rows are the batch's indices in the
-    training matrix (see network.forward_layers).
-    """
-    bs = len(batch)
-    z, enc_cache = forward_layers(params.encoder_layers, batch, rows)
-    r, dec_cache = forward_layers(params.decoder_layers, z)
-    rec_loss, dmse = mse_loss(batch, r)
-    q_b = soft_assign(z, centroids)
-    cl_loss, dz_cl, dmu = cluster_kl_loss(p, q_b, z, centroids)
-    total = cl_loss / bs + beta * rec_loss
-
-    # dz_rec already carries beta, from the decoder's beta * dmse
-    dec_grads, dz_rec = backward_layers(params.decoder_layers, dec_cache, beta * dmse)
-    enc_grads, _ = backward_layers(params.encoder_layers, enc_cache, dz_rec + dz_cl / bs)
-    return total, cl_loss / bs, rec_loss, [*enc_grads, *dec_grads, dmu / bs]
+def clustering_term(p: np.ndarray, centroids: np.ndarray):
+    """A batch's clustering term with the targets p held fixed, as the
+    latent term of autoencoder.vae_loss_and_grads: z -> (KL(P || Q) / bs,
+    its gradient w.r.t. z, [the centroids' gradient])."""
+    def term(z):
+        bs = len(z)
+        loss, dz, dmu = cluster_kl_loss(p, soft_assign(z, centroids), z, centroids)
+        return loss / bs, dz / bs, [dmu / bs]
+    return term
 
 
 def train_derc(values: np.ndarray, params: NetworkParams,
@@ -145,7 +124,7 @@ def train_derc(values: np.ndarray, params: NetworkParams,
     The layers train in the forms network.training_layers picks for values,
     and are dense again in the result.
     """
-    from .autoencoder import encode
+    from .autoencoder import encode, vae_loss_and_grads
 
     cfg.validate()
     x = np.asarray(values, dtype=float)
@@ -173,9 +152,10 @@ def train_derc(values: np.ndarray, params: NetworkParams,
                     and np.mean(hard != prev_hard) < cfg.stop_delta):
                 return None
             prev_hard = hard
-        total, cl_loss, rec_loss, grads = _derc_batch_loss(
-            params, centroids, x[idx], p_full[idx], cfg.beta, idx)
-        history.append((ite, cl_loss, rec_loss, total))
+        total, grads, aux = vae_loss_and_grads(
+            trained, x[idx], None, cfg.beta, idx,
+            clustering_term(p_full[idx], centroids))
+        history.append((ite, aux["latent"], aux["mse"], total))
         return total, grads
 
     # the network trained here: the log-variance head is neither read nor

@@ -345,27 +345,55 @@ def load_model(path):
     if kind not in ("ae", "vae"):
         raise ValidationError(
             f"{path}: container holds {kind!r}, not a model ('ae' or 'vae')")
-
-    def stack(name):
-        acts = meta["activations"][name]
-        return [
-            DenseLayer(weights=arrays[f"{name}{i}_w"], bias=arrays[f"{name}{i}_b"],
-                       activation=acts[i])
-            for i in range(len(acts))
-        ]
-
+    names = ("trunk", "mu", "dec", "lv") if kind == "vae" else ("enc", "dec")
     try:
-        if kind == "vae":
-            params = NetworkParams(encoder_layers=[*stack("trunk"), *stack("mu")],
-                                   decoder_layers=stack("dec"),
-                                   logvar_head=stack("lv")[0])
-        else:
-            params = NetworkParams(encoder_layers=stack("enc"),
-                                   decoder_layers=stack("dec"))
+        stacks = {name: [(f"{name}{i}", DenseLayer(arrays[f"{name}{i}_w"],
+                                                   arrays[f"{name}{i}_b"], act))
+                         for i, act in enumerate(meta["activations"][name])]
+                  for name in names}
     except KeyError as exc:
         raise ValidationError(f"{path}: {kind} model container lacks {exc}")
-    centroids = arrays.get("centroids")
-    return params, centroids, meta
+    sizes = {name: len(stack) for name, stack in stacks.items()}
+    # an encoder and a decoder layer at least; a VAE's one mean and one
+    # log-variance head
+    if (min(sizes.get("enc", 1), sizes["dec"]) < 1
+            or {sizes.get("mu", 1), sizes.get("lv", 1)} != {1}):
+        raise ValidationError(f"{path}: {kind} model container holds {sizes} layers")
+    encoder = [*stacks.get("enc", ()), *stacks.get("trunk", ()), *stacks.get("mu", ())]
+    _check_chain(path, encoder, stacks["dec"], stacks.get("lv", []), meta)
+    params = NetworkParams(encoder_layers=[ly for _, ly in encoder],
+                           decoder_layers=[ly for _, ly in stacks["dec"]],
+                           logvar_head=stacks["lv"][0][1] if kind == "vae" else None)
+    return params, arrays.get("centroids"), meta
+
+
+def _check_chain(path, encoder: list, decoder: list, heads: list, meta: dict) -> None:
+    """Raise ValidationError naming the first array that does not fit: each
+    weight 2-D, each bias 1-D with one value per output, widths that chain
+    from input_dim through the encoder to latent_dim and through the decoder
+    back to input_dim, a log-variance head shaped as the mean head. The
+    stacks hold (array name prefix, layer) pairs."""
+    def fail(name: str, array: np.ndarray, why: str):
+        raise ValidationError(f"{path}: {name} has shape {array.shape}; {why}")
+
+    for name, ly in [*encoder, *decoder, *heads]:
+        if ly.weights.ndim != 2:
+            fail(f"{name}_w", ly.weights, "a weight array must be 2-D")
+        if ly.bias.shape != (ly.n_out,):
+            fail(f"{name}_b", ly.bias, f"its layer has {ly.n_out} outputs")
+    width = input_dim = meta.get("input_dim", encoder[0][1].n_in)
+    for stack, end, want in ((encoder, "latent_dim", meta.get("latent_dim")),
+                             (decoder, "input_dim", input_dim)):
+        for name, ly in stack:
+            if ly.n_in != width:
+                fail(f"{name}_w", ly.weights, f"its layer must read {width} inputs")
+            width = ly.n_out
+        if want is not None and width != want:
+            fail(f"{name}_w", ly.weights, f"the stack must end at {end} {want}")
+    mean_head = encoder[-1][1].weights
+    for name, ly in heads:
+        if ly.weights.shape != mean_head.shape:
+            fail(f"{name}_w", ly.weights, f"the mean head's is {mean_head.shape}")
 
 
 def load_container(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -26,6 +26,14 @@ FOLD_BLOCK = 1 << 18
 # 44 ms for a step's dense update; a 137-sample cohort has 18 steps per
 # epoch, and every epoch ends in a flush, so a longer window gains nothing
 PENDING_STEPS = 18
+# an epoch mean loss above this many times the lowest earlier one is divergence
+# (sgd_epochs). Largest such ratio in converging runs: 1.02 in AE and VAE
+# pretraining (cli_small seeds 0-4, criterion 4's five seeds, 10 paper-shape
+# epochs); in DERC, 2.9 at beta 0.75 (50 epochs on criterion 4's cohorts;
+# 1.002 on cli_small's, 1.001 in 5 at paper shape) and 322 at beta 0, whose
+# KL-only loss starts near 0 (1.5e-8 at paper shape). A diverging 300-64 VAE
+# on a 40 x 300 cohort rises 3.4e11-fold in its second epoch.
+DIVERGENCE_FACTOR = 1e8
 
 
 def init_bound(n_input: int) -> float:
@@ -674,12 +682,14 @@ def sgd_epochs(params: list, n: int, cfg: SgdConfig,
     Each epoch slices a permutation of range(n), drawn from rng, into batches
     of cfg.batch_size indices. batch_step(idx) returns the batch's loss and
     one gradient for each of params, or None to stop before the batch. A
-    non-finite loss raises NumericError naming `what`. Work done between
+    non-finite loss, or an epoch mean above DIVERGENCE_FACTOR times the
+    lowest earlier one, raises NumericError naming `what`. Work done between
     epochs runs before the next permutation is drawn, and after every
     pending update (DeferredLayer) is applied.
     """
     opt = SgdMomentum(params, cfg.lr, cfg.momentum)
     starts = range(0, n, cfg.batch_size)
+    lowest = np.inf
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0  # a running +=: sum() rounds differently from Python 3.12
@@ -693,4 +703,11 @@ def sgd_epochs(params: list, n: int, cfg: SgdConfig,
             opt.step(grads)
             epoch_loss += loss
         opt.flush()
-        yield epoch_loss / len(starts)
+        mean = epoch_loss / len(starts)
+        # a zero mean gives no scale to tell a rise from noise by
+        if 0.0 < lowest and mean > DIVERGENCE_FACTOR * lowest:
+            raise NumericError(f"{what}: epoch {epoch} mean loss {mean:.6g} exceeds "
+                               f"{DIVERGENCE_FACTOR:g} times the lowest earlier epoch "
+                               f"mean {lowest:.6g}; training diverges")
+        lowest = min(lowest, mean)
+        yield mean

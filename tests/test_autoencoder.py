@@ -3,6 +3,7 @@ import pytest
 
 from conftest import finite_diff, jitter_biases
 from derc import autoencoder as ae
+from derc import cluster as cl
 from derc import network as nw
 from derc.errors import ValidationError
 
@@ -65,6 +66,58 @@ class TestEncode:
             x, SMALL_SPEC, ae.PretrainConfig(epochs=60, lr=1.0, seed=4))
         r = ae.reconstruct(params, x)
         assert np.max(np.abs(r - x)) <= 0.02
+
+
+def assert_grads_equal(got, want):
+    """Every factor and bias gradient of backward_layers' lists, bit for bit."""
+    assert len(got) == len(want)
+    for ((a, b), db), ((a_ref, b_ref), db_ref) in zip(got, want):
+        for arr, ref in ((a, a_ref), (b, b_ref), (db, db_ref)):
+            assert np.array_equal(arr, ref)
+
+
+class TestOneObjective:
+    """vae_loss_and_grads on a model without a log-variance head is the AE's
+    and DERC's objective: the pass criterion 1 composes by hand, bit for bit."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(7)
+        self.params = ae.build_ae([6, 5, 3], rng)
+        jitter_biases(self.params.all_layers(), rng)
+        self.x = rng.uniform(0.2, 0.8, size=(4, 6))
+        self.centroids = rng.normal(size=(2, 3))
+        self.p = rng.dirichlet([0.5, 0.5], size=4)
+
+    def hand_pass(self):
+        """Criterion 1's forward pass: (z, encoder cache, decoder cache, MSE, dMSE)."""
+        z, ec = nw.forward_layers(self.params.encoder_layers, self.x)
+        r, dc = nw.forward_layers(self.params.decoder_layers, z)
+        return (z, ec, dc, *nw.mse_loss(self.x, r))
+
+    def test_reconstruction_only_is_the_ae_pass(self):
+        loss, grads, aux = ae.vae_loss_and_grads(self.params, self.x, None, 1.0)
+        _, ec, dc, mse, dmse = self.hand_pass()
+        dg, dz = nw.backward_layers(self.params.decoder_layers, dc, dmse)
+        eg, _ = nw.backward_layers(self.params.encoder_layers, ec, dz)
+        assert loss == mse == aux["mse"]
+        assert "kl_mean" not in aux
+        assert_grads_equal(grads, [*eg, *dg])
+
+    def test_clustering_term_is_the_derc_pass(self):
+        beta, bs = 0.75, len(self.x)
+        loss, grads, aux = ae.vae_loss_and_grads(
+            self.params, self.x, None, beta,
+            latent=cl.clustering_term(self.p, self.centroids))
+        z, ec, dc, mse, dmse = self.hand_pass()
+        kl, dz_cl, dmu = cl.cluster_kl_loss(
+            self.p, cl.soft_assign(z, self.centroids), z, self.centroids)
+        dg, dz_rec = nw.backward_layers(self.params.decoder_layers, dc, beta * dmse)
+        eg, _ = nw.backward_layers(self.params.encoder_layers, ec, dz_rec + dz_cl / bs)
+        assert loss == kl / bs + beta * mse
+        assert (aux["latent"], aux["mse"]) == (kl / bs, mse)
+        assert len(grads) == len(self.params.all_layers()) + 1
+        assert_grads_equal(grads[:-1], [*eg, *dg])
+        assert np.array_equal(grads[-1], dmu / bs)
 
 
 class TestVaeKl:

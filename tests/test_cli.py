@@ -189,6 +189,48 @@ def _model_as_centroids(tmp_path):
             "--out", tmp_path / "t.derc", "--pred", tmp_path / "p.csv"]
 
 
+def _model_with(**arrays):
+    """export-latent on the 30-16-4 AE with some of its arrays replaced by
+    arrays' values, each a function of the array it replaces."""
+    def argv(tmp_path):
+        raw, model = _small_model(tmp_path)
+        stored, meta = data.load_container(model)
+        data.save_container(model, {**stored, **{k: f(stored[k]) for k, f in arrays.items()}},
+                            meta)
+        return ["export-latent", "--model", model, "--data", raw, "--out", tmp_path / "z.csv"]
+    return argv
+
+
+def _vae_head_wider_than_mean(tmp_path):
+    raw, _ = synth_csv(tmp_path)
+    model = tmp_path / "vae.derc"
+    assert run(["pretrain", "vae", "--data", raw, "--out", model,
+                "--dims", "30,16,4", "--epochs", "1"]) == 0
+    stored, meta = data.load_container(model)
+    stored["lv0_w"] = np.zeros((5, 16))
+    stored["lv0_b"] = np.zeros(5)
+    data.save_container(model, stored, meta)
+    return ["cluster-init", "--model", model, "--data", raw, "--out", tmp_path / "c.derc"]
+
+
+def _centroids_array(centroids):
+    """train-derc on the 30-16-4 AE with a centroid container holding centroids."""
+    def argv(tmp_path):
+        raw, model = _small_model(tmp_path)
+        cents = tmp_path / "c.derc"
+        data.save_container(cents, dict(centroids=centroids), dict(kind="centroids"))
+        return ["train-derc", "--model", model, "--centroids", cents, "--data", raw,
+                "--out", tmp_path / "t.derc", "--pred", tmp_path / "p.csv"]
+    return argv
+
+
+def _diverging_vae(tmp_path):
+    # the epoch means grow about 1e11-fold an epoch, and stay finite for 5 epochs
+    raw, _ = synth_csv(tmp_path, d=300, informative=20)
+    return ["pretrain", "vae", "--data", raw, "--out", tmp_path / "v.derc",
+            "--dims", "300,64", "--epochs", "5"]
+
+
 def _collapsed_latent(tmp_path):
     # a latent layer with zero weights and bias maps every sample to the origin
     raw, model = _small_model(tmp_path)
@@ -337,6 +379,28 @@ BAD_INPUTS = {
     "pretrain-validation-holds-out-all": (_pretrain_with("--validation-fraction", "0.99"),
                                           2, ["validation_fraction", "40 samples"]),
     "derc-non-finite-loss": (_train_derc_with("--lr", "1e200"), 3, ["non-finite loss"]),
+    "pretrain-vae-diverging": (_diverging_vae, 3,
+                               ["numeric error: pretrain vae: epoch 1", "diverges"]),
+    "model-layers-do-not-chain": (_model_with(enc1_w=lambda w: w[:4, :5]), 2,
+                                  ["model.derc", "enc1_w", "(4, 5)", "read 16 inputs"]),
+    "model-weight-1d": (_model_with(enc0_w=lambda w: w[0]), 2,
+                        ["model.derc", "enc0_w", "(30,)", "2-D"]),
+    "model-bias-too-short": (_model_with(dec0_b=lambda b: b[:1]), 2,
+                             ["model.derc", "dec0_b", "(1,)", "16 outputs"]),
+    "model-encoder-misses-latent-dim": (
+        _model_with(enc1_w=lambda w: w[:3], enc1_b=lambda b: b[:3],
+                    dec0_w=lambda w: w[:, :3]), 2,
+        ["model.derc", "enc1_w", "(3, 16)", "latent_dim 4"]),
+    "vae-head-shape": (_vae_head_wider_than_mean, 2,
+                       ["vae.derc", "lv0_w", "(5, 16)", "(4, 16)"]),
+    "centroids-1d": (_centroids_array(np.zeros(4)), 2, ["c.derc", "shape (4,)", "k x 4"]),
+    "centroids-0d": (_centroids_array(np.float64(1.0)), 2, ["c.derc", "shape ()", "k x 4"]),
+    "centroids-3d": (_centroids_array(np.zeros((2, 4, 1))), 2,
+                     ["c.derc", "shape (2, 4, 1)", "k x 4"]),
+    "centroids-strings": (_centroids_array(np.full((2, 4), "a")), 2,
+                          ["c.derc", "<U1", "numeric"]),
+    "centroids-wrong-width": (_centroids_array(np.zeros((2, 3))), 2,
+                              ["c.derc", "shape (2, 3)", "k x 4"]),
     "cluster-init-collapsed-latent": (_collapsed_latent, 3,
                                       ["numeric error: degenerate cluster",
                                        "1 distinct point(s) among 40", "k=2"]),

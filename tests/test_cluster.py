@@ -100,14 +100,17 @@ class TestDercBatchLoss:
         centroids = rng.normal(size=(2, 2))
         # targets away from Q, so the cluster gradients are not near zero
         p = rng.dirichlet([0.5, 0.5], size=5)
-        total, cl_loss, rec_loss, grads = cl._derc_batch_loss(params, centroids, x, p, 0.75)
-        assert total == pytest.approx(cl_loss + 0.75 * rec_loss)
+
+        def objective():
+            return ae.vae_loss_and_grads(params, x, None, 0.75,
+                                         latent=cl.clustering_term(p, centroids))
+
+        total, grads, aux = objective()
+        assert total == pytest.approx(aux["latent"] + 0.75 * aux["mse"])
 
         tensors = [*nw.collect_params(params.all_layers()), centroids]
         dense = [*nw.flatten_grads(grads[:-1]), grads[-1]]
-        err = finite_diff(
-            lambda: cl._derc_batch_loss(params, centroids, x, p, 0.75)[0],
-            tensors, dense, eps=1e-6)
+        err = finite_diff(lambda: objective()[0], tensors, dense, eps=1e-6)
         assert err <= 1e-4  # beta^2 on the encoder's reconstruction term: 5e-2
 
 

@@ -256,8 +256,8 @@ class TestErrors:
         x, start, centroids, cfg = derc_setup(0.0, train, dims, lr)
         params, ref = copy.deepcopy(start), copy.deepcopy(start)
         layers = params.all_layers()
-        self.run_poisoned(True, cl.train_derc, cl, x, params, centroids, cfg)
-        self.run_poisoned(False, cl.train_derc, cl, x, ref, centroids, cfg)
+        self.run_poisoned(True, cl.train_derc, ae, x, params, centroids, cfg)
+        self.run_poisoned(False, cl.train_derc, ae, x, ref, centroids, cfg)
         # the caller's own dense layers are back, the pending window applied
         assert all(a is b for a, b in zip(params.all_layers(), layers, strict=True))
         assert_weights_close(params, ref)

@@ -169,6 +169,35 @@ class TestCheckFinite:
                              np.ones((3, nw.UPDATE_BLOCK // 2))], "stage")
 
 
+class TestDivergence:
+    """sgd_epochs stops a run whose epoch mean rises DIVERGENCE_FACTOR-fold
+    over the lowest earlier one, while every loss is still finite."""
+
+    @staticmethod
+    def run(losses):
+        """Epoch means of sgd_epochs over one 1-step epoch per loss."""
+        w = np.zeros(2)
+        it = iter(losses)
+        cfg = nw.SgdConfig(epochs=len(losses), lr=0.1, momentum=0.0, batch_size=4)
+        return list(nw.sgd_epochs([w], 4, cfg, np.random.default_rng(0),
+                                  lambda idx: (next(it), [np.zeros(2)]), "stage"))
+
+    def test_rise_over_lowest_earlier_mean_raises(self):
+        f = nw.DIVERGENCE_FACTOR
+        with pytest.raises(NumericError, match=r"^stage: epoch 3 mean loss .* exceeds "
+                                               r"1e\+08 times the lowest earlier epoch "
+                                               r"mean 0\.5; training diverges$"):
+            # epoch 3 is measured against epoch 1's 0.5, not epoch 2's 1.0
+            self.run([2.0, 0.5, 1.0, 0.5 * f * 1.5])
+
+    def test_rise_up_to_the_factor_passes(self):
+        f = nw.DIVERGENCE_FACTOR
+        assert self.run([1.0, f, 0.5, 0.5 * f]) == [1.0, f, 0.5, 0.5 * f]
+
+    def test_zero_mean_sets_no_bound(self):
+        assert self.run([0.0, 1.0, 0.0]) == [0.0, 1.0, 0.0]
+
+
 class TestForward:
     def test_identity_linear(self):
         layer = nw.DenseLayer(weights=np.eye(3), bias=np.zeros(3), activation="linear")
