@@ -138,21 +138,11 @@ def _int_list(raw: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {raw!r}")
 
 
-def _ae_spec(dims: list[int] | None, d_in: int, latent: int | None):
-    if dims:
-        if latent is not None:
-            dims[-1] = latent
-        return ae.AeSpec(layer_dims=dims)
-    if latent is not None:
-        return ae.AeSpec(layer_dims=[d_in, *ae.DEFAULT_HIDDEN_DIMS[:-1], latent])
-    return ae.AeSpec()
-
-
 def cmd_pretrain(args):
     ds = _load_dataset(args.data)
     pcfg, settings = _stage_config(ae.PretrainConfig, args,
                                    seed=stage_seed(args.seed, "pretrain"))
-    spec = _ae_spec(args.dims, ds.n_features, args.latent_dim)
+    spec = ae.AeSpec(layer_dims=args.dims)
     train = ae.pretrain_ae if args.kind == "ae" else ae.pretrain_vae
     params, history = train(ds.values, spec, pcfg)
     data_io.save_model(args.out, params)
@@ -312,7 +302,6 @@ def build_parser() -> CliParser:
     p.add_argument("--out", required=True)
     p.add_argument("--history")
     settings(p, ae.PretrainConfig)
-    p.add_argument("--latent-dim", type=int)
     p.add_argument("--dims", type=_int_list,
                    help="comma list of layer widths, input first")
 

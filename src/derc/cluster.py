@@ -37,8 +37,8 @@ class DercConfig(SgdConfig):
 
     def validate(self) -> None:
         super().validate()
-        if self.beta < 0:
-            raise ValidationError("beta must be >= 0")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
         if self.target_interval < 1:
             raise ValidationError("target_interval must be >= 1")
         if self.k < 1:

@@ -8,7 +8,7 @@ import json
 import numpy as np
 
 from .data import read_text
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 # fixed stage ids; the per-stage seed is SeedSequence(global_seed, spawn_key=(id,))
 STAGE_IDS = {
@@ -21,6 +21,8 @@ STAGE_IDS = {
 
 
 def stage_seed(global_seed: int, stage: str) -> int:
+    if global_seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {global_seed}")
     ss = np.random.SeedSequence(entropy=global_seed, spawn_key=(STAGE_IDS[stage],))
     return int(ss.generate_state(1)[0])
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 from .errors import ValidationError
+
+MAX_CLASSES = 8  # 8! = 40,320 mappings to try
 
 
 @dataclass
@@ -23,60 +26,6 @@ class MetricsReport:
                 f"{self.fp},{self.fn}")
 
 
-def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
-    """The column for each row of a square cost matrix that minimises the total cost.
-
-    A port of the shortest augmenting path solver that scipy's
-    linear_sum_assignment runs (Crouse, "On implementing 2D rectangular
-    assignment algorithms", IEEE TAES 2016), with its column scan order and
-    tie rule, so that it returns the same assignment on the same matrix.
-    """
-    k = len(cost)
-    inf = float("inf")
-    u, v = [0] * k, [0] * k
-    col4row, row4col, path = [-1] * k, [-1] * k, [-1] * k
-    for cur in range(k):
-        # scanned from the last column down, so a constant matrix gives the identity
-        remaining = list(range(k - 1, -1, -1))
-        spc = [inf] * k  # shortest path cost to each column
-        seen_rows, seen_cols = [False] * k, [False] * k
-        i, min_val, sink = cur, 0, -1
-        while sink < 0:
-            seen_rows[i] = True
-            index, lowest = -1, inf
-            for it, j in enumerate(remaining):
-                r = min_val + cost[i][j] - u[i] - v[j]
-                if r < spc[j]:
-                    path[j], spc[j] = i, r
-                # among equal costs, a free column ends the path
-                if spc[j] < lowest or (spc[j] == lowest and row4col[j] < 0):
-                    index, lowest = it, spc[j]
-            min_val = lowest
-            j = remaining[index]
-            if row4col[j] < 0:
-                sink = j
-            else:
-                i = row4col[j]
-            seen_cols[j] = True
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[cur] += min_val
-        for r in range(k):
-            if seen_rows[r] and r != cur:
-                u[r] += min_val - spc[col4row[r]]
-        for j in range(k):
-            if seen_cols[j]:
-                v[j] -= min_val - spc[j]
-        j = sink
-        while True:  # augment along the path back to the current row
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return col4row
-
-
 def _label_arrays(y, c):
     y = np.asarray(y, dtype=int)
     c = np.asarray(c, dtype=int)
@@ -90,22 +39,25 @@ def _label_arrays(y, c):
 def clustering_accuracy(y, c):
     """Best match rate over all one-to-one cluster-to-label mappings.
 
-    Returns (acc, mapping). The optimal assignment on the contingency
-    matrix is solved exactly; ties prefer the identity mapping.
+    Returns (acc, mapping). Every mapping of the k = max id + 1 classes is
+    tried, so k may be at most MAX_CLASSES. Ties prefer the mapping that
+    fixes the most clusters, then the first in lexicographic order.
     """
     y, c = _label_arrays(y, c)
     n = len(y)
     if min(c.min(), y.min()) < 0:
         raise ValidationError("labels and cluster ids must be non-negative")
     k = int(max(c.max(), y.max())) + 1
+    if k > MAX_CLASSES:
+        raise ValidationError(f"{k} classes; at most {MAX_CLASSES} can be scored")
 
     counts = np.bincount(c * k + y, minlength=k * k).reshape(k, k)
     # scale so any real count difference dominates the identity tie-break bonus
-    score = counts * (k + 1) + np.eye(k, dtype=np.int64)
-    cols = _min_cost_assignment((-score).tolist())
-    mapping = dict(enumerate(cols))
+    score = (counts * (k + 1) + np.eye(k, dtype=np.int64)).tolist()
+    cols = max(permutations(range(k)),
+               key=lambda p: sum(row[j] for row, j in zip(score, p)))
     matches = int(counts[np.arange(k), cols].sum())
-    return matches / n, mapping
+    return matches / n, dict(enumerate(cols))
 
 
 def confusion_counts(y, c, mapping: dict[int, int], positive_label: int = 1):

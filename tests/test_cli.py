@@ -15,9 +15,6 @@ from derc import autoencoder, cluster, config, data, prescreen
 from derc.autoencoder import encode
 from derc.cli import main
 
-FAST_PRETRAIN = ["--dims", "0,16,8", "--latent-dim", "8", "--epochs", "20"]
-
-
 def run(args):
     return main([str(a) for a in args])
 
@@ -264,6 +261,14 @@ def _pretrain_with(*flags):
     return argv
 
 
+def _cluster_init_with(*flags):
+    def argv(tmp_path):
+        raw, model = _small_model(tmp_path)
+        return ["cluster-init", "--model", model, "--data", raw,
+                "--out", tmp_path / "c.derc", *flags]
+    return argv
+
+
 def _train_derc_with(*flags):
     def argv(tmp_path):
         raw, model = _small_model(tmp_path)
@@ -374,6 +379,8 @@ BAD_INPUTS = {
     "derc-infinite-lr": (_train_derc_with("--lr", "inf"), 2, ["lr", "finite", "inf"]),
     "derc-momentum-one": (_train_derc_with("--momentum", "1"), 2,
                           ["momentum", "[0, 1)"]),
+    "derc-beta-nan": (_train_derc_with("--beta", "nan"), 2, ["beta", "finite", "nan"]),
+    "derc-beta-inf": (_train_derc_with("--beta", "inf"), 2, ["beta", "finite", "inf"]),
     "derc-stop-delta-nan": (_train_derc_with("--stop-delta", "nan"), 2,
                             ["stop_delta", "[0, 1]", "nan"]),
     "pretrain-validation-holds-out-all": (_pretrain_with("--validation-fraction", "0.99"),
@@ -440,6 +447,11 @@ BAD_INPUTS = {
                           ["n_features", ">= 1", "got 0"]),
     "synth-negative-informative": (_synth_with("--n-informative", "-1"), 2,
                                    ["n_informative", ">= 0", "got -1"]),
+    "synth-negative-seed": (_synth_with("--seed", "-1"), 2, ["seed", ">= 0", "got -1"]),
+    "pretrain-negative-seed": (_pretrain_with("--seed", "-1"), 2, ["seed", ">= 0", "got -1"]),
+    "cluster-init-negative-seed": (_cluster_init_with("--seed", "-2"), 2,
+                                   ["seed", ">= 0", "got -2"]),
+    "derc-negative-seed": (_train_derc_with("--seed", "-1"), 2, ["seed", ">= 0", "got -1"]),
     "evaluate-positive-label-above-classes": (
         _pred_for_every_sample(2, flags=("--positive-label", "5")), 2,
         ["positive label 5", "0..1"]),
@@ -477,6 +489,9 @@ class TestErrors:
     def test_usage_error_exit_1(self):
         assert run(["prescreen"]) == 1
         assert run(["no-such-command"]) == 1
+        # --dims alone sets the latent width
+        assert run(["pretrain", "ae", "--data", "d.csv", "--out", "m.derc",
+                    "--latent-dim", "8"]) == 1
 
     def test_out_of_range_value_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

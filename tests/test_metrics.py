@@ -2,44 +2,7 @@ import numpy as np
 import pytest
 
 from derc.errors import ValidationError
-from derc.metrics import (
-    _min_cost_assignment,
-    clustering_accuracy,
-    confusion_counts,
-    evaluate,
-)
-
-
-class TestMinCostAssignment:
-    def test_matches_scipy_linear_sum_assignment(self):
-        # the oracle: scipy's solver, whose rows, columns and tie order the
-        # in-house port must reproduce (small integer ranges make many ties)
-        from scipy.optimize import linear_sum_assignment
-
-        rng = np.random.default_rng(0)
-        mismatches = 0
-        for trial in range(10_000):
-            k = int(rng.integers(1, 9))
-            score = rng.integers(0, int(rng.integers(1, 5)), size=(k, k)) * (k + 1)
-            if trial % 2:  # clustering_accuracy's identity bonus
-                score += np.eye(k, dtype=np.int64)
-            rows, cols = linear_sum_assignment(-score)
-            mine = _min_cost_assignment((-score).tolist())
-            mismatches += (rows.tolist(), cols.tolist()) != (list(range(k)), mine)
-        assert mismatches == 0
-
-    def test_brute_force_optimum(self):
-        from itertools import permutations
-
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            k = int(rng.integers(1, 6))
-            cost = rng.integers(-20, 20, size=(k, k)).tolist()
-            cols = _min_cost_assignment(cost)
-            best = min(sum(cost[r][p[r]] for r in range(k))
-                       for p in permutations(range(k)))
-            assert sorted(cols) == list(range(k))
-            assert sum(cost[r][cols[r]] for r in range(k)) == best
+from derc.metrics import MAX_CLASSES, clustering_accuracy, confusion_counts, evaluate
 
 
 class TestClusteringAccuracy:
@@ -100,6 +63,26 @@ class TestClusteringAccuracy:
         )
         acc, _ = clustering_accuracy(y, c)
         assert acc == pytest.approx(best)
+
+    def test_brute_force_optimum(self):
+        from itertools import permutations
+
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            k = int(rng.integers(1, 6))
+            y = rng.integers(0, k, size=30)
+            c = rng.integers(0, k, size=30)
+            y[0] = c[0] = k - 1  # k classes, so the mapping covers 0..k-1
+            acc, mapping = clustering_accuracy(y, c)
+            best = max(int(np.sum(np.asarray(p)[c] == y)) for p in permutations(range(k)))
+            assert sorted(mapping) == sorted(mapping.values()) == list(range(k))
+            assert acc == best / 30
+
+    def test_too_many_classes_rejected(self):
+        ids = list(range(MAX_CLASSES + 1))
+        assert clustering_accuracy(ids[:-1], ids[:-1]) == (1.0, dict(zip(ids, ids[:-1])))
+        with pytest.raises(ValidationError, match=f"{MAX_CLASSES + 1} classes"):
+            clustering_accuracy(ids, ids)
 
     def test_identity_preferred_on_ties(self):
         _, mapping = clustering_accuracy([0, 1], [0, 1])
