@@ -250,8 +250,8 @@ def cmd_export_latent(args):
     z = ae.encode(params, ds.values)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("sample_id," + ",".join(f"z{j}" for j in range(z.shape[1])) + "\n")
-        for sid, row in zip(ds.sample_ids, z):
-            fh.write(sid + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        for sid, row in zip(ds.sample_ids, z.tolist()):
+            fh.write(sid + "," + ",".join(map(repr, row)) + "\n")
     print(f"wrote {z.shape[0]}x{z.shape[1]} latent matrix to {args.out}")
 
 
@@ -352,6 +352,8 @@ def main(argv=None) -> int:
             # line's own flags, so those win and one parser checks every key
             flags = [f"--{k}={v}" for k, v in load_config(args.config).items()]
             args = parser.parse_args([argv[0], *flags, *argv[1:]])
+        if args.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {args.seed}")
         # a diverging run is reported once, by the trainers' non-finite loss
         # check (exit 3), not also by numpy's floating-point warnings
         with np.errstate(over="ignore", invalid="ignore"):

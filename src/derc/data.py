@@ -257,8 +257,8 @@ def save_csv(dataset: Dataset, path) -> None:
         if dataset.labels is not None:
             header.append("label")
         fh.write(",".join(header) + "\n")
-        for i in range(dataset.n_samples):
-            cells = [repr(float(v)) for v in dataset.values[i]]
+        for i, row in enumerate(np.asarray(dataset.values, dtype=float).tolist()):
+            cells = list(map(repr, row))
             if dataset.labels is not None:
                 cells.append(str(int(dataset.labels[i])))
             fh.write(",".join(cells) + "\n")

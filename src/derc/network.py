@@ -41,58 +41,11 @@ def init_bound(n_input: int) -> float:
 
 
 def init_uniform(shape, n_input: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform weights on [-l, l] with l = sqrt(3*s/n_input), s = 1/3.
-
-    The values, and rng's state afterwards, are those of
-    rng.uniform(-l, l, size=shape): each is low + (high - low) * d, d the
-    next double of rng's stream, formed as random(out=block), then * and +
-    in place, UPDATE_BLOCK values at a time. The array is drawn in
-    contiguous parts of at least FOLD_BLOCK values, one per CPU the process
-    may run on, each on its own thread from a copy of rng's bit generator
-    advanced to the part's start; PCG64's advance jumps n draws in O(log n)
-    (O'Neill 2014). A one-part array, or a bit generator whose advance does
-    not count single draws (any but PCG64 and PCG64DXSM), is drawn on the
-    calling thread.
-    """
+    """Uniform weights on [-l, l] with l = sqrt(3*s/n_input), s = 1/3."""
     if n_input < 1:
         raise ValidationError("n_input must be >= 1")
-    import os
-
     l = init_bound(n_input)
-    out = np.empty(shape)
-    flat = out.reshape(-1)
-
-    def fill(gen: np.random.Generator, start: int, stop: int) -> None:
-        for b0 in range(start, stop, UPDATE_BLOCK):
-            block = flat[b0:min(b0 + UPDATE_BLOCK, stop)]
-            gen.random(out=block)
-            block *= l - -l
-            block += -l
-
-    bit_gen = rng.bit_generator
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    parts = max(1, min(cpus, flat.size // FOLD_BLOCK))
-    if parts == 1 or not isinstance(bit_gen, (np.random.PCG64, np.random.PCG64DXSM)):
-        fill(rng, 0, flat.size)
-        return out
-    import copy
-    from concurrent.futures import ThreadPoolExecutor
-
-    state = bit_gen.state
-    bounds = [flat.size * i // parts for i in range(parts + 1)]
-
-    def fill_part(start: int, stop: int) -> None:
-        fill(np.random.Generator(copy.deepcopy(bit_gen).advance(start)), start, stop)
-
-    with ThreadPoolExecutor(max_workers=parts) as pool:
-        list(pool.map(fill_part, bounds[:-1], bounds[1:]))
-    # advance clears the buffered half of a 32-bit draw; keep it, so later
-    # 32-bit draws are those of the serial stream
-    bit_gen.advance(flat.size)
-    bit_gen.state = {**bit_gen.state, "has_uint32": state["has_uint32"],
-                     "uinteger": state["uinteger"]}
-    return out
+    return rng.uniform(-l, l, size=shape)
 
 
 def relu(z):

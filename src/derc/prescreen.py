@@ -113,53 +113,39 @@ def correlation_prune(data: Dataset, cfg: PrescreenConfig):
 
 
 # The two scores below repeat scipy.stats' expressions in scipy's order, with
-# `**0.5` where scipy has it, so that they round exactly as scipy does. The
-# terms that depend on n alone are computed once per sample size. scipy
+# `**0.5` where scipy has it, so that they round exactly as scipy does. scipy
 # scores one sample, so its powers are the C library's pow on scalars; on
 # arrays `**` may take numpy's SIMD power, which rounds differently in the
 # last bit, while np.float_power calls pow on each element.
 
 
-@lru_cache(maxsize=64)
-def _skewtest_constants(n: float) -> tuple[float, float, float]:
+def _skewtest_z(b2: np.ndarray, n: float) -> np.ndarray:
+    """D'Agostino's normal score of each sample skewness in b2 (scipy's skewtest)."""
     scale = np.sqrt(((n + 1) * (n + 3)) / (6.0 * (n - 2)))
     beta2 = (3.0 * (n**2 + 27*n - 70) * (n+1) * (n+3) /
              ((n-2.0) * (n+5) * (n+7) * (n+9)))
     w2 = -1 + np.sqrt(2 * (beta2 - 1))
     delta = 1 / np.sqrt(0.5 * np.log(w2))
     alpha = np.sqrt(2.0 / (w2 - 1))
-    return scale, delta, alpha
-
-
-def _skewtest_z(b2: np.ndarray, n: float) -> np.ndarray:
-    """D'Agostino's normal score of each sample skewness in b2 (scipy's skewtest)."""
-    scale, delta, alpha = _skewtest_constants(n)
     y = b2 * scale
     y[y == 0] = 1.0
     return delta * np.log(y / alpha + np.sqrt(np.float_power(y / alpha, 2) + 1))
 
 
-@lru_cache(maxsize=64)
-def _kurtosistest_constants(n: float) -> tuple[float, ...]:
+def _kurtosistest_z(b2: np.ndarray, n: float) -> np.ndarray:
+    """Anscombe-Glynn normal score of each sample kurtosis in b2 (scipy's
+    kurtosistest); NaN where the transform is undefined."""
     e = 3.0*(n-1) / (n+1)
     varb2 = 24.0*n*(n-2)*(n-3) / ((n+1)*(n+1.)*(n+3)*(n+5))
     sqrtbeta1 = 6.0*(n*n-5*n+2)/((n+7)*(n+9)) * ((6.0*(n+3)*(n+5))
                                                  / (n*(n-2)*(n-3)))**0.5
     a = 6.0 + 8.0/sqrtbeta1 * (2.0/sqrtbeta1 + (1+4.0/(sqrtbeta1**2))**0.5)
-    return (e, varb2**0.5, 1 - 2/(9.0*a), (2/(a-4.0))**0.5, 1-2.0/a,
-            (2/(9.0*a))**0.5)
-
-
-def _kurtosistest_z(b2: np.ndarray, n: float) -> np.ndarray:
-    """Anscombe-Glynn normal score of each sample kurtosis in b2 (scipy's
-    kurtosistest); NaN where the transform is undefined."""
-    e, sd_b2, term1, slope, base, scale = _kurtosistest_constants(n)
-    x = (b2-e) / sd_b2
-    denom = 1 + x * slope
-    term2 = np.float_power(base / np.abs(denom), 1/3)
+    x = (b2-e) / varb2**0.5
+    denom = 1 + x * (2/(a-4.0))**0.5
+    term2 = np.float_power((1-2.0/a) / np.abs(denom), 1/3)
     np.negative(term2, out=term2, where=denom < 0)
     term2[denom == 0.0] = np.nan
-    return (term1 - term2) / scale
+    return (1 - 2/(9.0*a) - term2) / (2/(9.0*a))**0.5
 
 
 # The class tests below run once per feature on short samples, where numpy's

@@ -253,6 +253,22 @@ def _prescreen_one_class(tmp_path):
             "--out-report", tmp_path / "r.csv", "--out-kept", tmp_path / "k.txt"]
 
 
+def _prescreen_with(*flags):
+    def argv(tmp_path):
+        raw, _ = synth_csv(tmp_path)
+        return ["prescreen", "--data", raw, "--out-data", tmp_path / "f.csv",
+                "--out-report", tmp_path / "r.csv", "--out-kept", tmp_path / "k.txt", *flags]
+    return argv
+
+
+def _export_latent_with(*flags):
+    def argv(tmp_path):
+        raw, model = _small_model(tmp_path)
+        return ["export-latent", "--model", model, "--data", raw,
+                "--out", tmp_path / "z.csv", *flags]
+    return argv
+
+
 def _pretrain_with(*flags):
     def argv(tmp_path):
         raw, _ = synth_csv(tmp_path)
@@ -452,6 +468,11 @@ BAD_INPUTS = {
     "cluster-init-negative-seed": (_cluster_init_with("--seed", "-2"), 2,
                                    ["seed", ">= 0", "got -2"]),
     "derc-negative-seed": (_train_derc_with("--seed", "-1"), 2, ["seed", ">= 0", "got -1"]),
+    "prescreen-negative-seed": (_prescreen_with("--seed", "-1"), 2, ["seed", ">= 0", "got -1"]),
+    "evaluate-negative-seed": (_pred_for_every_sample(2, flags=("--seed", "-3")), 2,
+                               ["seed", ">= 0", "got -3"]),
+    "export-latent-negative-seed": (_export_latent_with("--seed", "-1"), 2,
+                                    ["seed", ">= 0", "got -1"]),
     "evaluate-positive-label-above-classes": (
         _pred_for_every_sample(2, flags=("--positive-label", "5")), 2,
         ["positive label 5", "0..1"]),
@@ -473,6 +494,13 @@ class TestErrors:
         assert "Traceback" not in err
         for needle in needles:
             assert needle in err
+
+    @pytest.mark.parametrize("case", [c for c in BAD_INPUTS if c.endswith("-negative-seed")])
+    def test_negative_seed_writes_nothing(self, case, tmp_path):
+        argv = BAD_INPUTS[case][0](tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert run(argv) == 2
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_missing_labels_exit_2(self, tmp_path, capsys):
         ds = data.generate_synthetic(data.SynthSpec(n_samples=20, n_features=10,

@@ -1,6 +1,4 @@
 import ast
-import concurrent.futures
-import os
 import warnings
 from pathlib import Path
 
@@ -44,31 +42,12 @@ def assert_same_bits(xs, ys):
 
 
 class TestInitSplit:
-    """init_uniform against rng.uniform, bit for bit, however it is split."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """A function that sets the CPU count to n and returns the list that
-        gets each thread pool's size."""
-        sizes = []
-
-        class Pool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-
-        def cpus(n):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                                raising=False)
-            return sizes
-        return cpus
+    """init_uniform against rng.uniform, bit for bit."""
 
     @staticmethod
     def both(shape, n_input, make_rng):
-        """(split draw, serial draw), each with the draws around it; a 32-bit
-        draw comes first, so the generator's buffered half is live."""
+        """(init_uniform draw, rng.uniform draw), each with the draws around
+        it; a 32-bit draw comes first, so the generator's buffered half is live."""
         out = []
         for draw in (nw.init_uniform,
                      lambda shape, n, rng: rng.uniform(-nw.init_bound(n), nw.init_bound(n),
@@ -79,35 +58,21 @@ class TestInitSplit:
             out.append([first, draw(shape, n_input, rng), *later_draws(rng)])
         return out
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
-    def test_parts_match_serial(self, cpus, pools, monkeypatch):
-        # 221 values in parts of at least 16, drawn 5 at a time
-        monkeypatch.setattr(nw, "FOLD_BLOCK", 16)
-        monkeypatch.setattr(nw, "UPDATE_BLOCK", 5)
-        sizes = pools(cpus)
-        split, serial = self.both((13, 17), 17, lambda: np.random.default_rng(11))
-        assert sizes == ([] if cpus == 1 else [cpus])
-        assert split[1].flags.c_contiguous
-        assert_same_bits(split, serial)
+    def test_matches_serial(self):
+        got, serial = self.both((13, 17), 17, lambda: np.random.default_rng(11))
+        assert got[1].flags.c_contiguous
+        assert_same_bits(got, serial)
 
-    @pytest.mark.parametrize("values, sizes", [(2 * nw.FOLD_BLOCK, [2]),
-                                               (2 * nw.FOLD_BLOCK - 1, [])])
-    def test_part_unit(self, values, sizes, pools):
-        got = pools(2)
-        split, serial = self.both((values,), 300, lambda: np.random.default_rng(3))
-        assert got == sizes
-        assert_same_bits(split, serial)
+    @pytest.mark.parametrize("values", [2 * nw.FOLD_BLOCK, 2 * nw.FOLD_BLOCK - 1])
+    def test_large_arrays(self, values):
+        got, serial = self.both((values,), 300, lambda: np.random.default_rng(3))
+        assert_same_bits(got, serial)
 
-    # Philox's advance counts blocks of four draws, not single draws
-    @pytest.mark.parametrize("bit_generator, sizes", [(np.random.PCG64DXSM, [3]),
-                                                      (np.random.Philox, [])])
-    def test_other_bit_generators(self, bit_generator, sizes, pools, monkeypatch):
-        monkeypatch.setattr(nw, "FOLD_BLOCK", 16)
-        got = pools(3)
-        split, serial = self.both((9, 11), 11,
-                                  lambda: np.random.Generator(bit_generator(5)))
-        assert got == sizes
-        assert_same_bits(split, serial)
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.Philox])
+    def test_other_bit_generators(self, bit_generator):
+        got, serial = self.both((9, 11), 11,
+                                lambda: np.random.Generator(bit_generator(5)))
+        assert_same_bits(got, serial)
 
 
 def masked_sigmoid(z):
