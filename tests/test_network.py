@@ -1,4 +1,6 @@
 import ast
+import concurrent.futures
+import os
 import warnings
 from pathlib import Path
 
@@ -58,8 +60,19 @@ class TestInitSplit:
             out.append([first, draw(shape, n_input, rng), *later_draws(rng)])
         return out
 
-    def test_matches_serial(self):
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+    def test_parts_match_serial(self, cpus, monkeypatch):
+        # the draw is one rng.uniform call whatever the CPU count: no thread
+        # pool is made, and small blocks change nothing
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(nw, "FOLD_BLOCK", 16)
+        monkeypatch.setattr(nw, "UPDATE_BLOCK", 5)
+        pools = []
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda *args, **kwargs: pools.append(args))
         got, serial = self.both((13, 17), 17, lambda: np.random.default_rng(11))
+        assert pools == []
         assert got[1].flags.c_contiguous
         assert_same_bits(got, serial)
 
