@@ -118,8 +118,6 @@ def vae_kl(mu: np.ndarray, log_var: np.ndarray) -> float:
 
     Nonnegative; zero iff mu = 0 and log_var = 0.
     """
-    mu = np.asarray(mu, dtype=float)
-    log_var = np.asarray(log_var, dtype=float)
     if mu.shape != log_var.shape:
         raise ValidationError("mu and log_var must have equal shapes")
     return float(-0.5 * np.sum(1.0 + log_var - mu * mu - np.exp(log_var)))
@@ -154,7 +152,6 @@ def vae_loss_and_grads(params: NetworkParams, x: np.ndarray, eps: np.ndarray | N
     params.all_layers(), then latent's own; eps and rows are as in
     vae_forward.
     """
-    x = np.asarray(x, dtype=float)
     n = x.shape[0]
     r, cache = vae_forward(params, x, eps, rows)
     mse, dmse = mse_loss(x, r)
@@ -249,7 +246,6 @@ def pretrain_vae(values: np.ndarray, spec: AeSpec, cfg: PretrainConfig):
 def vae_reconstruction_loss(params: NetworkParams, x: np.ndarray,
                             seed: int | np.random.Generator = 0) -> float:
     """Reconstruction MSE; a VAE's z is sampled from seed (an int or a Generator)."""
-    x = np.asarray(x, dtype=float)
     eps = (None if params.logvar_head is None else
            np.random.default_rng(seed).standard_normal((x.shape[0], params.latent_dim)))
     r, _ = vae_forward(params, x, eps)

@@ -59,8 +59,7 @@ class DercResult:
 
 def soft_assign(z: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Student's-t (df=1) soft assignment; rows sum to 1."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    centroids = np.asarray(centroids, dtype=float)
+    z = np.atleast_2d(z)
     if z.shape[1] != centroids.shape[1]:
         raise ValidationError("latent and centroid widths differ")
     diff = z[:, None, :] - centroids[None, :, :]
@@ -70,7 +69,6 @@ def soft_assign(z: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def target_distribution(q: np.ndarray) -> np.ndarray:
     """Sharpened targets p_ij = (q_ij^2 / f_j) / sum_j' (q_ij'^2 / f_j')."""
-    q = np.asarray(q, dtype=float)
     f = q.sum(axis=0)
     if np.any(f <= 0.0):
         dead = np.nonzero(f <= 0.0)[0]
@@ -79,23 +77,20 @@ def target_distribution(q: np.ndarray) -> np.ndarray:
     return weight / weight.sum(axis=1, keepdims=True)
 
 
-def cluster_kl_loss(p: np.ndarray, q: np.ndarray, z: np.ndarray,
-                    centroids: np.ndarray):
+def cluster_kl_loss(p: np.ndarray, z: np.ndarray, centroids: np.ndarray):
     """KL(P || Q) summed over the batch plus gradients w.r.t. z and centroids.
 
-    q must be the soft assignment of (z, centroids); the gradient formulas
-    assume the df=1 Student kernel.
+    Q is the soft assignment of (z, centroids), formed as soft_assign forms
+    it; the gradient formulas assume its df=1 Student kernel.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    diff = z[:, None, :] - centroids[None, :, :]        # (n, k, d)
+    kernel = 1.0 / (1.0 + np.sum(diff * diff, axis=2))  # (n, k)
+    q = kernel / kernel.sum(axis=1, keepdims=True)
     if np.any((q == 0.0) & (p > 0.0)):
         raise NumericError("q_ij = 0 with p_ij > 0; KL undefined")
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(p / q), 0.0)
     loss = float(terms.sum())
-
-    diff = z[:, None, :] - centroids[None, :, :]        # (n, k, d)
-    kernel = 1.0 / (1.0 + np.sum(diff * diff, axis=2))  # (n, k)
     w = kernel * (p - q)
     dz = 2.0 * np.einsum("ij,ijd->id", w, diff)
     dmu = -2.0 * np.einsum("ij,ijd->jd", w, diff)
@@ -108,7 +103,7 @@ def clustering_term(p: np.ndarray, centroids: np.ndarray):
     its gradient w.r.t. z, [the centroids' gradient])."""
     def term(z):
         bs = len(z)
-        loss, dz, dmu = cluster_kl_loss(p, soft_assign(z, centroids), z, centroids)
+        loss, dz, dmu = cluster_kl_loss(p, z, centroids)
         return loss / bs, dz / bs, [dmu / bs]
     return term
 

@@ -148,11 +148,11 @@ def _impute_feature_means(values: np.ndarray, feature_ids: list[str]):
 
 
 def read_text(path) -> str:
-    """A file's text as UTF-8; a byte that does not decode raises ParseError."""
+    """A file's UTF-8 text, a leading BOM dropped; an undecodable byte raises ParseError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})")
 
@@ -257,7 +257,7 @@ def save_csv(dataset: Dataset, path) -> None:
         if dataset.labels is not None:
             header.append("label")
         fh.write(",".join(header) + "\n")
-        for i, row in enumerate(np.asarray(dataset.values, dtype=float).tolist()):
+        for i, row in enumerate(dataset.values.tolist()):
             cells = list(map(repr, row))
             if dataset.labels is not None:
                 cells.append(str(int(dataset.labels[i])))
@@ -334,7 +334,7 @@ def save_model(path, params, centroids: np.ndarray | None = None,
     meta["input_dim"] = int(params.input_dim)
     meta["latent_dim"] = int(params.latent_dim)
     if centroids is not None:
-        arrays["centroids"] = np.asarray(centroids, dtype=float)
+        arrays["centroids"] = centroids
     save_container(path, arrays, meta)
 
 

@@ -1,6 +1,7 @@
 """Minimal dense-network engine with exact reverse-mode gradients.
 
-All arithmetic is double precision so finite-difference checks stay tight.
+Arithmetic, and each buffer made here, follows the dtype of its inputs, which
+the stages' entries (loaders, trainers) make float64 for tight gradient checks.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _product_blocks(a: np.ndarray, b: np.ndarray):
     """
     n_rows, d = a.shape[1], b.shape[1]
     step = max(1, FOLD_BLOCK // d)
-    scratch = np.empty(min(step, n_rows) * d)
+    scratch = np.empty(min(step, n_rows) * d, dtype=np.result_type(a, b))
     for r0 in range(0, n_rows, step):
         r1 = min(r0 + step, n_rows)
         block = scratch[:(r1 - r0) * d].reshape(r1 - r0, d)
@@ -170,7 +171,7 @@ class RowSpaceLayer(Layer):
         self.bias, self.activation, self.x = layer.bias, layer.activation, x
         self.xw0 = x @ self.w0.T
         self.gram = x @ x.T
-        self.coef = np.zeros((len(x), layer.n_out))
+        self.coef = np.zeros((len(x), layer.n_out), dtype=self.w0.dtype)
 
     @property
     def n_in(self) -> int:
@@ -191,7 +192,7 @@ class RowSpaceLayer(Layer):
         if bad.size:
             raise ValidationError(f"rows {bad.tolist()} are outside the {n} "
                                   f"training rows")
-        e = np.zeros((len(rows), n))
+        e = np.zeros((len(rows), n), dtype=self.coef.dtype)
         e[np.arange(len(rows)), rows] = 1.0
         return e
 
@@ -257,8 +258,8 @@ class DeferredLayer(Layer):
         # it, and pages never written (the copy, at momentum 0) cost nothing
         import mmap
 
-        n_out, n_in = layer.n_out, layer.n_in
-        buf = np.frombuffer(mmap.mmap(-1, 8 * window * (n_out + 2 * n_in)))
+        n_out, n_in, w = layer.n_out, layer.n_in, layer.weights
+        buf = np.frombuffer(mmap.mmap(-1, w.itemsize * window * (n_out + 2 * n_in)), w.dtype)
         self.pending = buf[:window * n_out].reshape(window, n_out)
         self.pending_in, self._scaled_in = buf[window * n_out:].reshape(2, window, n_in)
         self.step_of = np.zeros(window, dtype=int)
@@ -436,7 +437,6 @@ def forward_layers(layers: list[DenseLayer], x: np.ndarray,
     (DenseLayer, RowSpaceLayer, DeferredLayer) gives its own input to cache
     and pre-activation through its forward method.
     """
-    x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValidationError("batch must be 2-D (samples x features)")
     if layers and x.shape[1] != layers[0].n_in:
@@ -518,7 +518,8 @@ class SgdMomentum:
         # a row block (see update) holds at most UPDATE_BLOCK + n_cols
         # elements, or three rows where two rows exceed UPDATE_BLOCK
         widest = max((p.shape[1] for p in arrays if p.ndim == 2), default=0)
-        self._scratch = np.empty(max(UPDATE_BLOCK + widest, 3 * widest))
+        self._scratch = np.empty(max(UPDATE_BLOCK + widest, 3 * widest),
+                                 np.result_type(*arrays))
 
     def step(self, grads: list) -> None:
         if len(grads) != len(self.params):

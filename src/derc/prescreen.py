@@ -73,7 +73,7 @@ def correlation_prune(data: Dataset, cfg: PrescreenConfig):
     Returns (kept indices, removed indices).
     """
     cfg.validate()
-    x = np.asarray(data.values, dtype=float)
+    x = data.values
     n, d = x.shape
     if n < 3:
         raise ValidationError("need at least 3 samples for correlation pruning")
@@ -88,7 +88,7 @@ def correlation_prune(data: Dataset, cfg: PrescreenConfig):
 
     # one buffer serves every block; the block shapes, and so the BLAS
     # kernels and the bits of each correlation, are those of a fresh product
-    buf = np.empty(min(PRUNE_BLOCK, d) * d)
+    buf = np.empty(min(PRUNE_BLOCK, d) * d, dtype=xs.dtype)
     removed = np.zeros(d, dtype=bool)
     for start in range(0, d, PRUNE_BLOCK):
         stop = min(start + PRUNE_BLOCK, d)
@@ -170,7 +170,7 @@ def normality_gates(samples, alpha: float) -> np.ndarray:
     """
     from scipy import special
 
-    x = np.ascontiguousarray(samples, dtype=float)
+    x = np.ascontiguousarray(samples)
     rows, n = x.shape
     if n < MIN_NORMALITY_N:
         return np.zeros(rows, dtype=bool)
@@ -193,7 +193,7 @@ def normality_gates(samples, alpha: float) -> np.ndarray:
 
 def normality_gate(x, alpha: float) -> bool:
     """normality_gates of one sample: True iff it looks normal at alpha."""
-    return bool(normality_gates(np.asarray(x, dtype=float)[None, :], alpha)[0])
+    return bool(normality_gates(np.atleast_2d(x), alpha)[0])
 
 
 @lru_cache(maxsize=128)
@@ -242,8 +242,6 @@ def wilcoxon_rank_sum(a, b) -> float:
     """
     from scipy import special
 
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     n_a, n_b = len(a), len(b)
     if n_a == 0 or n_b == 0:
         raise ValidationError("both groups must be non-empty")
@@ -278,8 +276,6 @@ def welch_ttest(a, b) -> float:
     """Two-sided Welch (unequal variance) t-test p-value."""
     from scipy import special
 
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     n1, n2 = len(a), len(b)
     if n1 < 2 or n2 < 2:
         raise ValidationError("both groups must hold at least 2 samples")
@@ -323,7 +319,7 @@ def discriminative_filter(data: Dataset, cfg: PrescreenConfig) -> PrescreenRepor
     kept_corr, removed_corr = correlation_prune(data, cfg)
 
     # a loaded matrix is F-contiguous, so its columns gather fast as rows
-    values = np.asarray(data.values, dtype=float)
+    values = data.values
     kept_ids = []
     kept_idx = []
     removed_test = []

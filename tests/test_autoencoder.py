@@ -109,8 +109,7 @@ class TestOneObjective:
             self.params, self.x, None, beta,
             latent=cl.clustering_term(self.p, self.centroids))
         z, ec, dc, mse, dmse = self.hand_pass()
-        kl, dz_cl, dmu = cl.cluster_kl_loss(
-            self.p, cl.soft_assign(z, self.centroids), z, self.centroids)
+        kl, dz_cl, dmu = cl.cluster_kl_loss(self.p, z, self.centroids)
         dg, dz_rec = nw.backward_layers(self.params.decoder_layers, dc, beta * dmse)
         eg, _ = nw.backward_layers(self.params.encoder_layers, ec, dz_rec + dz_cl / bs)
         assert loss == kl / bs + beta * mse

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import poison_last_step
+from conftest import poison_last_step, write_series_matrix
 from derc import autoencoder, cluster, config, data, prescreen
 from derc.autoencoder import encode
 from derc.cli import main
@@ -771,3 +771,60 @@ class TestConfig:
         assert proc.returncode == 0, proc.stderr
         assert "ACC:" in (tmp_path / "report.txt").read_text()
         assert (tmp_path / "latent.csv").exists()
+
+
+PRESCREEN_OUTPUTS = ["--out-data", "f.csv", "--out-report", "r.csv", "--out-kept", "k.txt"]
+
+# input kind -> (the file given a UTF-8 byte-order mark, the stage that reads it);
+# _bom_run writes every input file
+BOM_INPUTS = {
+    "csv": ("raw.csv", ["prescreen", "--data", "raw.csv", *PRESCREEN_OUTPUTS]),
+    "series-matrix": ("sm.txt", ["prescreen", "--data", "sm.txt", "--labels", "labels.txt",
+                                 *PRESCREEN_OUTPUTS]),
+    "labels": ("labels.txt", ["prescreen", "--data", "raw.csv", "--labels", "labels.txt",
+                              *PRESCREEN_OUTPUTS]),
+    "config": ("run.cfg", ["pretrain", "ae", "--data", "raw.csv", "--out", "m.derc",
+                           "--config", "run.cfg"]),
+    "pred": ("pred.csv", ["evaluate", "--pred", "pred.csv", "--data", "raw.csv",
+                          "--out", "report.txt"]),
+}
+
+
+def _bom_run(root, kind, bom, monkeypatch):
+    """Run kind's stage in root, its input file with a byte-order mark if bom;
+    returns the exit code and every file the stage wrote, each manifest with
+    the hash of the inputs left out."""
+    import json
+
+    root.mkdir()
+    _, ds = synth_csv(root, name="raw.csv")
+    write_series_matrix(root / "sm.txt", ds.n_samples, 30, seed=0)
+    (root / "labels.txt").write_text("".join(f"{y}\n" for y in ds.labels))
+    (root / "run.cfg").write_text("dims = 30,8,2\nepochs = 2\n")
+    (root / "pred.csv").write_text("sample_id,cluster\n" + "".join(
+        f"{sid},{y}\n" for sid, y in zip(ds.sample_ids, ds.labels)))
+    name, argv = BOM_INPUTS[kind]
+    if bom:
+        path = root / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    inputs = set(os.listdir(root))
+    monkeypatch.chdir(root)
+    code = run(argv)
+    outputs = {}
+    for out in sorted(set(os.listdir(root)) - inputs):
+        raw = (root / out).read_bytes()
+        if out.endswith(".manifest.json"):
+            manifest = json.loads(raw)
+            manifest["inputs"] = sorted(manifest["inputs"])
+            raw = manifest
+        outputs[out] = raw
+    return code, outputs
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("kind", BOM_INPUTS)
+    def test_bom_input_gives_the_plain_outputs(self, kind, tmp_path, monkeypatch):
+        plain = _bom_run(tmp_path / "plain", kind, False, monkeypatch)
+        marked = _bom_run(tmp_path / "bom", kind, True, monkeypatch)
+        assert plain[0] == 0
+        assert marked == plain

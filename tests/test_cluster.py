@@ -60,7 +60,7 @@ class TestClusterKlLoss:
         z = rng.normal(size=(4, 3))
         mu = rng.normal(size=(2, 3))
         q = cl.soft_assign(z, mu)
-        loss, dz, dmu = cl.cluster_kl_loss(q, q, z, mu)
+        loss, dz, dmu = cl.cluster_kl_loss(q, z, mu)
         assert loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(dz, 0.0, atol=1e-12)
         np.testing.assert_allclose(dmu, 0.0, atol=1e-12)
@@ -72,7 +72,7 @@ class TestClusterKlLoss:
             mu = rng.normal(size=(3, 2))
             q = cl.soft_assign(z, mu)
             p = cl.target_distribution(q)
-            assert cl.cluster_kl_loss(p, q, z, mu)[0] >= 0.0
+            assert cl.cluster_kl_loss(p, z, mu)[0] >= 0.0
 
     def test_gradients_vs_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -80,10 +80,10 @@ class TestClusterKlLoss:
         mu = rng.normal(size=(2, 3))
         p = cl.target_distribution(cl.soft_assign(z, mu) ** 1.5
                                    / (cl.soft_assign(z, mu) ** 1.5).sum(1, keepdims=True))
-        _, dz, dmu = cl.cluster_kl_loss(p, cl.soft_assign(z, mu), z, mu)
+        _, dz, dmu = cl.cluster_kl_loss(p, z, mu)
 
         def loss_fn():
-            return cl.cluster_kl_loss(p, cl.soft_assign(z, mu), z, mu)[0]
+            return cl.cluster_kl_loss(p, z, mu)[0]
 
         err = finite_diff(loss_fn, [z, mu], [dz, dmu], eps=1e-6)
         assert err <= 1e-5
@@ -193,8 +193,7 @@ class TestTrainDerc:
         p = cl.target_distribution(q)
         losses = []
         for _ in range(20):
-            q = cl.soft_assign(z, mu)
-            loss, _, dmu = cl.cluster_kl_loss(p, q, z, mu)
+            loss, _, dmu = cl.cluster_kl_loss(p, z, mu)
             losses.append(loss)
             mu -= 1e-4 * dmu
         assert all(a > b for a, b in zip(losses, losses[1:]))

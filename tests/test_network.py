@@ -9,7 +9,8 @@ import pytest
 
 from conftest import finite_diff, jitter_biases, traced_peak
 from derc import network as nw
-from derc.autoencoder import build_ae
+from derc.autoencoder import build_ae, encode, vae_loss_and_grads
+from derc.cluster import clustering_term, soft_assign, target_distribution
 from derc.errors import NumericError, ValidationError
 
 
@@ -527,6 +528,59 @@ class TestSgdMomentum:
         for la, lb in zip(a.all_layers(), b.all_layers()):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.bias, lb.bias)
+
+
+def gradient_arrays(grads) -> list[np.ndarray]:
+    """Every array of backward_layers' ((a, b), db) entries and of dense ones."""
+    return [a for g in grads
+            for a in ((*g[0], g[1]) if isinstance(g, tuple) else (g,))]
+
+
+class TestDtypeBoundary:
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_float32_training_stays_float32(self, momentum):
+        # only the stages' entries convert to float64: a float32 model on
+        # float32 samples, trained through the row-space first layer and the
+        # deferred output layer (batch 2: 18 pending steps of 2 x (64 + 600)
+        # rows are fewer cells than its 64 x 600 weights), and through one
+        # clustering batch, computes every array in float32, the optimizer's
+        # scratch and velocities too
+        f32 = np.dtype(np.float32)
+        rng = np.random.default_rng(0)
+        params = build_ae([600, 64, 4], rng)
+        for layer in params.all_layers():
+            layer.weights, layer.bias = layer.weights.astype(f32), layer.bias.astype(f32)
+        x = rng.uniform(size=(40, 600)).astype(f32)
+        centroids = rng.uniform(size=(2, 4)).astype(f32)
+        cfg = nw.SgdConfig(epochs=2, lr=0.1, momentum=momentum, batch_size=2)
+        grads = []
+
+        def batch_step(idx):
+            loss, g, _ = vae_loss_and_grads(params, x[idx], None, 1.0, idx)
+            grads.extend(gradient_arrays(g))
+            return loss, g
+
+        with nw.training_layers(params, x, cfg):
+            deferred = params.decoder_layers[-1]
+            assert isinstance(params.encoder_layers[0], nw.RowSpaceLayer)
+            assert isinstance(deferred, nw.DeferredLayer)
+            for _ in nw.sgd_epochs(params.all_layers(), len(x), cfg, rng, batch_step,
+                                   "float32"):
+                pass
+            p = target_distribution(soft_assign(encode(params, x), centroids))
+            idx = np.arange(2)
+            _, g, _ = vae_loss_and_grads(params, x[idx], None, 0.75, idx,
+                                         clustering_term(p[idx], centroids))
+            grads.extend(gradient_arrays(g))
+            opt = nw.SgdMomentum([*params.all_layers(), centroids], cfg.lr, momentum)
+            opt.step(g)
+            trained = [*nw.collect_params(opt.params), opt._scratch, *(opt.velocity or ())]
+            windows = [deferred.pending, deferred.pending_in, deferred._scaled_in]
+            assert (deferred.velocity is not None) == bool(momentum)
+            if momentum:
+                windows.append(deferred.velocity)
+        dense = nw.collect_params(params.all_layers())
+        assert {a.dtype for a in [*grads, *trained, *windows, *dense]} == {f32}
 
 
 LAYER_TYPES = {"DenseLayer", "RowSpaceLayer", "DeferredLayer"}
