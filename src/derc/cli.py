@@ -61,15 +61,19 @@ def _load_labels(path, n: int) -> np.ndarray:
         labels = np.array([int(v) for v in vals])
     except ValueError:
         raise ValidationError(f"{path}: labels must be integer 0/1")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValidationError(f"{path}: labels must be binary 0/1")
     return labels
 
 
-def _check_width(meta: dict, ds: data_io.Dataset, what: str) -> None:
-    expected = meta.get("input_dim")
-    if expected is not None and expected != ds.n_features:
-        raise ValidationError(
-            f"{what}: model expects {expected} features, data has {ds.n_features}"
-        )
+def _model_and_data(args, what: str):
+    """The --model's params and the --data Dataset, checked to be as wide as its input."""
+    params, _, _ = data_io.load_model(args.model)
+    ds = _load_dataset(args.data)
+    if params.input_dim != ds.n_features:
+        raise ValidationError(f"{what}: model expects {params.input_dim} features, "
+                              f"data has {ds.n_features}")
+    return params, ds
 
 
 def _stage_config(cls, args, **fixed):
@@ -89,15 +93,6 @@ def _stage_config(cls, args, **fixed):
     return cfg, settings
 
 
-def _write_history(path, rows, header) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            # float(v): np.float64 is a float whose repr reads "np.float64(...)"
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-
-
 # --- subcommands -----------------------------------------------------------
 
 
@@ -105,9 +100,7 @@ def cmd_prescreen(args):
     ds = _load_dataset(args.data, need_labels=True, labels_path=args.labels)
     pcfg, settings = _stage_config(ps.PrescreenConfig, args)
     report = ps.discriminative_filter(ds, pcfg)
-    filtered = ds.subset_features(report.kept_indices)
-    filtered.labels = ds.labels
-    data_io.save_csv(filtered, args.out_data)
+    data_io.save_csv(ds.subset_features(report.kept_indices), args.out_data)
 
     status = {}
     for fid in report.kept_feature_ids:
@@ -116,14 +109,10 @@ def cmd_prescreen(args):
         status[fid] = "removed_correlation"
     for fid in report.removed_by_class_test:
         status[fid] = "removed_class_test"
-    with open(args.out_report, "w", encoding="utf-8") as fh:
-        fh.write("feature_id,status,p_value\n")
-        for fid in ds.feature_ids:
-            p = report.per_feature_pvalues.get(fid, float("nan"))
-            fh.write(f"{fid},{status[fid]},{p!r}\n")
-    with open(args.out_kept, "w", encoding="utf-8") as fh:
-        for fid in report.kept_feature_ids:
-            fh.write(fid + "\n")
+    p = report.per_feature_pvalues
+    rows = ((fid, status[fid], p.get(fid, float("nan"))) for fid in ds.feature_ids)
+    data_io.save_table(args.out_report, "feature_id,status,p_value", rows)
+    data_io.save_table(args.out_kept, None, [(fid,) for fid in report.kept_feature_ids])
 
     write_manifest(args.out_data, "prescreen", [args.data], settings)
     print(f"kept {len(report.kept_feature_ids)} of {ds.n_features} features "
@@ -147,7 +136,7 @@ def cmd_pretrain(args):
     params, history = train(ds.values, spec, pcfg)
     data_io.save_model(args.out, params)
     if args.history:
-        _write_history(args.history, history, "epoch,train_loss,val_loss")
+        data_io.save_table(args.history, "epoch,train_loss,val_loss", history)
     write_manifest(args.out, "pretrain", [args.data],
                    dict(settings, kind=args.kind, dims=spec.resolve(ds.n_features)))
     print(f"pretrained {args.kind} for {pcfg.epochs} epochs; "
@@ -155,9 +144,7 @@ def cmd_pretrain(args):
 
 
 def cmd_cluster_init(args):
-    params, _, meta = data_io.load_model(args.model)
-    ds = _load_dataset(args.data)
-    _check_width(meta, ds, "cluster-init")
+    params, ds = _model_and_data(args, "cluster-init")
     z = ae.encode(params, ds.values)
     result = km.kmeans_fit(z, k=args.k, restarts=args.restarts,
                            seed=stage_seed(args.seed, "cluster_init"))
@@ -171,7 +158,7 @@ def cmd_cluster_init(args):
 
 
 def cmd_train_derc(args):
-    params, _, meta = data_io.load_model(args.model)
+    params, ds = _model_and_data(args, "train-derc")
     arrays, _ = data_io.load_container(args.centroids)
     if "centroids" not in arrays:
         raise ValidationError(f"{args.centroids}: container holds no centroids")
@@ -181,8 +168,6 @@ def cmd_train_derc(args):
         raise ValidationError(
             f"{args.centroids}: centroids are a {centroids.dtype} array of shape "
             f"{centroids.shape}, not a numeric k x {params.latent_dim} matrix")
-    ds = _load_dataset(args.data)
-    _check_width(meta, ds, "train-derc")
     dcfg, settings = _stage_config(derc_cluster.DercConfig, args,
                                    k=centroids.shape[0],
                                    seed=stage_seed(args.seed, "derc"))
@@ -190,12 +175,10 @@ def cmd_train_derc(args):
     data_io.save_model(args.out, result.params, centroids=result.centroids,
                        extra_meta=dict(beta=dcfg.beta))
     if args.history:
-        _write_history(args.history, result.history,
-                       "iteration,cluster_loss,recon_loss,total_loss")
-    with open(args.pred, "w", encoding="utf-8") as fh:
-        fh.write("sample_id,cluster\n")
-        for sid, cid in zip(ds.sample_ids, result.cluster_ids):
-            fh.write(f"{sid},{cid}\n")
+        data_io.save_table(args.history, "iteration,cluster_loss,recon_loss,total_loss",
+                           result.history)
+    data_io.save_table(args.pred, "sample_id,cluster",
+                       zip(ds.sample_ids, result.cluster_ids))
     write_manifest(args.out, "derc", [args.model, args.centroids, args.data], settings)
     sizes = np.bincount(result.cluster_ids, minlength=dcfg.k)
     print(f"trained DERC (beta={dcfg.beta}); cluster sizes {sizes.tolist()}")
@@ -244,14 +227,11 @@ def cmd_evaluate(args):
 
 
 def cmd_export_latent(args):
-    params, _, meta = data_io.load_model(args.model)
-    ds = _load_dataset(args.data)
-    _check_width(meta, ds, "export-latent")
+    params, ds = _model_and_data(args, "export-latent")
     z = ae.encode(params, ds.values)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("sample_id," + ",".join(f"z{j}" for j in range(z.shape[1])) + "\n")
-        for sid, row in zip(ds.sample_ids, z.tolist()):
-            fh.write(sid + "," + ",".join(map(repr, row)) + "\n")
+    header = ",".join(["sample_id", *(f"z{j}" for j in range(z.shape[1]))])
+    data_io.save_table(args.out, header,
+                       ([sid, *row] for sid, row in zip(ds.sample_ids, z.tolist())))
     print(f"wrote {z.shape[0]}x{z.shape[1]} latent matrix to {args.out}")
 
 

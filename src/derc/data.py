@@ -62,10 +62,10 @@ class Dataset:
             )
         if len(self.feature_ids) != d:
             raise ValidationError("feature_ids length does not match matrix width")
-        if len(set(self.feature_ids)) != d:
-            raise ValidationError("feature_ids are not unique")
+        _require_unique("feature", self.feature_ids)
         if len(self.sample_ids) != n:
             raise ValidationError("sample_ids length does not match matrix height")
+        _require_unique("sample", self.sample_ids)
         if self.labels is not None:
             if len(self.labels) != n:
                 raise ValidationError("labels length does not match sample count")
@@ -80,6 +80,15 @@ class Dataset:
             sample_ids=list(self.sample_ids),
             labels=None if self.labels is None else self.labels.copy(),
         )
+
+
+def _require_unique(kind: str, ids: list[str]) -> None:
+    """Reject ids in which one repeats, naming the first repeat."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise ValidationError(f"{kind} id {i!r} repeats an earlier {kind} id")
+        seen.add(i)
 
 
 @dataclass
@@ -162,9 +171,15 @@ def _require_cells(path, values: np.ndarray) -> None:
     n, d = values.shape
     if n == 0 or d == 0:
         raise ValidationError(f"{path}: the table holds {n} samples and {d} features")
-    # fmax skips NaN, so the reduction is NaN only if every cell is missing
-    if np.isnan(np.fmax.reduce(values, axis=None)):
+    # fmin and fmax skip NaN, so the range is NaN only if every cell is
+    # missing; a cell that is not missing must be finite
+    lo, hi = np.fmin.reduce(values, axis=None), np.fmax.reduce(values, axis=None)
+    if np.isnan(hi):
         raise ValidationError(f"{path}: every cell of the table is missing")
+    if np.isinf(lo) or np.isinf(hi):
+        i, j = np.argwhere(np.isinf(values))[0]
+        raise ValidationError(f"{path}: non-finite cell at sample {i}, feature {j}: "
+                              f"{values[i, j]}")
 
 
 def load_series_matrix(path) -> Dataset:
@@ -250,18 +265,24 @@ def load_csv(path) -> Dataset:
     return ds
 
 
+def save_table(path, header: str | None, rows) -> None:
+    """Write the header line, when one is given, then each row's cells
+    joined by commas. str of a Python float or an np.float64 is its shortest
+    round-trip repr, so every float reads back bit for bit."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Write a Dataset in the load_csv format (label column when present)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = list(dataset.feature_ids)
-        if dataset.labels is not None:
-            header.append("label")
-        fh.write(",".join(header) + "\n")
-        for i, row in enumerate(dataset.values.tolist()):
-            cells = list(map(repr, row))
-            if dataset.labels is not None:
-                cells.append(str(int(dataset.labels[i])))
-            fh.write(",".join(cells) + "\n")
+    header, rows = list(dataset.feature_ids), dataset.values.tolist()
+    if dataset.labels is not None:
+        header.append("label")
+        rows = ([*row, int(label)] for row, label in zip(rows, dataset.labels))
+    save_table(path, ",".join(header), rows)
 
 
 def generate_synthetic(spec: SynthSpec) -> Dataset:

@@ -49,7 +49,6 @@ def _lloyd(z: np.ndarray, k: int, rng: np.random.Generator):
                 dist_own = d2[np.arange(n), assignments]
                 far = int(np.argmax(dist_own))
                 new_centroids[j] = z[far]
-                assignments[far] = j
                 d2 = _squared_distances(z, new_centroids)
                 assignments = np.argmin(d2, axis=1)
         shift = np.max(np.linalg.norm(new_centroids - centroids, axis=1))

@@ -290,9 +290,10 @@ class DeferredLayer(Layer):
         opt.update(self.bias, db)
 
     def _b(self) -> np.ndarray:
-        """b_ts of each pending row, all 1 at momentum 0."""
+        """b_ts of each pending row, all 1 at momentum 0, in the weights' dtype."""
         m = self.momentum
-        return (1.0 - m ** (self.steps - self.step_of[:self.rows] + 1)) / (1.0 - m)
+        b = (1.0 - m ** (self.steps - self.step_of[:self.rows] + 1)) / (1.0 - m)
+        return b.astype(self.weights.dtype, copy=False)
 
     def _c(self) -> float:
         """c_t, the weight of V0 in W_t: 0 at momentum 0 and right after a flush."""
@@ -360,7 +361,8 @@ class DeferredLayer(Layer):
         """Bring V0 to the flushed window's V_t, a block of rows at a time."""
         rows, t = self.unformed
         m = self.momentum
-        h = self._scaled_pending_in(m ** (t - self.step_of[:rows]))
+        decay = m ** (t - self.step_of[:rows])
+        h = self._scaled_pending_in(decay.astype(self.weights.dtype, copy=False))
         if self.velocity is None:
             self.velocity = np.zeros_like(self.weights)
         for r, block in _product_blocks(self.pending[:rows], h):

@@ -329,16 +329,38 @@ def _bad_pred_line(line):
     return argv
 
 
-def _prescreen_file(name, content):
+def _prescreen_file(name, content, labels_text="0\n1\n"):
     """prescreen on a data file holding content (bytes), with a labels file."""
     def argv(tmp_path):
         path = tmp_path / name
         path.write_bytes(content)
         labels = tmp_path / "labels.txt"
-        labels.write_text("0\n1\n")
+        labels.write_text(labels_text)
         return ["prescreen", "--data", path, "--labels", labels,
                 "--out-data", tmp_path / "f.csv", "--out-report", tmp_path / "r.csv",
                 "--out-kept", tmp_path / "k.txt"]
+    return argv
+
+
+def _prescreen_labels(content):
+    """prescreen on the 40-sample cohort with a --labels file holding content."""
+    def argv(tmp_path):
+        raw, _ = synth_csv(tmp_path)
+        labels = tmp_path / "labels.txt"
+        labels.write_text(content)
+        return ["prescreen", "--data", raw, "--labels", labels,
+                "--out-data", tmp_path / "f.csv", "--out-report", tmp_path / "r.csv",
+                "--out-kept", tmp_path / "k.txt"]
+    return argv
+
+
+def _model_bytes(name, make):
+    """export-latent on the 30-wide cohort with a model file written by make(path)."""
+    def argv(tmp_path):
+        raw, _ = synth_csv(tmp_path)
+        model = tmp_path / name
+        make(model)
+        return ["export-latent", "--model", model, "--data", raw, "--out", tmp_path / "z.csv"]
     return argv
 
 
@@ -362,6 +384,11 @@ def _pred_bytes(content):
 
 
 SERIES_HEADER = b'!series_matrix_table_begin\n"ID_REF"\t"GSM1"\t"GSM2"\n'
+# four samples, the third repeating the second's id; prescreen on it with
+# the labels 0 0 1 1 otherwise exits 0
+REPEATED_SAMPLE = (b'!series_matrix_table_begin\n"ID_REF"\t"GSM1"\t"GSM2"\t"GSM2"\t"GSM3"\n'
+                   b'"cg1"\t0.1\t0.2\t0.7\t0.8\n"cg2"\t0.5\t0.3\t0.4\t0.6\n'
+                   b'!series_matrix_table_end\n')
 
 # bad input -> (argv builder, exit code, substrings of the one stderr line)
 BAD_INPUTS = {
@@ -479,6 +506,33 @@ BAD_INPUTS = {
     "evaluate-positive-label-negative": (
         _pred_for_every_sample(2, flags=("--positive-label", "-1")), 2,
         ["positive label -1", "0..1"]),
+    "series-matrix-repeated-sample": (_prescreen_file(
+        "series_matrix.txt", REPEATED_SAMPLE, "0\n0\n1\n1\n"), 2,
+        ["sample id 'GSM2'", "repeats"]),
+    "labels-too-few": (_prescreen_labels("0\n1\n"), 2,
+                       ["labels.txt", "2 labels for 40 samples"]),
+    "labels-not-integer": (_prescreen_labels("yes\n" * 40), 2,
+                           ["labels.txt", "integer 0/1"]),
+    "labels-not-binary": (_prescreen_labels("0\n1\n2\n" + "0\n" * 37), 2,
+                          ["labels.txt", "binary 0/1"]),
+    "csv-empty": (_prescreen_file("e.csv", b""), 2, ["e.csv", "empty file"]),
+    "csv-infinite-cell": (_prescreen_file("inf.csv", b"f1,f2\n0.5,0.2\n0.1,-inf\n"), 2,
+                          ["inf.csv", "non-finite cell", "sample 1, feature 1", "-inf"]),
+    "series-matrix-row-misses-a-column": (_prescreen_file(
+        "series_matrix.txt", SERIES_HEADER + b'"cg1"\t0.1\n!series_matrix_table_end\n'), 2,
+        ["series_matrix.txt", "row 0 has 2 columns", "expected 3"]),
+    "container-truncated-in-version": (_model_bytes(
+        "trunc.derc", lambda p: p.write_bytes(data.CONTAINER_MAGIC + b"\x01\x00")), 2,
+        ["trunc.derc", "truncated container header"]),
+    "ae-container-without-encoder-layers": (_model_bytes(
+        "noenc.derc", lambda p: data.save_container(
+            p, dict(dec0_w=np.zeros((30, 4)), dec0_b=np.zeros(30)),
+            dict(kind="ae", activations=dict(enc=[], dec=["sigmoid"])))), 2,
+        ["noenc.derc", "'enc': 0", "'dec': 1"]),
+    "pred-without-header": (_pred_bytes(b"s0,1\n"), 2,
+                            ["pred.csv", "expected header 'sample_id,cluster'"]),
+    "pred-misses-a-sample": (_bad_pred_line("s0,1"), 2,
+                             ["pred.csv", "missing predictions", "'s1'"]),
 }
 
 
@@ -513,6 +567,21 @@ class TestErrors:
                     "--out-kept", tmp_path / "k.txt"])
         assert code == 2
         assert "label" in capsys.readouterr().err
+
+    def test_labels_file_with_header(self, tmp_path):
+        # a --labels file may start with a `label` line; it gives the outputs
+        # of the cohort's own label column
+        raw, ds = synth_csv(tmp_path)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("label\n" + "".join(f"{v}\n" for v in ds.labels))
+        for name, extra in (("own", []), ("file", ["--labels", labels])):
+            assert run(["prescreen", "--data", raw, *extra,
+                        "--out-data", tmp_path / f"{name}.csv",
+                        "--out-report", tmp_path / f"{name}_screen.csv",
+                        "--out-kept", tmp_path / f"{name}_kept.txt"]) == 0
+        for suffix in (".csv", "_screen.csv", "_kept.txt"):
+            assert ((tmp_path / f"own{suffix}").read_bytes()
+                    == (tmp_path / f"file{suffix}").read_bytes())
 
     def test_usage_error_exit_1(self):
         assert run(["prescreen"]) == 1

@@ -227,6 +227,62 @@ class TestCsv:
         assert back.labels.tolist() == ds.labels.tolist()
 
 
+class TestValidate:
+    @pytest.mark.parametrize("kind", ["feature", "sample"])
+    def test_repeated_id_named(self, kind):
+        ds = data.Dataset(values=np.full((3, 3), 0.5), feature_ids=["f0", "f1", "f2"],
+                          sample_ids=["s0", "s1", "s2"])
+        setattr(ds, f"{kind}_ids", ["a", "b", "a"])
+        with pytest.raises(ValidationError, match=f"{kind} id 'a' repeats"):
+            ds.validate()
+
+    def test_series_matrix_repeated_sample(self, tmp_path):
+        text = GEO_SMALL.replace('"GSM2"\t"GSM3"\n"cg0001"', '"GSM2"\t"GSM2"\n"cg0001"')
+        with pytest.raises(ValidationError, match="sample id 'GSM2' repeats"):
+            data.load_series_matrix(write(tmp_path, "m.txt", text))
+
+
+# float64 values whose text is easy to get wrong: signed zero, NaN and the
+# infinities, the subnormal and normal floors, the largest float, where
+# repr switches to exponents, and values with a long shortest repr
+FLOAT_EDGES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1e16, 1e-5, 1e-4, 0.1, 1 / 3, 2.0 ** 53 + 2]
+
+
+class TestSaveTable:
+    def test_float_cells_read_back_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(0)
+        scaled = rng.normal(size=300) * 10.0 ** rng.integers(-30, 31, size=300)
+        values = np.concatenate([FLOAT_EDGES, scaled])
+        path = tmp_path / "t.csv"
+        data.save_table(path, "i,python,numpy",
+                        [(i, float(v), np.float64(v)) for i, v in enumerate(values)])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "i,python,numpy"
+        cells = [ln.split(",") for ln in lines[1:]]
+        assert [c[0] for c in cells] == [str(i) for i in range(len(values))]
+        # a Python float and an np.float64 are written as the same text
+        assert all(c[1] == c[2] == repr(float(v)) for c, v in zip(cells, values))
+        back = np.array([[float(c[1]), float(c[2])] for c in cells])
+        for col in back.T:
+            assert col.view(np.int64).tolist() == values.view(np.int64).tolist()
+
+    def test_history_row_with_numpy_float(self, tmp_path):
+        # a trainer's history mixes ints and Python floats with np.float64 losses
+        path = tmp_path / "h.csv"
+        data.save_table(path, "epoch,train_loss,val_loss",
+                        [(0, np.float64(0.1) + np.float64(0.2), float("nan")),
+                         (np.int64(1), 1e-05, np.float64(1) / 3)])
+        assert path.read_text() == ("epoch,train_loss,val_loss\n"
+                                    "0,0.30000000000000004,nan\n"
+                                    "1,1e-05,0.3333333333333333\n")
+
+    def test_no_header(self, tmp_path):
+        path = tmp_path / "kept.txt"
+        data.save_table(path, None, [("cg1",), ("cg2",)])
+        assert path.read_text() == "cg1\ncg2\n"
+
+
 # every cell form the loaders accept, all in [0, 1]; the last column is
 # missing throughout
 MIXED_GRID = [

@@ -575,7 +575,10 @@ class TestDtypeBoundary:
             opt = nw.SgdMomentum([*params.all_layers(), centroids], cfg.lr, momentum)
             opt.step(g)
             trained = [*nw.collect_params(opt.params), opt._scratch, *(opt.velocity or ())]
-            windows = [deferred.pending, deferred.pending_in, deferred._scaled_in]
+            # mid-window: the step's rows are pending, weighted by b_ts
+            assert deferred.rows == 2
+            windows = [deferred.pending, deferred.pending_in, deferred._scaled_in,
+                       deferred._b()]
             assert (deferred.velocity is not None) == bool(momentum)
             if momentum:
                 windows.append(deferred.velocity)
