@@ -42,7 +42,6 @@ def _load_dataset(path, need_labels=False, labels_path=None) -> data_io.Dataset:
         ds = data_io.load_csv(path)
     if labels_path is not None:
         ds.labels = _load_labels(labels_path, ds.n_samples)
-        ds.validate()
     if need_labels and ds.labels is None:
         raise ValidationError(
             f"{path}: labels are required (label column or --labels file)"

@@ -11,6 +11,7 @@ import json
 import logging
 import struct
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,8 +167,12 @@ def read_text(path) -> str:
         raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})")
 
 
-def _require_cells(path, values: np.ndarray) -> None:
-    """Reject a table without a sample row, a feature column or a value."""
+def _cohort(path, values: np.ndarray, feature_ids: list[str], sample_ids: list[str],
+            labels: np.ndarray | None = None) -> Dataset:
+    """The Dataset a loader read from path, its missing cells imputed and
+    all-missing features dropped. A table without a sample row, a feature
+    column or a value raises ValidationError, as does any rejection by
+    Dataset.validate; each message names path."""
     n, d = values.shape
     if n == 0 or d == 0:
         raise ValidationError(f"{path}: the table holds {n} samples and {d} features")
@@ -180,6 +185,14 @@ def _require_cells(path, values: np.ndarray) -> None:
         i, j = np.argwhere(np.isinf(values))[0]
         raise ValidationError(f"{path}: non-finite cell at sample {i}, feature {j}: "
                               f"{values[i, j]}")
+    values, feature_ids, _ = _impute_feature_means(values, feature_ids)
+    ds = Dataset(values=values, feature_ids=feature_ids, sample_ids=sample_ids,
+                 labels=labels)
+    try:
+        ds.validate()
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}")
+    return ds
 
 
 def load_series_matrix(path) -> Dataset:
@@ -216,12 +229,7 @@ def load_series_matrix(path) -> Dataset:
         rows[r] = _parse_row(parts[1:], r, 1)
     del lines
 
-    values = rows.T
-    _require_cells(path, values)
-    values, feature_ids, _ = _impute_feature_means(values, probe_ids)
-    ds = Dataset(values=values, feature_ids=feature_ids, sample_ids=sample_ids)
-    ds.validate()
-    return ds
+    return _cohort(path, rows.T, probe_ids, sample_ids)
 
 
 def load_csv(path) -> Dataset:
@@ -253,16 +261,8 @@ def load_csv(path) -> Dataset:
         rows.append(_parse_row(parts, r, 0))
 
     values = np.asarray(rows, dtype=float).reshape(len(rows), len(feature_ids))
-    _require_cells(path, values)
-    values, feature_ids, _ = _impute_feature_means(values, list(feature_ids))
-    ds = Dataset(
-        values=values,
-        feature_ids=feature_ids,
-        sample_ids=[f"s{i}" for i in range(values.shape[0])],
-        labels=np.asarray(labels, dtype=int) if has_labels else None,
-    )
-    ds.validate()
-    return ds
+    return _cohort(path, values, feature_ids, [f"s{i}" for i in range(len(rows))],
+                   np.asarray(labels, dtype=int) if has_labels else None)
 
 
 def save_table(path, header: str | None, rows) -> None:
@@ -432,7 +432,9 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
                 f"version {CONTAINER_VERSION}"
             )
         # the archive is read from the open file past the header, and its
-        # members only when indexed, so every read sits in the try
+        # members only when indexed, so every read sits in the try; a member
+        # that does not decompress raises NotImplementedError (an unknown
+        # compression method) or zlib.error (bad deflate data)
         try:
             archive = np.load(fh, allow_pickle=False)
             if isinstance(archive, np.ndarray):
@@ -440,7 +442,8 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
                                  f"not an archive")
             with archive:
                 arrays = {k: archive[k] for k in archive.files}
-        except (zipfile.BadZipFile, ValueError, OSError, EOFError) as exc:
+        except (zipfile.BadZipFile, zlib.error, NotImplementedError, ValueError, OSError,
+                EOFError) as exc:
             raise ParseError(f"{path}: truncated or corrupt container payload: {exc}")
     try:
         meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))

@@ -34,7 +34,6 @@ def _squared_distances(z: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _lloyd(z: np.ndarray, k: int, rng: np.random.Generator):
     n = z.shape[0]
     centroids = z[rng.choice(n, size=k, replace=False)].copy()
-    assignments = np.zeros(n, dtype=int)
     for _ in range(MAX_ITER):
         d2 = _squared_distances(z, centroids)
         assignments = np.argmin(d2, axis=1)

@@ -1,3 +1,6 @@
+import io
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -89,3 +92,29 @@ def write_series_matrix(path, n_samples, n_probes, seed):
              "!series_matrix_table_end"]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def set_compression_method(path, method):
+    """Make the first central-directory entry of the container at path name
+    the zip compression method `method`."""
+    raw = bytearray(path.read_bytes())
+    at = raw.find(b"PK\x01\x02") + 10  # the entry's compression method
+    raw[at:at + 2] = method.to_bytes(2, "little")
+    path.write_bytes(bytes(raw))
+
+
+def write_deflated_container(path, arrays, meta, corrupt=False):
+    """data.save_container's layout with the archive deflated by
+    np.savez_compressed; when corrupt, the first byte of the first member's
+    deflate data is inverted, which zlib cannot decompress."""
+    from derc import data
+
+    buf = io.BytesIO()
+    np.savez_compressed(buf, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                        **arrays)
+    raw = bytearray(buf.getvalue())
+    if corrupt:
+        # a zip local header is 30 bytes, then the member's name and extra field
+        name_len, extra_len = struct.unpack("<HH", raw[26:30])
+        raw[30 + name_len + extra_len] ^= 0xFF
+    path.write_bytes(data.CONTAINER_MAGIC + struct.pack("<I", data.CONTAINER_VERSION) + raw)

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import poison_last_step, write_series_matrix
+from conftest import (poison_last_step, set_compression_method, write_deflated_container,
+                      write_series_matrix)
 from derc import autoencoder, cluster, config, data, prescreen
 from derc.autoencoder import encode
 from derc.cli import main
@@ -218,6 +219,12 @@ def _centroids_array(centroids):
         data.save_container(cents, dict(centroids=centroids), dict(kind="centroids"))
         return ["train-derc", "--model", model, "--centroids", cents, "--data", raw,
                 "--out", tmp_path / "t.derc", "--pred", tmp_path / "p.csv"]
+    return argv
+
+
+def _centroids_unknown_compression(tmp_path):
+    argv = _centroids_array(np.zeros((2, 4)))(tmp_path)
+    set_compression_method(tmp_path / "c.derc", 99)
     return argv
 
 
@@ -508,7 +515,7 @@ BAD_INPUTS = {
         ["positive label -1", "0..1"]),
     "series-matrix-repeated-sample": (_prescreen_file(
         "series_matrix.txt", REPEATED_SAMPLE, "0\n0\n1\n1\n"), 2,
-        ["sample id 'GSM2'", "repeats"]),
+        ["series_matrix.txt", "sample id 'GSM2'", "repeats"]),
     "labels-too-few": (_prescreen_labels("0\n1\n"), 2,
                        ["labels.txt", "2 labels for 40 samples"]),
     "labels-not-integer": (_prescreen_labels("yes\n" * 40), 2,
@@ -533,6 +540,16 @@ BAD_INPUTS = {
                             ["pred.csv", "expected header 'sample_id,cluster'"]),
     "pred-misses-a-sample": (_bad_pred_line("s0,1"), 2,
                              ["pred.csv", "missing predictions", "'s1'"]),
+    "csv-value-out-of-range": (_prescreen_file("oor.csv", b"f1,f2\n0.5,1.5\n0.1,0.2\n"), 2,
+                               ["oor.csv", "value outside [0, 1]", "sample 0, feature 1"]),
+    "csv-repeated-feature": (_prescreen_file("dupf.csv", b"f1,f1\n0.5,0.2\n0.1,0.3\n"), 2,
+                             ["dupf.csv", "feature id 'f1' repeats"]),
+    "centroids-unknown-compression": (_centroids_unknown_compression, 2,
+                                      ["c.derc", "corrupt", "not supported"]),
+    "model-deflate-data-corrupt": (_model_bytes(
+        "z.derc", lambda p: write_deflated_container(
+            p, dict(enc0_w=np.zeros((4, 30))), dict(kind="ae"), corrupt=True)), 2,
+        ["z.derc", "corrupt", "decompressing"]),
 }
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import traced_peak, write_series_matrix
+from conftest import (set_compression_method, traced_peak, write_deflated_container,
+                      write_series_matrix)
 from derc import data
 from derc.errors import ParseError, ValidationError
 
@@ -238,8 +239,14 @@ class TestValidate:
 
     def test_series_matrix_repeated_sample(self, tmp_path):
         text = GEO_SMALL.replace('"GSM2"\t"GSM3"\n"cg0001"', '"GSM2"\t"GSM2"\n"cg0001"')
-        with pytest.raises(ValidationError, match="sample id 'GSM2' repeats"):
+        with pytest.raises(ValidationError, match="m.txt: sample id 'GSM2' repeats"):
             data.load_series_matrix(write(tmp_path, "m.txt", text))
+
+    def test_csv_rejection_names_file(self, tmp_path):
+        p = write(tmp_path, "oor.csv", "f1,f2\n0.5,1.5\n0.1,0.2\n")
+        with pytest.raises(ValidationError, match=r"oor.csv: value outside \[0, 1\] at "
+                                                  r"sample 0, feature 1: 1.5"):
+            data.load_csv(p)
 
 
 # float64 values whose text is easy to get wrong: signed zero, NaN and the
@@ -443,3 +450,21 @@ class TestModelContainer:
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(ParseError, match="truncated|corrupt"):
             data.load_model(path)
+
+    def test_unknown_compression_method(self, tmp_path):
+        path = tmp_path / "c.derc"
+        data.save_container(path, dict(centroids=np.zeros((2, 4))), dict(kind="centroids"))
+        set_compression_method(path, 99)
+        with pytest.raises(ParseError, match="c.derc: truncated or corrupt.*not supported"):
+            data.load_container(path)
+
+    def test_deflate_data_corrupt(self, tmp_path):
+        # a deflated archive loads; one that fails to decompress is corrupt
+        path = tmp_path / "z.derc"
+        arrays = dict(w=np.arange(6.0).reshape(2, 3))
+        write_deflated_container(path, arrays, dict(kind="x"))
+        stored, meta = data.load_container(path)
+        assert np.array_equal(stored["w"], arrays["w"]) and meta == dict(kind="x")
+        write_deflated_container(path, arrays, dict(kind="x"), corrupt=True)
+        with pytest.raises(ParseError, match="z.derc: truncated or corrupt.*decompressing"):
+            data.load_container(path)
