@@ -107,19 +107,11 @@ def encode(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def reconstruct(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    z, _ = forward_layers(params.encoder_layers, x)
-    r, _ = forward_layers(params.decoder_layers, z)
-    return r
-
-
 def vae_kl(mu: np.ndarray, log_var: np.ndarray) -> float:
     """KL divergence from N(mu, sigma) to N(0, 1), summed over dimensions.
 
     Nonnegative; zero iff mu = 0 and log_var = 0.
     """
-    if mu.shape != log_var.shape:
-        raise ValidationError("mu and log_var must have equal shapes")
     return float(-0.5 * np.sum(1.0 + log_var - mu * mu - np.exp(log_var)))
 
 

@@ -70,8 +70,8 @@ def _model_and_data(args, what: str):
     params, _, _ = data_io.load_model(args.model)
     ds = _load_dataset(args.data)
     if params.input_dim != ds.n_features:
-        raise ValidationError(f"{what}: model expects {params.input_dim} features, "
-                              f"data has {ds.n_features}")
+        raise ValidationError(f"{what}: model {args.model} expects {params.input_dim} "
+                              f"features, data {args.data} has {ds.n_features}")
     return params, ds
 
 
@@ -163,10 +163,10 @@ def cmd_train_derc(args):
         raise ValidationError(f"{args.centroids}: container holds no centroids")
     centroids = arrays["centroids"]
     if (centroids.dtype.kind not in "fiu" or centroids.ndim != 2
-            or centroids.shape[1] != params.latent_dim):
+            or centroids.shape[0] < 1 or centroids.shape[1] != params.latent_dim):
         raise ValidationError(
             f"{args.centroids}: centroids are a {centroids.dtype} array of shape "
-            f"{centroids.shape}, not a numeric k x {params.latent_dim} matrix")
+            f"{centroids.shape}, not a numeric k x {params.latent_dim} matrix, k >= 1")
     dcfg, settings = _stage_config(derc_cluster.DercConfig, args,
                                    k=centroids.shape[0],
                                    seed=stage_seed(args.seed, "derc"))

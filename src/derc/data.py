@@ -12,7 +12,7 @@ import logging
 import struct
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -367,13 +367,19 @@ def load_model(path):
         raise ValidationError(
             f"{path}: container holds {kind!r}, not a model ('ae' or 'vae')")
     names = ("trunk", "mu", "dec", "lv") if kind == "vae" else ("enc", "dec")
+    acts = meta.get("activations")
+    if not (isinstance(acts, dict) and all(isinstance(acts.get(n), list) for n in names)):
+        raise ValidationError(f"{path}: {kind} model's activations record {acts!r} is not "
+                              f"an object holding a list for each of {', '.join(names)}")
     try:
         stacks = {name: [(f"{name}{i}", DenseLayer(arrays[f"{name}{i}_w"],
                                                    arrays[f"{name}{i}_b"], act))
-                         for i, act in enumerate(meta["activations"][name])]
+                         for i, act in enumerate(acts[name])]
                   for name in names}
     except KeyError as exc:
         raise ValidationError(f"{path}: {kind} model container lacks {exc}")
+    except ValidationError as exc:  # an unknown activation
+        raise ValidationError(f"{path}: {exc}")
     sizes = {name: len(stack) for name, stack in stacks.items()}
     # an encoder and a decoder layer at least; a VAE's one mean and one
     # log-variance head

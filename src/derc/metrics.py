@@ -19,7 +19,6 @@ class MetricsReport:
     fp: int
     fn: int
     mapping: dict[int, int]
-    confusion: np.ndarray  # rows: true label 0/1, cols: mapped prediction 0/1
 
     def csv_row(self, method: str) -> str:
         return (f"{method},{self.acc:.4f},{self.error_rate_percent:.2f},"
@@ -88,12 +87,11 @@ def evaluate(y, c, positive_label: int = 1) -> MetricsReport:
         raise ValidationError(f"cluster ids {outside} are outside the label "
                               f"classes 0..{len(classes) - 1}")
     acc, mapping = clustering_accuracy(y, c)
-    fp, fn, confusion = confusion_counts(y, c, mapping, positive_label)
+    fp, fn, _ = confusion_counts(y, c, mapping, positive_label)
     return MetricsReport(
         acc=acc,
         error_rate_percent=(1.0 - acc) * 100.0,
         fp=fp,
         fn=fn,
         mapping=mapping,
-        confusion=confusion,
     )

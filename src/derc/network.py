@@ -43,8 +43,6 @@ def init_bound(n_input: int) -> float:
 
 def init_uniform(shape, n_input: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform weights on [-l, l] with l = sqrt(3*s/n_input), s = 1/3."""
-    if n_input < 1:
-        raise ValidationError("n_input must be >= 1")
     l = init_bound(n_input)
     return rng.uniform(-l, l, size=shape)
 
@@ -64,25 +62,13 @@ def sigmoid(z):
     return out
 
 
-def _activate(z, name):
-    if name == "relu":
-        return relu(z)
-    if name == "sigmoid":
-        return sigmoid(z)
-    if name == "linear":
-        return z
-    raise ValidationError(f"unknown activation {name!r}")
-
-
-def _activation_grad(z, a, name):
-    # derivative w.r.t. pre-activation; relu'(0) defined as 0
-    if name == "relu":
-        return (z > 0).astype(z.dtype)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "linear":
-        return np.ones_like(z)
-    raise ValidationError(f"unknown activation {name!r}")
+# activation name -> (its function of the pre-activation z, its derivative
+# given z and the activation a); relu'(0) is defined as 0
+ACTIVATIONS = {
+    "relu": (relu, lambda z, a: (z > 0).astype(z.dtype)),
+    "sigmoid": (sigmoid, lambda z, a: a * (1.0 - a)),
+    "linear": (lambda z: z, lambda z, a: np.ones_like(z)),
+}
 
 
 class Layer:
@@ -114,6 +100,11 @@ class DenseLayer(Layer):
     weights: np.ndarray
     bias: np.ndarray
     activation: str = "relu"
+
+    def __post_init__(self):
+        # a tuple, so that a JSON list or null is rejected, not a TypeError
+        if self.activation not in tuple(ACTIVATIONS):
+            raise ValidationError(f"unknown activation {self.activation!r}")
 
     @classmethod
     def create(cls, n_in: int, n_out: int, activation: str,
@@ -449,7 +440,7 @@ def forward_layers(layers: list[DenseLayer], x: np.ndarray,
     a = x
     for layer in layers:
         a_in, z = layer.forward(a, rows)
-        a_next = _activate(z, layer.activation)
+        a_next = ACTIVATIONS[layer.activation][0](z)
         cache.append((a_in, z, a_next))
         a = a_next
     return a, cache
@@ -460,17 +451,16 @@ def backward_layers(layers: list[DenseLayer], cache, grad_out: np.ndarray):
 
     Returns ([((a, b), db)] aligned with layers, gradient w.r.t. the stack
     input). Each weight gradient a.T @ b is returned as its factors and
-    never formed; flatten_grads gives the dense arrays and each layer's
-    update takes the factors. They are (dz, x_in) for a dense layer's
-    weights and (e, dz) for a RowSpaceLayer's coef, e the one-hot rows
-    forward_layers cached. A RowSpaceLayer has no input gradient: None is
+    never formed; each layer's update takes the factors. They are (dz, x_in)
+    for a dense layer's weights and (e, dz) for a RowSpaceLayer's coef, e the
+    one-hot rows forward_layers cached. A RowSpaceLayer has no input gradient: None is
     returned for it.
     """
     grads = [None] * len(layers)
     g = grad_out
     for idx in range(len(layers) - 1, -1, -1):
         x_in, z, a = cache[idx]
-        dz = g * _activation_grad(z, a, layers[idx].activation)
+        dz = g * ACTIVATIONS[layers[idx].activation][1](z, a)
         factors, g = layers[idx].backward(x_in, dz)
         grads[idx] = (factors, dz.sum(axis=0))
     return grads, g
@@ -599,15 +589,6 @@ def check_finite(params: list, what: str) -> None:
                 if not np.isfinite(np.dot(block, zeros[:block.size])):
                     raise NumericError(f"{what}: non-finite value in trained "
                                        f"parameter {i}")
-
-
-def flatten_grads(grads) -> list[np.ndarray]:
-    """Dense [dW, db, ...] from backward_layers' [((a, b), db), ...]."""
-    out = []
-    for (a, b), db in grads:
-        out.append(a.T @ b)
-        out.append(db)
-    return out
 
 
 @dataclass

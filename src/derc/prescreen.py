@@ -265,9 +265,8 @@ def wilcoxon_rank_sum(a, b) -> float:
         return _exact_rank_sum_pvalue(2.0 * ranks, n_a, 2.0 * w)
     mean = n_a * (n + 1) / 2.0
     tie_term = np.add.reduce(tie_counts**3 - tie_counts) / (n * (n - 1))
+    # var > 0: a non-constant sample's tie_term is at most n - 2 (runs of n - 1 and 1)
     var = n_a * n_b / 12.0 * (n + 1 - tie_term)
-    if var == 0.0:
-        return 1.0
     z = (w - mean) / np.sqrt(var)
     return float(min(2.0 * special.ndtr(-abs(z)), 1.0))
 

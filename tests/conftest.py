@@ -12,6 +12,15 @@ def jitter_biases(layers, rng, scale=0.1):
         layer.bias += rng.normal(0.0, scale, size=layer.bias.shape)
 
 
+def flatten_grads(grads) -> list[np.ndarray]:
+    """Dense [dW, db, ...] from backward_layers' [((a, b), db), ...]."""
+    out = []
+    for (a, b), db in grads:
+        out.append(a.T @ b)
+        out.append(db)
+    return out
+
+
 def finite_diff(loss_fn, tensors, grads, eps=1e-5):
     """Max relative error between analytic grads and central differences."""
     worst = 0.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import finite_diff, jitter_biases
+from conftest import finite_diff, flatten_grads, jitter_biases
 from derc import autoencoder as ae
 from derc import cluster as cl
 from derc import data, kmeans
@@ -47,7 +47,7 @@ class TestCriterion1Gradients:
         dg, dz = nw.backward_layers(params.decoder_layers, dc, dmse)
         eg, _ = nw.backward_layers(params.encoder_layers, ec, dz)
         worst = max(worst, finite_diff(ae_loss, nw.collect_params(params.all_layers()),
-                                       nw.flatten_grads([*eg, *dg])))
+                                       flatten_grads([*eg, *dg])))
 
         # VAE KL-weighted loss with frozen sampling noise
         vparams = ae.build_vae([6, 5, 3], rng)
@@ -56,7 +56,7 @@ class TestCriterion1Gradients:
         _, vgrads, _ = ae.vae_loss_and_grads(vparams, x, eps, 0.8)
         worst = max(worst, finite_diff(
             lambda: ae.vae_loss_and_grads(vparams, x, eps, 0.8)[0],
-            nw.collect_params(vparams.all_layers()), nw.flatten_grads(vgrads)))
+            nw.collect_params(vparams.all_layers()), flatten_grads(vgrads)))
 
         # clustering-layer gradients w.r.t. z and centroids
         zc = rng.normal(size=(4, 3))
@@ -199,7 +199,7 @@ class TestCriterion5PaperNumbers:
 
     def test_reconstruction_ordering(self, trained):
         ds, ae_params, vae_params = trained
-        ae_loss = nw.mse_loss(ds.values, ae.reconstruct(ae_params, ds.values))[0]
+        ae_loss = nw.mse_loss(ds.values, ae.vae_forward(ae_params, ds.values, None)[0])[0]
         vae_loss = ae.vae_reconstruction_loss(vae_params, ds.values, seed=0)
         assert ae_loss < vae_loss
         report("5b", f"reconstruction AE {ae_loss:.4f} < VAE {vae_loss:.4f}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import finite_diff, jitter_biases
+from conftest import finite_diff, flatten_grads, jitter_biases
 from derc import autoencoder as ae
 from derc import cluster as cl
 from derc import network as nw
@@ -64,7 +64,7 @@ class TestEncode:
         x = np.full((16, 12), 0.5)
         params, _ = ae.pretrain_ae(
             x, SMALL_SPEC, ae.PretrainConfig(epochs=60, lr=1.0, seed=4))
-        r = ae.reconstruct(params, x)
+        r = ae.vae_forward(params, x, None)[0]
         assert np.max(np.abs(r - x)) <= 0.02
 
 
@@ -154,7 +154,7 @@ class TestVae:
         _, grads, _ = ae.vae_loss_and_grads(params, x, eps, 0.8)
         err = finite_diff(
             lambda: ae.vae_loss_and_grads(params, x, eps, 0.8)[0],
-            nw.collect_params(params.all_layers()), nw.flatten_grads(grads))
+            nw.collect_params(params.all_layers()), flatten_grads(grads))
         assert err <= 1e-4
 
     def test_trunkless_loss_gradients(self):
@@ -167,7 +167,7 @@ class TestVae:
         _, grads, _ = ae.vae_loss_and_grads(params, x, eps, 0.8)
         err = finite_diff(
             lambda: ae.vae_loss_and_grads(params, x, eps, 0.8)[0],
-            nw.collect_params(params.all_layers()), nw.flatten_grads(grads))
+            nw.collect_params(params.all_layers()), flatten_grads(grads))
         assert err <= 1e-4
 
     def test_recon_weight_one_ignores_kl(self):

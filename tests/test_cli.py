@@ -199,6 +199,16 @@ def _model_with(**arrays):
     return argv
 
 
+def _model_activations(record):
+    """export-latent on the 30-16-4 AE with record as its activations record."""
+    def argv(tmp_path):
+        raw, model = _small_model(tmp_path)
+        stored, meta = data.load_container(model)
+        data.save_container(model, stored, {**meta, "activations": record})
+        return ["export-latent", "--model", model, "--data", raw, "--out", tmp_path / "z.csv"]
+    return argv
+
+
 def _vae_head_wider_than_mean(tmp_path):
     raw, _ = synth_csv(tmp_path)
     model = tmp_path / "vae.derc"
@@ -276,10 +286,10 @@ def _export_latent_with(*flags):
     return argv
 
 
-def _pretrain_with(*flags):
+def _pretrain_with(*flags, kind="ae"):
     def argv(tmp_path):
         raw, _ = synth_csv(tmp_path)
-        return ["pretrain", "ae", "--data", raw, "--out", tmp_path / "m.derc",
+        return ["pretrain", kind, "--data", raw, "--out", tmp_path / "m.derc",
                 "--dims", "30,16,4", "--epochs", "2", *flags]
     return argv
 
@@ -400,7 +410,7 @@ REPEATED_SAMPLE = (b'!series_matrix_table_begin\n"ID_REF"\t"GSM1"\t"GSM2"\t"GSM2
 # bad input -> (argv builder, exit code, substrings of the one stderr line)
 BAD_INPUTS = {
     "missing-file": (_missing_file, 2, ["nope.csv"]),
-    "width-mismatch": (_width_mismatch, 2, ["30", "20"]),
+    "width-mismatch": (_width_mismatch, 2, ["30", "20", "model.derc", "other.csv"]),
     "centroids-as-model": (_centroids_as_model, 2, ["not a model"]),
     "directory-as-data": (_directory_as_data, 2, ["directory"]),
     "pred-three-fields": (_bad_pred_line("s0,1,2"), 2, ["pred.csv", "line 2"]),
@@ -435,6 +445,24 @@ BAD_INPUTS = {
                             ["stop_delta", "[0, 1]", "nan"]),
     "pretrain-validation-holds-out-all": (_pretrain_with("--validation-fraction", "0.99"),
                                           2, ["validation_fraction", "40 samples"]),
+    "pretrain-validation-fraction-above-one": (
+        _pretrain_with("--validation-fraction", "1.5"), 2, ["validation_fraction", "[0, 1)"]),
+    "pretrain-vae-recon-weight-above-one": (
+        _pretrain_with("--vae-recon-weight", "2", kind="vae"), 2,
+        ["vae_recon_weight", "[0, 1]"]),
+    "pretrain-dims-input-width-unlike-data": (_pretrain_with("--dims", "20,8,2"), 2,
+                                              ["input width 20", "data width 30"]),
+    "derc-target-interval-zero": (_train_derc_with("--target-interval", "0"), 2,
+                                  ["target_interval", ">= 1"]),
+    "cluster-init-restarts-zero": (_cluster_init_with("--restarts", "0"), 2,
+                                   ["restarts", ">= 1"]),
+    "prescreen-alpha-zero": (_prescreen_with("--alpha", "0"), 2, ["alpha", "(0, 1)"]),
+    "prescreen-rho-threshold-zero": (_prescreen_with("--rho-threshold", "0"), 2,
+                                     ["rho_threshold", "(0, 1]"]),
+    "prescreen-two-samples": (_prescreen_file("two.csv", b"f1,f2\n0.5,0.2\n0.1,0.3\n"), 2,
+                              ["at least 3 samples"]),
+    "config-line-without-equals": (_config_bytes(b"epochs = 2\nepochs 3\n"), 2,
+                                   ["run.cfg:2", "expected 'key = value'", "'epochs 3\\n'"]),
     "derc-non-finite-loss": (_train_derc_with("--lr", "1e200"), 3, ["non-finite loss"]),
     "pretrain-vae-diverging": (_diverging_vae, 3,
                                ["numeric error: pretrain vae: epoch 1", "diverges"]),
@@ -448,6 +476,12 @@ BAD_INPUTS = {
         _model_with(enc1_w=lambda w: w[:3], enc1_b=lambda b: b[:3],
                     dec0_w=lambda w: w[:, :3]), 2,
         ["model.derc", "enc1_w", "(3, 16)", "latent_dim 4"]),
+    "model-activations-not-object": (_model_activations(["relu"]), 2,
+                                     ["model.derc", "activations", "['relu']"]),
+    "model-activations-stack-not-list": (_model_activations({"enc": 3, "dec": ["relu"]}), 2,
+                                         ["model.derc", "activations", "'enc': 3"]),
+    "model-unknown-activation": (_model_activations(
+        {"enc": ["tanh", "relu"], "dec": ["relu", "sigmoid"]}), 2, ["model.derc", "'tanh'"]),
     "vae-head-shape": (_vae_head_wider_than_mean, 2,
                        ["vae.derc", "lv0_w", "(5, 16)", "(4, 16)"]),
     "centroids-1d": (_centroids_array(np.zeros(4)), 2, ["c.derc", "shape (4,)", "k x 4"]),
@@ -458,6 +492,8 @@ BAD_INPUTS = {
                           ["c.derc", "<U1", "numeric"]),
     "centroids-wrong-width": (_centroids_array(np.zeros((2, 3))), 2,
                               ["c.derc", "shape (2, 3)", "k x 4"]),
+    "centroids-no-rows": (_centroids_array(np.zeros((0, 4))), 2,
+                          ["c.derc", "shape (0, 4)", "k x 4"]),
     "cluster-init-collapsed-latent": (_collapsed_latent, 3,
                                       ["numeric error: degenerate cluster",
                                        "1 distinct point(s) among 40", "k=2"]),
@@ -801,6 +837,19 @@ class TestConfig:
         # give) stops joint training
         rows = by_config["derc_hist.csv"].decode().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == [0, 1, 2]
+
+    def test_config_comments_and_blank_lines_change_nothing(self, tmp_path):
+        raw, _ = synth_csv(tmp_path)
+        texts = {"plain": "epochs = 2\ndims = 30,8,2\n",
+                 "commented": "# short run\n\nepochs = 2  # two epochs\n   \n"
+                              "dims = 30,8,2\n# end\n"}
+        for name, text in texts.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
+            assert run(["pretrain", "ae", "--data", raw, "--out", tmp_path / f"{name}.derc",
+                        "--config", tmp_path / f"{name}.cfg"]) == 0
+        for suffix in (".derc", ".derc.manifest.json"):
+            assert ((tmp_path / f"plain{suffix}").read_bytes()
+                    == (tmp_path / f"commented{suffix}").read_bytes())
 
     # subcommand -> its settings dataclass and the fields it sets itself
     SETTINGS = {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import finite_diff, jitter_biases, traced_peak
+from conftest import finite_diff, flatten_grads, jitter_biases, traced_peak
 from derc import autoencoder as ae
 from derc import cluster as cl
 from derc import data, kmeans
@@ -109,7 +109,7 @@ class TestDercBatchLoss:
         assert total == pytest.approx(aux["latent"] + 0.75 * aux["mse"])
 
         tensors = [*nw.collect_params(params.all_layers()), centroids]
-        dense = [*nw.flatten_grads(grads[:-1]), grads[-1]]
+        dense = [*flatten_grads(grads[:-1]), grads[-1]]
         err = finite_diff(lambda: objective()[0], tensors, dense, eps=1e-6)
         assert err <= 1e-4  # beta^2 on the encoder's reconstruction term: 5e-2
 

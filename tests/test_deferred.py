@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import jitter_biases, traced_peak
+from conftest import flatten_grads, jitter_biases, traced_peak
 from derc import autoencoder as ae
 from derc import cluster as cl
 from derc import kmeans
@@ -346,7 +346,7 @@ class TestDeferredLayer:
         got_grads, got_in = nw.backward_layers([layer], cache, grad_out)
         want_grads, want_in = nw.backward_layers([effective], ref_cache, grad_out)
         assert_close(got_in, want_in)
-        assert_close(nw.flatten_grads(got_grads)[0], nw.flatten_grads(want_grads)[0])
+        assert_close(flatten_grads(got_grads)[0], flatten_grads(want_grads)[0])
 
     def test_reads_at_momentum_go_through_the_effective_weights(self):
         # batches of 3 rows in a window of K of them: after 2K + 3 steps the

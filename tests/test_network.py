@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import finite_diff, jitter_biases, traced_peak
+from conftest import finite_diff, flatten_grads, jitter_biases, traced_peak
 from derc import network as nw
 from derc.autoencoder import build_ae, encode, vae_loss_and_grads
 from derc.cluster import clustering_term, soft_assign, target_distribution
@@ -207,6 +207,12 @@ class TestForward:
         with pytest.raises(ValidationError):
             nw.forward_layers([layer], np.ones((3, 5)))
 
+    @pytest.mark.parametrize("name", ["tanh", ["relu"], None], ids=["tanh", "list", "null"])
+    def test_unknown_activation_rejected_when_made(self, name):
+        # checked when the layer is made, so no forward pass is needed
+        with pytest.raises(ValidationError, match="unknown activation"):
+            nw.DenseLayer(weights=np.eye(2), bias=np.zeros(2), activation=name)
+
     def test_activation_ranges(self):
         rng = np.random.default_rng(2)
         relu_l = nw.DenseLayer.create(5, 4, "relu", rng)
@@ -251,7 +257,7 @@ class TestBackward:
         _, dmse = nw.mse_loss(target, out)
         grads, _ = nw.backward_layers([layer], cache, dmse)
         closed_dw = 2.0 * (x @ layer.weights.T - target).T @ x / target.size
-        np.testing.assert_allclose(nw.flatten_grads(grads)[0], closed_dw, atol=1e-12)
+        np.testing.assert_allclose(flatten_grads(grads)[0], closed_dw, atol=1e-12)
 
     def test_three_layer_net_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -270,7 +276,7 @@ class TestBackward:
         dg, dz = nw.backward_layers(params.decoder_layers, dc, dmse)
         eg, _ = nw.backward_layers(params.encoder_layers, ec, dz)
         err = finite_diff(loss_fn, nw.collect_params(params.all_layers()),
-                          nw.flatten_grads([*eg, *dg]))
+                          flatten_grads([*eg, *dg]))
         assert err <= 1e-4
 
     def test_weight_grads_are_factors(self):
@@ -287,7 +293,7 @@ class TestBackward:
         layers = [nw.DenseLayer.create(4, 3, "relu", rng)]
         _, cache = nw.forward_layers(layers, rng.uniform(size=(2, 4)))
         grads, gin = nw.backward_layers(layers, cache, np.zeros((2, 3)))
-        dw, db = nw.flatten_grads(grads)
+        dw, db = flatten_grads(grads)
         assert not dw.any() and not db.any() and not gin.any()
 
 
@@ -323,7 +329,7 @@ class TestRowSpaceLayer:
         # e.T @ dz is the gradient whose row rows[i] is dz[i], in coef's shape
         want = np.zeros_like(layer.coef)
         want[rows] = dz
-        assert np.array_equal(nw.flatten_grads(grads)[0], want)
+        assert np.array_equal(flatten_grads(grads)[0], want)
         assert nw.collect_params([layer])[0] is layer.coef
 
     @pytest.mark.parametrize("rows", [[-1], [0, 7]], ids=["negative-row", "row-past-end"])
@@ -505,7 +511,7 @@ class TestSgdMomentum:
             _, dmse = nw.mse_loss(x, r)
             dg, dz = nw.backward_layers(params.decoder_layers, dc, dmse)
             eg, _ = nw.backward_layers(params.encoder_layers, ec, dz)
-            opt.step(nw.flatten_grads([*eg, *dg]))
+            opt.step(flatten_grads([*eg, *dg]))
             assert batch_loss() <= before
 
     def test_training_determinism(self):
@@ -521,7 +527,7 @@ class TestSgdMomentum:
                 _, dmse = nw.mse_loss(x, r)
                 dg, dz = nw.backward_layers(params.decoder_layers, dc, dmse)
                 eg, _ = nw.backward_layers(params.encoder_layers, ec, dz)
-                opt.step(nw.flatten_grads([*eg, *dg]))
+                opt.step(flatten_grads([*eg, *dg]))
             return params
 
         a, b = run(), run()
