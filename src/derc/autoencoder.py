@@ -156,21 +156,21 @@ def vae_loss_and_grads(params: NetworkParams, x: np.ndarray, eps: np.ndarray | N
         aux["latent"], dz_latent, own = latent(cache["z"])
         loss += aux["latent"]
         dz = dz + dz_latent
-    enc, enc_cache = params.encoder_layers, cache["enc"]
-    if params.logvar_head is None:
-        enc_grads, _ = backward_layers(enc, enc_cache, dz)
-        return loss, [*enc_grads, *dec_grads, *own], aux
-
-    mu, lv = cache["mu_val"], cache["lv_val"]
-    aux["kl_mean"] = vae_kl(mu, lv) / n
-    loss += (1.0 - w) * aux["kl_mean"]
-    dmu = dz + (1.0 - w) * mu / n
-    dlv = dz * cache["eps"] * 0.5 * np.exp(0.5 * lv) \
-        + (1.0 - w) * (np.exp(lv) - 1.0) / (2.0 * n)
-    mu_grads, dh_mu = backward_layers(enc[-1:], enc_cache[-1:], dmu)
-    lv_grads, dh_lv = backward_layers([params.logvar_head], cache["lv"], dlv)
-    trunk_grads, _ = backward_layers(enc[:-1], enc_cache[:-1], dh_mu + dh_lv)
-    return loss, [*trunk_grads, *mu_grads, *lv_grads, *dec_grads, *own], aux
+    enc, enc_cache, lv_grads = params.encoder_layers, cache["enc"], []
+    if params.logvar_head is not None:
+        mu, lv = cache["mu_val"], cache["lv_val"]
+        aux["kl_mean"] = vae_kl(mu, lv) / n
+        loss += (1.0 - w) * aux["kl_mean"]
+        dlv = dz * cache["eps"] * 0.5 * np.exp(0.5 * lv) \
+            + (1.0 - w) * (np.exp(lv) - 1.0) / (2.0 * n)
+        dz = dz + (1.0 - w) * mu / n
+        lv_grads, dh_lv = backward_layers([params.logvar_head], cache["lv"], dlv)
+    head_grads, dh = backward_layers(enc[-1:], enc_cache[-1:], dz)
+    if lv_grads:
+        # an AE's dh is not summed with zeros, which would turn its -0.0 to +0.0
+        dh = dh + dh_lv
+    trunk_grads, _ = backward_layers(enc[:-1], enc_cache[:-1], dh)
+    return loss, [*trunk_grads, *head_grads, *lv_grads, *dec_grads, *own], aux
 
 
 def _split_train_val(n: int, fraction: float, rng: np.random.Generator):

@@ -97,6 +97,9 @@ def _stage_config(cls, args, **fixed):
 
 def cmd_prescreen(args):
     ds = _load_dataset(args.data, need_labels=True, labels_path=args.labels)
+    if ds.n_samples < 3:
+        raise ValidationError(f"{args.data}: {ds.n_samples} samples; correlation "
+                              f"pruning needs at least 3 samples")
     pcfg, settings = _stage_config(ps.PrescreenConfig, args)
     report = ps.discriminative_filter(ds, pcfg)
     data_io.save_csv(ds.subset_features(report.kept_indices), args.out_data)

@@ -189,10 +189,10 @@ class RowSpaceLayer(Layer):
 
     def affine(self, a: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
         """a @ W.T + bias, for the rows of x given by rows, all of x, or any a."""
+        if rows is None and a is self.x:
+            rows = np.arange(len(a))
         if rows is not None:
             return self.xw0[rows] + self.gram[rows] @ self.coef + self.bias
-        if a is self.x:
-            return self.xw0 + self.gram @ self.coef + self.bias
         return a @ self.w0.T + (a @ self.x.T) @ self.coef + self.bias
 
     def forward(self, a: np.ndarray, rows: np.ndarray | None = None):
@@ -241,12 +241,12 @@ class DeferredLayer(Layer):
         self.weights, self.bias, self.activation = (layer.weights, layer.bias,
                                                     layer.activation)
         self.momentum = momentum
-        # the factors and a scaled copy of pending_in live in one anonymous
-        # mapping, outside malloc: at the paper's shape a malloc'd window,
-        # once freed, left the process up to 11 MiB larger through the joint
+        # the factors and a scaled copy of pending_in, which every flush writes
+        # (window x n_in values, 2.1 MiB at the paper's shape), live in one
+        # anonymous mapping, outside malloc: there a malloc'd window, once
+        # freed, left the process up to 11 MiB larger through the joint
         # training after it (glibc's mmap threshold grows to the size of a
-        # freed mapping); mmap loads lazily so that no CLI start-up pays for
-        # it, and pages never written (the copy, at momentum 0) cost nothing
+        # freed mapping); mmap loads lazily so that no CLI start-up pays for it
         import mmap
 
         n_out, n_in, w = layer.n_out, layer.n_in, layer.weights
@@ -292,12 +292,9 @@ class DeferredLayer(Layer):
         return m * (1.0 - m ** self.steps) / (1.0 - m)
 
     def _scaled_pending_in(self, weights: np.ndarray) -> np.ndarray:
-        """The first len(weights) rows of pending_in, each times its weight,
-        in the layer's scratch copy; at momentum 0, where every weight is 1,
-        the rows themselves, so that the flush is the plain window's GEMM."""
+        """The first len(weights) rows of pending_in, each times its weight
+        (each 1 at momentum 0), in the layer's scratch copy."""
         h = self.pending_in[:len(weights)]
-        if not self.momentum:
-            return h
         return np.multiply(h, weights[:, None], out=self._scaled_in[:len(weights)])
 
     def forward(self, a: np.ndarray, rows: np.ndarray | None = None):

@@ -69,11 +69,13 @@ class TestEncode:
 
 
 def assert_grads_equal(got, want):
-    """Every factor and bias gradient of backward_layers' lists, bit for bit."""
+    """Every factor and bias gradient of backward_layers' lists, bit for bit,
+    the sign of each zero included."""
     assert len(got) == len(want)
     for ((a, b), db), ((a_ref, b_ref), db_ref) in zip(got, want):
         for arr, ref in ((a, a_ref), (b, b_ref), (db, db_ref)):
-            assert np.array_equal(arr, ref)
+            assert (arr.dtype, arr.shape, arr.tobytes()) == (ref.dtype, ref.shape,
+                                                             ref.tobytes())
 
 
 class TestOneObjective:
@@ -101,6 +103,30 @@ class TestOneObjective:
         eg, _ = nw.backward_layers(self.params.encoder_layers, ec, dz)
         assert loss == mse == aux["mse"]
         assert "kl_mean" not in aux
+        assert_grads_equal(grads, [*eg, *dg])
+
+    @pytest.mark.parametrize("dims", [[6, 3], [6, 5, 3], [6, 5, 4, 3]],
+                             ids=["one-layer", "two-layer", "three-layer"])
+    def test_encoder_gradients_are_one_backward_pass(self, dims):
+        # in the forms the layers train in (the first one in row space, read
+        # through the batch's rows), the encoder's gradients are one
+        # backward_layers pass over the whole stack
+        rng = np.random.default_rng(11)
+        params = ae.build_ae(dims, rng)
+        jitter_biases(params.all_layers(), rng)
+        x = rng.uniform(0.2, 0.8, size=(10, dims[0]))
+        rows = np.array([7, 2, 2, 5])
+        cfg = nw.SgdConfig(epochs=1, lr=0.1, momentum=0.0)
+        with nw.training_layers(params, x, cfg):
+            first = params.encoder_layers[0]
+            assert type(first) is nw.RowSpaceLayer
+            first.coef[:] = rng.normal(0.0, 0.05, size=first.coef.shape)
+            _, grads, _ = ae.vae_loss_and_grads(params, x[rows], None, 0.75, rows)
+            z, ec = nw.forward_layers(params.encoder_layers, x[rows], rows)
+            r, dc = nw.forward_layers(params.decoder_layers, z)
+            dg, dz = nw.backward_layers(params.decoder_layers, dc,
+                                        0.75 * nw.mse_loss(x[rows], r)[1])
+            eg, _ = nw.backward_layers(params.encoder_layers, ec, dz)
         assert_grads_equal(grads, [*eg, *dg])
 
     def test_clustering_term_is_the_derc_pass(self):

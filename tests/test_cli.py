@@ -460,7 +460,7 @@ BAD_INPUTS = {
     "prescreen-rho-threshold-zero": (_prescreen_with("--rho-threshold", "0"), 2,
                                      ["rho_threshold", "(0, 1]"]),
     "prescreen-two-samples": (_prescreen_file("two.csv", b"f1,f2\n0.5,0.2\n0.1,0.3\n"), 2,
-                              ["at least 3 samples"]),
+                              ["two.csv", "2 samples", "at least 3 samples"]),
     "config-line-without-equals": (_config_bytes(b"epochs = 2\nepochs 3\n"), 2,
                                    ["run.cfg:2", "expected 'key = value'", "'epochs 3\\n'"]),
     "derc-non-finite-loss": (_train_derc_with("--lr", "1e200"), 3, ["non-finite loss"]),

@@ -378,6 +378,23 @@ class TestDeferredLayer:
         layer.defer(*self.factors(rng, 3), 0.1)
         assert_close(layer.velocity, v)
 
+    def test_flush_at_momentum_0_is_the_windows_product(self):
+        # 2000 output rows of 300 inputs span three FOLD_BLOCK row blocks of
+        # the window's product; at momentum 0 every b_ts is 1, so the flush
+        # subtracts the plain product's blocks from W, bit for bit
+        rng = np.random.default_rng(20)
+        dense = nw.DenseLayer.create(300, 2000, "sigmoid", rng)
+        assert len(range(0, 2000, nw.FOLD_BLOCK // 300)) == 3
+        layer = nw.DeferredLayer(dense, window=12)
+        for _ in range(3):
+            layer.defer(rng.normal(size=(4, 2000)), rng.normal(size=(4, 300)), 0.1)
+        want = dense.weights.copy()
+        for rows, block in nw._product_blocks(layer.pending[:12], layer.pending_in[:12]):
+            want[rows] -= block
+        layer.flush()
+        assert layer.rows == 0 and layer.velocity is None
+        assert dense.weights.tobytes() == want.tobytes()
+
     def test_rejects_mismatched_momentum_and_overflow(self):
         rng = np.random.default_rng(16)
         layer = nw.DeferredLayer(nw.DenseLayer.create(40, 50, "sigmoid", rng), window=6)

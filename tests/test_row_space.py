@@ -121,6 +121,19 @@ class TestDenseOracle:
         assert np.array_equal(result.cluster_ids, ref.cluster_ids)
 
 
+class TestAffine:
+    def test_whole_matrix_is_every_row(self):
+        # the training matrix itself reads as the rows 0..n-1, bit for bit
+        rng = np.random.default_rng(6)
+        x = cohort()
+        layer = nw.RowSpaceLayer(nw.DenseLayer.create(DIMS[0], DIMS[1], "relu", rng), x)
+        layer.coef[:] = rng.normal(0.0, 0.05, size=layer.coef.shape)
+        layer.bias[:] = rng.normal(size=DIMS[1])
+        got, want = layer.affine(x, None), layer.affine(x, np.arange(len(x)))
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                         want.tobytes())
+
+
 class TestMemory:
     def test_derc_velocity_has_no_first_layer_sized_part(self):
         # a dense first layer's velocity alone is 3000 x 200 doubles; the
