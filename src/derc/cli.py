@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import typing
 
@@ -36,7 +37,7 @@ class CliParser(argparse.ArgumentParser):
 
 def _load_dataset(path, need_labels=False, labels_path=None) -> data_io.Dataset:
     path = str(path)
-    if path.endswith(".txt") or "series_matrix" in path:
+    if path.endswith(".txt") or "series_matrix" in os.path.basename(path):
         ds = data_io.load_series_matrix(path)
     else:
         ds = data_io.load_csv(path)
@@ -347,6 +348,9 @@ def main(argv=None) -> int:
         return 3
     except (DercError, OSError) as exc:
         print(f"derc: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"derc: out of memory: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import os
 import re
 import struct
@@ -16,8 +17,22 @@ from derc import autoencoder, cluster, config, data, prescreen
 from derc.autoencoder import encode
 from derc.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_child(args, setup="", env=None, cwd=None):
+    """derc.cli.main on args in a fresh interpreter, as the installed `derc`
+    script runs it (main reads sys.argv), after the statements setup, which
+    run before numpy loads."""
+    script = f"import sys\n{setup}\nfrom derc.cli import main\nsys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], cwd=cwd,
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **(env or {})})
 
 
 def synth_csv(tmp_path, name="synth.csv", seed=0, n=40, d=30, informative=8):
@@ -652,17 +667,29 @@ class TestErrors:
     def test_non_finite_loss_exit_3(self, tmp_path):
         # a fresh interpreter, so the stderr checked is exactly what a user sees
         raw, _ = synth_csv(tmp_path, n=24, d=12, informative=4)
-        src = Path(data.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-m", "derc.cli", "pretrain", "ae", "--data", str(raw),
-             "--out", str(tmp_path / "m.derc"), "--dims", "12,8,4",
-             "--epochs", "2", "--lr", "1e200"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)})
+        proc = run_child(["pretrain", "ae", "--data", raw, "--out", tmp_path / "m.derc",
+                          "--dims", "12,8,4", "--epochs", "2", "--lr", "1e200"])
         assert proc.returncode == 3
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "non-finite loss" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "m.derc").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["pretrain", "ae", "--data", "c.csv", "--out", "m.derc", "--dims", "50,2000000000,10",
+         "--epochs", "1"],
+        ["synth", "--out", "big.csv", "--n-samples", "100000", "--n-features", "100000",
+         "--n-informative", "10"],
+    ], ids=["pretrain-dims", "synth"])
+    def test_out_of_memory_exit_2(self, argv, tmp_path):
+        # the child caps its own address space at 4 GiB before numpy loads;
+        # the first layer's weights need 745 GiB and the cohort 74.5 GiB, so
+        # each allocation fails at once and fills nothing
+        synth_csv(tmp_path, name="c.csv", n=20, d=50)
+        cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))"
+        proc = run_child(argv, setup=cap, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("derc: out of memory: Unable to allocate")
+        assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_non_finite_parameter_exit_3(self, tmp_path, capsys, monkeypatch):
         argv = _train_derc_with("--epochs", "1")(tmp_path)
@@ -693,15 +720,26 @@ class TestUtilities:
             "training-scipy", "prescreen-scipy.special"])
     def test_import_leaves_scipy_module_unloaded(self, modules, unloaded):
         # `unloaded` names a module and, with it, every submodule of it
-        src = Path(data.__file__).resolve().parents[1]
         check = (f"import sys, {modules}; loaded = [m for m in sys.modules "
                  f"if m == {unloaded!r} or m.startswith({unloaded + '.'!r})]; "
                  f"assert not loaded, loaded")
         proc = subprocess.run(
             [sys.executable, "-c", check],
             capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)})
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert proc.returncode == 0, proc.stderr
+
+    def test_csv_in_a_series_matrix_directory(self, tmp_path):
+        # only the file's own name marks a series matrix, not its directory's
+        for name in ("plain", "series_matrix_runs"):
+            (tmp_path / name).mkdir()
+            raw, _ = synth_csv(tmp_path / name, name="c.csv")
+            assert run(["prescreen", "--data", raw, "--out-data", tmp_path / name / "f.csv",
+                        "--out-report", tmp_path / name / "r.csv",
+                        "--out-kept", tmp_path / name / "k.txt"]) == 0
+        for out in ("f.csv", "r.csv", "k.txt"):
+            assert ((tmp_path / "plain" / out).read_bytes()
+                    == (tmp_path / "series_matrix_runs" / out).read_bytes())
 
     def test_synth_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -742,8 +780,6 @@ class TestUtilities:
         assert len(hist.read_text().splitlines()) == 6  # header + 5 epochs
 
     def test_manifest_written(self, tmp_path, monkeypatch):
-        import json
-
         raw, _ = synth_csv(tmp_path, n=24, d=12, informative=4)
         model = tmp_path / "m.derc"
         assert run(["pretrain", "ae", "--data", raw, "--out", model,
@@ -817,8 +853,6 @@ def _configured_run(root, as_config, monkeypatch):
 
 class TestConfig:
     def test_flags_and_config_file_give_identical_outputs(self, tmp_path, monkeypatch):
-        import json
-
         by_flags = _configured_run(tmp_path / "flags", False, monkeypatch)
         by_config = _configured_run(tmp_path / "config", True, monkeypatch)
         assert sorted(by_flags) == sorted(by_config)
@@ -894,15 +928,14 @@ class TestConfig:
 
     def test_readme_round_trip(self, tmp_path):
         # the README's fenced round trip, verbatim, with `derc` as a shell function
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         block = next(b for b in readme.split("```sh\n")[1:] if "derc synth" in b)
         script = block.split("```", 1)[0]
-        src = Path(data.__file__).resolve().parents[1]
         shim = f'derc() {{ "{sys.executable}" -m derc.cli "$@"; }}\n'
         proc = subprocess.run(
             ["bash", "-ec", shim + script],
             cwd=tmp_path, capture_output=True, text=True, timeout=300,
-            env={**os.environ, "PYTHONPATH": str(src)})
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert proc.returncode == 0, proc.stderr
         assert "ACC:" in (tmp_path / "report.txt").read_text()
         assert (tmp_path / "latent.csv").exists()
@@ -929,8 +962,6 @@ def _bom_run(root, kind, bom, monkeypatch):
     """Run kind's stage in root, its input file with a byte-order mark if bom;
     returns the exit code and every file the stage wrote, each manifest with
     the hash of the inputs left out."""
-    import json
-
     root.mkdir()
     _, ds = synth_csv(root, name="raw.csv")
     write_series_matrix(root / "sm.txt", ds.n_samples, 30, seed=0)
@@ -963,3 +994,62 @@ class TestByteOrderMark:
         marked = _bom_run(tmp_path / "bom", kind, True, monkeypatch)
         assert plain[0] == 0
         assert marked == plain
+
+
+class TestChildProcess:
+    def test_pinned_and_unpinned_models_are_byte_identical(self, tmp_path):
+        # each weight matrix is one rng.uniform draw (network.init_uniform),
+        # and OpenBLAS runs one thread in both children, since its thread
+        # count changes GEMM bits; so the CPU set changes no byte of a model
+        assert run(["synth", "--out", tmp_path / "s.csv", "--n-samples", "60",
+                    "--n-features", "2000", "--n-informative", "20"]) == 0
+        pin = f"import os; os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})"
+        for name, setup in (("unpinned", ""), ("pinned", pin)):
+            proc = run_child(["pretrain", "ae", "--data", "s.csv", "--out", f"{name}.derc",
+                              "--dims", "2000,300,4", "--epochs", "1"],
+                             setup=setup, env={"OPENBLAS_NUM_THREADS": "1"}, cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            manifest = json.loads((tmp_path / f"{name}.derc.manifest.json").read_text())
+            assert manifest["blas"]["threads"] == 1
+        assert (tmp_path / "pinned.derc").read_bytes() == (tmp_path / "unpinned.derc").read_bytes()
+
+    def test_geo_series_matrix_keeps_probes(self, tmp_path, monkeypatch):
+        # the benchmark's tiny GEO cohort holds null, empty and quoted cells
+        monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+        import gen
+
+        gen.make_inputs("prescreen_wide", 0, tmp_path, "tiny")
+        proc = run_child(["prescreen", "--data", "series_matrix.txt", "--labels", "labels.txt",
+                          *PRESCREEN_OUTPUTS], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "k.txt").read_text().split()
+
+    @pytest.mark.parametrize("momentum, lr", [("0", "1.0"), ("0.9", "0.1")])
+    def test_batch_2_epochs_outlast_the_pending_window(self, momentum, lr, tmp_path):
+        # 48 training samples in batches of 2 make 24-step epochs, longer than
+        # the 64 -> 400 output layer's pending window (network.DeferredLayer);
+        # at momentum 0.9 its second window starts from its own velocity (lr
+        # 0.1: at the default 1.0 the 4-unit ReLU latent dies), and joint
+        # training follows
+        assert run(["synth", "--out", tmp_path / "w.csv", "--n-samples", "60",
+                    "--n-features", "400", "--n-informative", "20"]) == 0
+        joint = momentum != "0"
+        stages = [["pretrain", "ae", "--data", "w.csv", "--out", "m.derc", "--dims", "400,64,4",
+                   "--epochs", "2", "--batch-size", "2", "--momentum", momentum, "--lr", lr,
+                   "--validation-fraction", "0.2"]]
+        if joint:
+            stages += [["cluster-init", "--model", "m.derc", "--data", "w.csv", "--out", "c.derc"],
+                       ["train-derc", "--model", "m.derc", "--centroids", "c.derc",
+                        "--data", "w.csv", "--out", "t.derc", "--pred", "pred.csv",
+                        "--batch-size", "2"]]
+        stages.append(["export-latent", "--model", "t.derc" if joint else "m.derc",
+                       "--data", "w.csv", "--out", "z.csv"])
+        for argv in stages:
+            proc = run_child(argv, cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        rows = (tmp_path / "z.csv").read_text().splitlines()[1:]
+        assert len(rows) == 60
+        assert np.isfinite(np.array([r.split(",")[1:] for r in rows], dtype=float)).all()
+        if joint:
+            rows = (tmp_path / "pred.csv").read_text().splitlines()[1:]
+            assert len({r.split(",")[0] for r in rows}) == 60

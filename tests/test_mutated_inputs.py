@@ -1,9 +1,11 @@
-"""Seeded mutations of prescreen's three inputs: the cohort CSV, the labels
-file and the config file.
+"""Seeded mutations of four inputs: prescreen's cohort CSV, labels file and
+config file, and evaluate's pred file.
 
-Each case writes the three files, one of them mutated, and runs `derc
-prescreen` on them through cli.main. Whatever the mutation, the command must
-end in a documented exit code (0, 1, 2 or 3) and let no exception escape.
+Each case writes the four files, one of them mutated, and runs `derc
+prescreen` on the first three through cli.main, or, when the pred file is
+mutated, `derc evaluate` on it and the cohort. Whatever the mutation, the
+command must end in a documented exit code (0, 1, 2 or 3) and let no
+exception escape.
 The draws come from a generator seeded by the case's input and mutation, so
 every run makes the same cases.
 """
@@ -27,6 +29,11 @@ def cohort_csv() -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def pred_csv() -> bytes:
+    """A prediction for every sample of cohort_csv(), which load_csv names s0..s11."""
+    return b"sample_id,cluster\n" + b"".join(b"s%d,%d\n" % (i, i % 2) for i in range(12))
+
+
 # input -> (file name, unmutated content, column separator)
 INPUTS = {
     "csv": ("cohort.csv", cohort_csv(), b","),
@@ -34,6 +41,7 @@ INPUTS = {
                b","),
     "config": ("run.cfg", b"# prescreen settings\nalpha = 0.05\nrho-threshold = 0.9\n"
                           b"normality-alpha = 0.05\nseed = 3\n", b"="),
+    "pred": ("pred.csv", pred_csv(), b","),
 }
 
 
@@ -84,6 +92,7 @@ MUTATIONS = {
     "invalid-utf8": _invalid_utf8,
     "crlf": lambda c, sep, rng: c.replace(b"\n", b"\r\n"),
     "bom": lambda c, sep, rng: b"\xef\xbb\xbf" + c,
+    "empty": lambda c, sep, rng: b"",
 }
 
 
@@ -100,10 +109,13 @@ def test_mutated_input_ends_in_a_documented_exit_code(target, mutation, tmp_path
                 content = MUTATIONS[mutation](content, sep, rng)
             paths[name] = run_dir / file_name
             paths[name].write_bytes(content)
+        if target == "pred":
+            argv = ["evaluate", "--pred", paths["pred"], "--data", paths["csv"],
+                    "--out", run_dir / "report.txt"]
+        else:
+            argv = ["prescreen", "--data", paths["csv"], "--labels", paths["labels"],
+                    "--config", paths["config"], "--out-data", run_dir / "p.csv",
+                    "--out-report", run_dir / "screen.csv", "--out-kept", run_dir / "kept.txt"]
         # an exception escaping main fails the test with its traceback
-        code = main(["prescreen", "--data", str(paths["csv"]),
-                     "--labels", str(paths["labels"]), "--config", str(paths["config"]),
-                     "--out-data", str(run_dir / "p.csv"),
-                     "--out-report", str(run_dir / "screen.csv"),
-                     "--out-kept", str(run_dir / "kept.txt")])
+        code = main([str(a) for a in argv])
         assert code in (0, 1, 2, 3), (case, paths[target].read_bytes())
