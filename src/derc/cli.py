@@ -171,6 +171,8 @@ def cmd_train_derc(args):
         raise ValidationError(
             f"{args.centroids}: centroids are a {centroids.dtype} array of shape "
             f"{centroids.shape}, not a numeric k x {params.latent_dim} matrix, k >= 1")
+    if not np.isfinite(centroids).all():
+        raise ValidationError(f"{args.centroids}: centroids hold a NaN or an inf")
     dcfg, settings = _stage_config(derc_cluster.DercConfig, args,
                                    k=centroids.shape[0],
                                    seed=stage_seed(args.seed, "derc"))

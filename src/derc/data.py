@@ -396,14 +396,25 @@ def load_model(path):
 
 def _check_chain(path, encoder: list, decoder: list, heads: list, meta: dict) -> None:
     """Raise ValidationError naming the first array that does not fit: each
-    weight 2-D, each bias 1-D with one value per output, widths that chain
-    from input_dim through the encoder to latent_dim and through the decoder
-    back to input_dim, a log-variance head shaped as the mean head. The
-    stacks hold (array name prefix, layer) pairs."""
+    array finite real numbers (float, int or uint), each weight 2-D, each
+    bias 1-D with one value per output, widths that chain from input_dim
+    through the encoder to latent_dim and through the decoder back to
+    input_dim, a log-variance head shaped as the mean head. The stacks hold
+    (array name prefix, layer) pairs."""
     def fail(name: str, array: np.ndarray, why: str):
         raise ValidationError(f"{path}: {name} has shape {array.shape}; {why}")
 
     for name, ly in [*encoder, *decoder, *heads]:
+        for array_name, array in ((f"{name}_w", ly.weights), (f"{name}_b", ly.bias)):
+            # the kind first: isfinite rejects strings with a TypeError
+            if array.dtype.kind not in "fiu":
+                raise ValidationError(f"{path}: {array_name} is a {array.dtype} array, "
+                                      f"not real numbers")
+            # a sum is finite only if every value is, and reads the array
+            # without a temporary; isfinite tells an overflowing sum apart
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not (np.isfinite(array.sum()) or np.isfinite(array).all()):
+                    raise ValidationError(f"{path}: {array_name} holds a NaN or an inf")
         if ly.weights.ndim != 2:
             fail(f"{name}_w", ly.weights, "a weight array must be 2-D")
         if ly.bias.shape != (ly.n_out,):

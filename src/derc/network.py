@@ -37,6 +37,12 @@ PENDING_STEPS = 18
 DIVERGENCE_FACTOR = 1e8
 
 
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b, into out when given: every large product in derc is formed
+    here, by np.matmul on exactly the operand views given."""
+    return np.matmul(a, b, out=out)
+
+
 def init_bound(n_input: int) -> float:
     return float(np.sqrt(3.0 * INIT_SCALE / n_input))
 
@@ -121,11 +127,11 @@ class DenseLayer(Layer):
 
     def forward(self, a: np.ndarray, rows: np.ndarray | None = None):
         """(input to cache, pre-activation a @ W.T + bias); rows are unused."""
-        return a, a @ self.weights.T + self.bias
+        return a, matmul(a, self.weights.T) + self.bias
 
     def backward(self, a_in: np.ndarray, dz: np.ndarray):
         """(factors (dz, a_in) of the weight gradient, input gradient dz @ W)."""
-        return (dz, a_in), dz @ self.weights
+        return (dz, a_in), matmul(dz, self.weights)
 
 
 def _product_blocks(a: np.ndarray, b: np.ndarray):
@@ -140,7 +146,7 @@ def _product_blocks(a: np.ndarray, b: np.ndarray):
     for r0 in range(0, n_rows, step):
         r1 = min(r0 + step, n_rows)
         block = scratch[:(r1 - r0) * d].reshape(r1 - r0, d)
-        yield slice(r0, r1), np.matmul(a[:, r0:r1].T, b, out=block)
+        yield slice(r0, r1), matmul(a[:, r0:r1].T, b, out=block)
 
 
 class RowSpaceLayer(Layer):
@@ -160,8 +166,8 @@ class RowSpaceLayer(Layer):
         self.w0 = layer.weights.view()
         self.w0.flags.writeable = False
         self.bias, self.activation, self.x = layer.bias, layer.activation, x
-        self.xw0 = x @ self.w0.T
-        self.gram = x @ x.T
+        self.xw0 = matmul(x, self.w0.T)
+        self.gram = matmul(x, x.T)
         self.coef = np.zeros((len(x), layer.n_out), dtype=self.w0.dtype)
 
     @property
@@ -192,8 +198,8 @@ class RowSpaceLayer(Layer):
         if rows is None and a is self.x:
             rows = np.arange(len(a))
         if rows is not None:
-            return self.xw0[rows] + self.gram[rows] @ self.coef + self.bias
-        return a @ self.w0.T + (a @ self.x.T) @ self.coef + self.bias
+            return self.xw0[rows] + matmul(self.gram[rows], self.coef) + self.bias
+        return matmul(a, self.w0.T) + matmul(matmul(a, self.x.T), self.coef) + self.bias
 
     def forward(self, a: np.ndarray, rows: np.ndarray | None = None):
         """(input to cache, pre-activation); with rows, the input is one_hot(rows)."""
@@ -299,21 +305,21 @@ class DeferredLayer(Layer):
 
     def forward(self, a: np.ndarray, rows: np.ndarray | None = None):
         """As DenseLayer.forward, through the effective weights."""
-        z = a @ self.weights.T
-        if self.rows:
+        z = matmul(a, self.weights.T)
+        if r := self.rows:
             if self.velocity is not None:
-                z += self._c() * (a @ self.velocity.T)
-            z -= ((a @ self.pending_in[:self.rows].T) * self._b()) @ self.pending[:self.rows]
+                z += self._c() * matmul(a, self.velocity.T)
+            z -= matmul(matmul(a, self.pending_in[:r].T) * self._b(), self.pending[:r])
         z += self.bias
         return a, z
 
     def backward(self, a_in: np.ndarray, dz: np.ndarray):
         """As DenseLayer.backward, through the effective weights."""
-        g = dz @ self.weights
-        if self.rows:
+        g = matmul(dz, self.weights)
+        if r := self.rows:
             if self.velocity is not None:
-                g += self._c() * (dz @ self.velocity)
-            g -= ((dz @ self.pending[:self.rows].T) * self._b()) @ self.pending_in[:self.rows]
+                g += self._c() * matmul(dz, self.velocity)
+            g -= matmul(matmul(dz, self.pending[:r].T) * self._b(), self.pending_in[:r])
         return (dz, a_in), g
 
     def defer(self, dz: np.ndarray, h: np.ndarray, lr: float) -> None:
@@ -533,7 +539,7 @@ class SgdMomentum:
             bounds = [0, *range(rows, p.shape[0] - 1, rows), p.shape[0]]
             for r0, r1 in zip(bounds, bounds[1:]):
                 g_rows = self._scratch[:(r1 - r0) * p.shape[1]].reshape(r1 - r0, -1)
-                np.matmul(a[:, r0:r1].T, b, out=g_rows)
+                matmul(a[:, r0:r1].T, b, out=g_rows)
                 self._apply(p, v, slice(r0, r1), g_rows)
         else:
             if g.shape != p.shape:

@@ -23,6 +23,7 @@ from math import comb
 
 import numpy as np
 
+from . import network
 from .data import Dataset
 from .errors import ValidationError
 
@@ -94,7 +95,7 @@ def correlation_prune(data: Dataset, cfg: PrescreenConfig):
         stop = min(start + PRUNE_BLOCK, d)
         # (block, d - start) correlations: row i reads only columns > i
         block = buf[:(stop - start) * (d - start)].reshape(stop - start, d - start)
-        np.matmul(xs[:, start:stop].T, xs[:, start:], out=block)
+        network.matmul(xs[:, start:stop].T, xs[:, start:], out=block)
         for i in range(start, stop):
             if removed[i]:
                 continue

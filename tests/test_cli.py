@@ -202,16 +202,23 @@ def _model_as_centroids(tmp_path):
             "--out", tmp_path / "t.derc", "--pred", tmp_path / "p.csv"]
 
 
-def _model_with(**arrays):
-    """export-latent on the 30-16-4 AE with some of its arrays replaced by
-    arrays' values, each a function of the array it replaces."""
+def _model_with(stage="export-latent", **arrays):
+    """stage (export-latent or cluster-init) on the 30-16-4 AE with some of
+    its arrays replaced by arrays' values, each a function of the array it
+    replaces."""
     def argv(tmp_path):
         raw, model = _small_model(tmp_path)
         stored, meta = data.load_container(model)
         data.save_container(model, {**stored, **{k: f(stored[k]) for k, f in arrays.items()}},
                             meta)
-        return ["export-latent", "--model", model, "--data", raw, "--out", tmp_path / "z.csv"]
+        return [stage, "--model", model, "--data", raw, "--out", tmp_path / "out"]
     return argv
+
+
+def _one_nan(a):
+    a = a.copy()
+    a.flat[7] = np.nan
+    return a
 
 
 def _model_activations(record):
@@ -485,6 +492,12 @@ BAD_INPUTS = {
                                   ["model.derc", "enc1_w", "(4, 5)", "read 16 inputs"]),
     "model-weight-1d": (_model_with(enc0_w=lambda w: w[0]), 2,
                         ["model.derc", "enc0_w", "(30,)", "2-D"]),
+    "model-weight-strings": (_model_with(enc0_w=lambda w: np.full(w.shape, "a")), 2,
+                             ["model.derc", "enc0_w", "<U1", "not real numbers"]),
+    "model-bias-complex": (_model_with(dec1_b=lambda b: b + 1j), 2,
+                           ["model.derc", "dec1_b", "complex128", "not real numbers"]),
+    "model-weight-nan": (_model_with("cluster-init", enc0_w=_one_nan), 2,
+                         ["model.derc", "enc0_w", "NaN or an inf"]),
     "model-bias-too-short": (_model_with(dec0_b=lambda b: b[:1]), 2,
                              ["model.derc", "dec0_b", "(1,)", "16 outputs"]),
     "model-encoder-misses-latent-dim": (
@@ -507,6 +520,10 @@ BAD_INPUTS = {
                           ["c.derc", "<U1", "numeric"]),
     "centroids-wrong-width": (_centroids_array(np.zeros((2, 3))), 2,
                               ["c.derc", "shape (2, 3)", "k x 4"]),
+    "centroids-nan": (_centroids_array(_one_nan(np.zeros((2, 4)))), 2,
+                      ["c.derc", "centroids", "NaN or an inf"]),
+    "centroids-inf": (_centroids_array(np.array([[0.0, 0, 0, 0], [1, 1, 1, np.inf]])), 2,
+                      ["c.derc", "centroids", "NaN or an inf"]),
     "centroids-no-rows": (_centroids_array(np.zeros((0, 4))), 2,
                           ["c.derc", "shape (0, 4)", "k x 4"]),
     "cluster-init-collapsed-latent": (_collapsed_latent, 3,

@@ -417,6 +417,23 @@ class TestModelContainer:
         assert list(meta) == ["kind", "activations", "input_dim", "latent_dim"]
         assert meta["kind"] == kind and list(meta["activations"]) == stacks
 
+    @pytest.mark.parametrize("value, loads", [
+        (1e308, True), (-1e308, True), (np.inf, False), (-np.inf, False), (np.nan, False)])
+    def test_finite_weights_load_whose_sum_overflows(self, tmp_path, value, loads):
+        # the check sums each array first: a sum of finite values that
+        # overflows is told apart from one that holds an inf or a NaN
+        params = self._model()
+        params.encoder_layers[0].weights[:, :3] = value
+        path = tmp_path / "model.derc"
+        data.save_model(path, params)
+        if loads:
+            loaded, _, _ = data.load_model(path)
+            assert np.array_equal(loaded.encoder_layers[0].weights,
+                                  params.encoder_layers[0].weights)
+        else:
+            with pytest.raises(ValidationError, match="model.derc: enc0_w holds a NaN"):
+                data.load_model(path)
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.derc"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)

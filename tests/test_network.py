@@ -1,6 +1,8 @@
 import ast
+import collections
 import concurrent.futures
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,8 +11,10 @@ import pytest
 
 from conftest import finite_diff, flatten_grads, jitter_biases, traced_peak
 from derc import network as nw
+from derc import prescreen
 from derc.autoencoder import build_ae, encode, vae_loss_and_grads
 from derc.cluster import clustering_term, soft_assign, target_distribution
+from derc.data import Dataset
 from derc.errors import NumericError, ValidationError
 
 
@@ -544,14 +548,23 @@ def gradient_arrays(grads) -> list[np.ndarray]:
 
 class TestDtypeBoundary:
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    def test_float32_training_stays_float32(self, momentum):
+    def test_float32_training_stays_float32(self, momentum, monkeypatch):
         # only the stages' entries convert to float64: a float32 model on
         # float32 samples, trained through the row-space first layer and the
         # deferred output layer (batch 2: 18 pending steps of 2 x (64 + 600)
         # rows are fewer cells than its 64 x 600 weights), and through one
         # clustering batch, computes every array in float32, the optimizer's
-        # scratch and velocities too
+        # scratch and velocities too, and forms every product of float32
+        # operands
         f32 = np.dtype(np.float32)
+        operands = []
+        seam = nw.matmul
+
+        def recording_matmul(a, b, out=None):
+            operands.append((a.dtype, b.dtype))
+            return seam(a, b, out=out)
+
+        monkeypatch.setattr(nw, "matmul", recording_matmul)
         rng = np.random.default_rng(0)
         params = build_ae([600, 64, 4], rng)
         for layer in params.all_layers():
@@ -590,6 +603,7 @@ class TestDtypeBoundary:
                 windows.append(deferred.velocity)
         dense = nw.collect_params(params.all_layers())
         assert {a.dtype for a in [*grads, *trained, *windows, *dense]} == {f32}
+        assert len(operands) > 200 and set(operands) == {(f32, f32)}
 
 
 LAYER_TYPES = {"DenseLayer", "RowSpaceLayer", "DeferredLayer"}
@@ -624,3 +638,104 @@ class TestLayersOwnTheirUpdate:
         found = {path.name: lines for path in sorted(src.glob("*.py"))
                  if (lines := layer_type_checks(path.read_text(encoding="utf-8")))}
         assert found == {}
+
+
+def products_outside_the_seam(source: str) -> list[int]:
+    """Lines of the `@` products and np.matmul calls outside a function
+    named matmul."""
+    tree = ast.parse(source)
+    seam = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "matmul"
+            for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in seam and (
+        isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "matmul" and getattr(node.func.value, "id", None) in {"np", "numpy"}))
+
+
+def seam_callers(monkeypatch) -> collections.Counter:
+    """Count each call of nw.matmul by (layer kind, method): the outermost
+    method of a layer on the call's stack, or (None, None) off any layer."""
+    calls = collections.Counter()
+    seam = nw.matmul
+
+    def counting_matmul(a, b, out=None):
+        caller = (None, None)
+        frame = sys._getframe(1)
+        while frame is not None:
+            owner = frame.f_locals.get("self")
+            if isinstance(owner, nw.Layer):
+                caller = (type(owner).__name__, frame.f_code.co_name)
+            frame = frame.f_back
+        calls[caller] += 1
+        return seam(a, b, out=out)
+
+    monkeypatch.setattr(nw, "matmul", counting_matmul)
+    return calls
+
+
+class TestMatmulSeam:
+    def test_finds_products(self):
+        source = ("def matmul(a, b):\n    return np.matmul(a, b) @ a\n"
+                  "def f(a, b):\n    a @= b\n    return numpy.matmul(a, b)\n"
+                  "def g(a, b):\n    return np.dot(a, b) + matmul(a @ b, b)\n")
+        assert products_outside_the_seam(source) == [4, 5, 7]
+
+    @pytest.mark.parametrize("module", ["network.py", "prescreen.py"])
+    def test_no_product_outside_the_seam(self, module):
+        path = Path(nw.__file__).parent / module
+        assert products_outside_the_seam(path.read_text(encoding="utf-8")) == []
+
+    def test_correlation_prune_forms_its_blocks_at_the_seam(self, monkeypatch):
+        # prescreen reads the seam through the network module, so one patch
+        # sees its products too
+        calls = seam_callers(monkeypatch)
+        n, d = 10, 600
+        x = np.random.default_rng(4).uniform(size=(n, d))
+        cohort = Dataset(values=x, feature_ids=[f"f{j}" for j in range(d)],
+                         sample_ids=[f"s{i}" for i in range(n)])
+        prescreen.correlation_prune(cohort, prescreen.PrescreenConfig())
+        assert calls == {(None, None): -(-d // prescreen.PRUNE_BLOCK)}
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_every_layer_kind_forms_its_products_at_the_seam(self, momentum, monkeypatch):
+        # a row-space first layer, dense middle layers and a deferred output
+        # layer (batch 2: 18 pending steps of 2 x (64 + 600) rows are fewer
+        # cells than its 64 x 600 weights); two steps and a flush, then one
+        # with rows pending and, at momentum 0.9, a formed velocity, so the
+        # deferred layer reads every term of its effective weights
+        rng = np.random.default_rng(3)
+        params = build_ae([600, 64, 16, 4], rng)
+        x = rng.uniform(size=(6, 600))
+        cfg = nw.SgdConfig(epochs=1, lr=0.1, momentum=momentum, batch_size=2)
+        calls = seam_callers(monkeypatch)
+
+        def step(idx):
+            _, g, _ = vae_loss_and_grads(params, x[idx], None, 1.0, idx)
+            opt.step(g)
+
+        with nw.training_layers(params, x, cfg):
+            assert calls == {("RowSpaceLayer", "__init__"): 2}
+            opt = nw.SgdMomentum(params.all_layers(), cfg.lr, cfg.momentum)
+            step(np.array([0, 1]))
+            opt.flush()
+            step(np.array([2, 3]))
+            assert (params.decoder_layers[-1].velocity is not None) == bool(momentum)
+            calls.clear()
+            step(np.array([4, 5]))
+            opt.flush()
+            # forward, backward and update (for the deferred layer, its
+            # flush) of each kind; a row-space layer has no input gradient,
+            # and the other four layers are dense
+            velocity = 1 if momentum else 0
+            assert calls == {
+                ("RowSpaceLayer", "forward"): 1, ("RowSpaceLayer", "update"): 1,
+                ("DenseLayer", "forward"): 4, ("DenseLayer", "backward"): 4,
+                ("DenseLayer", "update"): 4,
+                ("DeferredLayer", "forward"): 3 + velocity,
+                ("DeferredLayer", "backward"): 3 + velocity,
+                ("DeferredLayer", "flush"): 1,
+            }
+            calls.clear()
+        # the row-space layer's weights are folded into the dense layer's
+        assert calls == {("RowSpaceLayer", "fold_into"): 1}
