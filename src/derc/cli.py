@@ -22,6 +22,7 @@ from . import metrics as metrics_mod
 from . import prescreen as ps
 from .config import load_config, stage_seed, write_manifest
 from .errors import DercError, NumericError, ParseError, ValidationError
+from .network import all_finite
 
 
 class CliParser(argparse.ArgumentParser):
@@ -37,33 +38,9 @@ class CliParser(argparse.ArgumentParser):
 
 def _load_dataset(path, need_labels=False, labels_path=None) -> data_io.Dataset:
     path = str(path)
-    if path.endswith(".txt") or "series_matrix" in os.path.basename(path):
-        ds = data_io.load_series_matrix(path)
-    else:
-        ds = data_io.load_csv(path)
-    if labels_path is not None:
-        ds.labels = _load_labels(labels_path, ds.n_samples)
-    if need_labels and ds.labels is None:
-        raise ValidationError(
-            f"{path}: labels are required (label column or --labels file)"
-        )
-    return ds
-
-
-def _load_labels(path, n: int) -> np.ndarray:
-    lines = [ln.strip() for ln in data_io.read_text(path).splitlines() if ln.strip()]
-    vals = [ln.split(",")[-1] for ln in lines]
-    if vals and vals[0] == "label":  # optional header
-        vals = vals[1:]
-    if len(vals) != n:
-        raise ValidationError(f"{path}: {len(vals)} labels for {n} samples")
-    try:
-        labels = np.array([int(v) for v in vals])
-    except ValueError:
-        raise ValidationError(f"{path}: labels must be integer 0/1")
-    if not np.isin(labels, (0, 1)).all():
-        raise ValidationError(f"{path}: labels must be binary 0/1")
-    return labels
+    series = path.endswith(".txt") or "series_matrix" in os.path.basename(path)
+    load = data_io.load_series_matrix if series else data_io.load_csv
+    return load(path, labels_path, need_labels)
 
 
 def _model_and_data(args, what: str):
@@ -171,7 +148,7 @@ def cmd_train_derc(args):
         raise ValidationError(
             f"{args.centroids}: centroids are a {centroids.dtype} array of shape "
             f"{centroids.shape}, not a numeric k x {params.latent_dim} matrix, k >= 1")
-    if not np.isfinite(centroids).all():
+    if not all_finite(centroids):
         raise ValidationError(f"{args.centroids}: centroids hold a NaN or an inf")
     dcfg, settings = _stage_config(derc_cluster.DercConfig, args,
                                    k=centroids.shape[0],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .network import DenseLayer, NetworkParams
+from .network import DenseLayer, NetworkParams, all_finite
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +53,7 @@ class Dataset:
         if self.values.ndim != 2:
             raise ValidationError("dataset matrix must be 2-D")
         n, d = self.values.shape
-        if not np.all(np.isfinite(self.values)):
+        if not all_finite(self.values):
             raise ValidationError("dataset contains non-finite values")
         if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
             bad = np.argwhere((self.values < 0.0) | (self.values > 1.0))[0]
@@ -143,7 +143,8 @@ def _parse_row(cells: list[str], row: int, first_col: int):
 
 
 def _impute_feature_means(values: np.ndarray, feature_ids: list[str]):
-    """Replace NaNs by per-feature means; drop features that are all-missing."""
+    """Replace NaNs by per-feature means; drop features that are all-missing.
+    Returns (values, kept ids, dropped ids)."""
     missing = np.isnan(values)
     dead = missing.all(axis=0)
     for j in np.flatnonzero(missing.any(axis=0) & ~dead):
@@ -151,10 +152,31 @@ def _impute_feature_means(values: np.ndarray, feature_ids: list[str]):
         col[missing[:, j]] = col[~missing[:, j]].mean()
     keep = np.flatnonzero(~dead)
     dropped = [feature_ids[j] for j in np.flatnonzero(dead)]
-    if dropped:
-        logger.warning("dropped %d all-missing features: %s",
-                       len(dropped), ", ".join(dropped[:10]))
     return values[:, keep], [feature_ids[j] for j in keep], dropped
+
+
+def _label(token: str, path, where: str) -> int:
+    """A label token, its whitespace stripped, as the int 0 or 1; any other
+    token (a sign, a leading zero, an underscore, a word) raises
+    ValidationError naming path and where."""
+    token = token.strip()
+    if token not in ("0", "1"):
+        raise ValidationError(f"{path}: {where}: labels must be binary 0/1, written as "
+                              f"the plain integer 0/1; got {token!r}")
+    return int(token)
+
+
+def load_labels(path, n: int) -> np.ndarray:
+    """The n labels of a labels file: one per non-blank line, the last
+    comma-separated cell of each, after an optional `label` header line."""
+    lines = [(no, ln) for no, ln in enumerate(read_text(path).splitlines(), start=1)
+             if ln.strip()]
+    cells = [(no, ln.split(",")[-1]) for no, ln in lines]
+    if cells and cells[0][1].strip() == "label":
+        cells = cells[1:]
+    if len(cells) != n:
+        raise ValidationError(f"{path}: {len(cells)} labels for {n} samples")
+    return np.array([_label(cell, path, f"line {no}") for no, cell in cells], dtype=int)
 
 
 def read_text(path) -> str:
@@ -168,11 +190,14 @@ def read_text(path) -> str:
 
 
 def _cohort(path, values: np.ndarray, feature_ids: list[str], sample_ids: list[str],
-            labels: np.ndarray | None = None) -> Dataset:
+            labels: np.ndarray | None, labels_path, need_labels: bool) -> Dataset:
     """The Dataset a loader read from path, its missing cells imputed and
-    all-missing features dropped. A table without a sample row, a feature
-    column or a value raises ValidationError, as does any rejection by
-    Dataset.validate; each message names path."""
+    all-missing features dropped, with the labels of labels_path when given,
+    else labels. A table without a sample row, a feature column or a value
+    raises ValidationError, as do any rejection by Dataset.validate or
+    load_labels and, with need_labels, a cohort without labels; each message
+    names its file. Dropped features are logged only once every check has
+    passed, so a failing load prints its one error alone."""
     n, d = values.shape
     if n == 0 or d == 0:
         raise ValidationError(f"{path}: the table holds {n} samples and {d} features")
@@ -185,18 +210,26 @@ def _cohort(path, values: np.ndarray, feature_ids: list[str], sample_ids: list[s
         i, j = np.argwhere(np.isinf(values))[0]
         raise ValidationError(f"{path}: non-finite cell at sample {i}, feature {j}: "
                               f"{values[i, j]}")
-    values, feature_ids, _ = _impute_feature_means(values, feature_ids)
+    values, feature_ids, dropped = _impute_feature_means(values, feature_ids)
     ds = Dataset(values=values, feature_ids=feature_ids, sample_ids=sample_ids,
                  labels=labels)
     try:
         ds.validate()
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}")
+    if labels_path is not None:
+        ds.labels = load_labels(labels_path, ds.n_samples)
+    if need_labels and ds.labels is None:
+        raise ValidationError(f"{path}: labels are required (label column or --labels file)")
+    if dropped:
+        logger.warning("dropped %d all-missing features: %s",
+                       len(dropped), ", ".join(dropped[:10]))
     return ds
 
 
-def load_series_matrix(path) -> Dataset:
-    """Parse a GEO series-matrix text file into a Dataset (samples as rows)."""
+def load_series_matrix(path, labels_path=None, need_labels: bool = False) -> Dataset:
+    """Parse a GEO series-matrix text file into a Dataset (samples as rows),
+    labelled from labels_path when given (see _cohort)."""
     lines = read_text(path).splitlines()
 
     begin = end = None
@@ -229,13 +262,14 @@ def load_series_matrix(path) -> Dataset:
         rows[r] = _parse_row(parts[1:], r, 1)
     del lines
 
-    return _cohort(path, rows.T, probe_ids, sample_ids)
+    return _cohort(path, rows.T, probe_ids, sample_ids, None, labels_path, need_labels)
 
 
-def load_csv(path) -> Dataset:
+def load_csv(path, labels_path=None, need_labels: bool = False) -> Dataset:
     """Load a comma-separated matrix with a header of feature ids.
 
-    A final column named "label" holds binary class ids.
+    A final column named "label" holds binary class ids; the labels of
+    labels_path, when given, replace them (see _cohort).
     """
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
@@ -253,16 +287,14 @@ def load_csv(path) -> Dataset:
                 f"{path}: row {r} has {len(parts)} columns, expected {len(header)}"
             )
         if has_labels:
-            lab = parts[-1].strip()
-            if lab not in ("0", "1"):
-                raise ValidationError(f"{path}: non-binary label {lab!r} at row {r}")
-            labels.append(int(lab))
+            labels.append(_label(parts[-1], path, f"row {r}"))
             parts = parts[:-1]
         rows.append(_parse_row(parts, r, 0))
 
     values = np.asarray(rows, dtype=float).reshape(len(rows), len(feature_ids))
     return _cohort(path, values, feature_ids, [f"s{i}" for i in range(len(rows))],
-                   np.asarray(labels, dtype=int) if has_labels else None)
+                   np.asarray(labels, dtype=int) if has_labels else None, labels_path,
+                   need_labels)
 
 
 def save_table(path, header: str | None, rows) -> None:
@@ -406,15 +438,12 @@ def _check_chain(path, encoder: list, decoder: list, heads: list, meta: dict) ->
 
     for name, ly in [*encoder, *decoder, *heads]:
         for array_name, array in ((f"{name}_w", ly.weights), (f"{name}_b", ly.bias)):
-            # the kind first: isfinite rejects strings with a TypeError
+            # the kind first: all_finite reads real numbers only
             if array.dtype.kind not in "fiu":
                 raise ValidationError(f"{path}: {array_name} is a {array.dtype} array, "
                                       f"not real numbers")
-            # a sum is finite only if every value is, and reads the array
-            # without a temporary; isfinite tells an overflowing sum apart
-            with np.errstate(over="ignore", invalid="ignore"):
-                if not (np.isfinite(array.sum()) or np.isfinite(array).all()):
-                    raise ValidationError(f"{path}: {array_name} holds a NaN or an inf")
+            if not all_finite(array):
+                raise ValidationError(f"{path}: {array_name} holds a NaN or an inf")
         if ly.weights.ndim != 2:
             fail(f"{name}_w", ly.weights, "a weight array must be 2-D")
         if ly.bias.shape != (ly.n_out,):

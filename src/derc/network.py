@@ -134,19 +134,21 @@ class DenseLayer(Layer):
         return (dz, a_in), matmul(dz, self.weights)
 
 
-def _product_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield (rows, block) with block = (a.T @ b)[rows], in row blocks.
-
-    Blocks of about FOLD_BLOCK elements are formed in one reused scratch
-    array, so the product never exists whole.
-    """
+def _product_blocks(a: np.ndarray, b: np.ndarray, block: int = FOLD_BLOCK,
+                    scratch: np.ndarray | None = None):
+    """Yield (rows, out) with out = (a.T @ b)[rows], in row blocks of about
+    `block` elements formed in scratch, by default an array made to hold the
+    largest block, so the product never exists whole. No block is a lone row
+    unless the product has one: numpy forms a one-row product by GEMV, which
+    rounds unlike the GEMM of the whole product."""
     n_rows, d = a.shape[1], b.shape[1]
-    step = max(1, FOLD_BLOCK // d)
-    scratch = np.empty(min(step, n_rows) * d, dtype=np.result_type(a, b))
-    for r0 in range(0, n_rows, step):
-        r1 = min(r0 + step, n_rows)
-        block = scratch[:(r1 - r0) * d].reshape(r1 - r0, d)
-        yield slice(r0, r1), matmul(a[:, r0:r1].T, b, out=block)
+    step = max(2, block // d)
+    bounds = [0, *range(step, n_rows - 1, step), n_rows]
+    if scratch is None:
+        scratch = np.empty(max(np.diff(bounds)) * d, np.result_type(a, b))
+    for r0, r1 in zip(bounds, bounds[1:]):
+        out = scratch[:(r1 - r0) * d].reshape(r1 - r0, d)
+        yield slice(r0, r1), matmul(a[:, r0:r1].T, b, out=out)
 
 
 class RowSpaceLayer(Layer):
@@ -510,7 +512,7 @@ class SgdMomentum:
         self.momentum = momentum
         self.velocity = [np.zeros_like(p) for p in arrays] if momentum else None
         self._velocity_of = dict(zip(map(id, arrays), self.velocity or ()))
-        # a row block (see update) holds at most UPDATE_BLOCK + n_cols
+        # a row block (_product_blocks) holds at most UPDATE_BLOCK + n_cols
         # elements, or three rows where two rows exceed UPDATE_BLOCK
         widest = max((p.shape[1] for p in arrays if p.ndim == 2), default=0)
         self._scratch = np.empty(max(UPDATE_BLOCK + widest, 3 * widest),
@@ -532,15 +534,8 @@ class SgdMomentum:
         if isinstance(g, tuple):
             a, b = g
             _check_factors(a, b, p.shape)
-            # rows of about UPDATE_BLOCK elements, never one alone unless p
-            # has one: numpy forms a one-row product by GEMV, which rounds
-            # unlike the GEMM of the whole gradient
-            rows = max(2, UPDATE_BLOCK // p.shape[1])
-            bounds = [0, *range(rows, p.shape[0] - 1, rows), p.shape[0]]
-            for r0, r1 in zip(bounds, bounds[1:]):
-                g_rows = self._scratch[:(r1 - r0) * p.shape[1]].reshape(r1 - r0, -1)
-                matmul(a[:, r0:r1].T, b, out=g_rows)
-                self._apply(p, v, slice(r0, r1), g_rows)
+            for rows, g_rows in _product_blocks(a, b, UPDATE_BLOCK, self._scratch):
+                self._apply(p, v, rows, g_rows)
         else:
             if g.shape != p.shape:
                 raise ValidationError(
@@ -576,22 +571,25 @@ def collect_params(params: list) -> list[np.ndarray]:
     return [a for p in params for a in ((p,) if isinstance(p, np.ndarray) else p.params)]
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether the real array a holds no NaN and no inf."""
+    # a block's dot product with zeros is NaN iff the block holds a NaN or an
+    # inf (0 * inf = NaN; every other product is exactly 0, so nothing
+    # overflows): one BLAS pass over a in its memory order, so that a C- or
+    # F-ordered a is not copied, against one UPDATE_BLOCK of zeros
+    flat = a.ravel(order="K")
+    zeros = np.zeros(min(flat.size, UPDATE_BLOCK), dtype=flat.dtype)
+    with np.errstate(invalid="ignore"):
+        return all(np.isfinite(np.dot(block, zeros[:block.size]))
+                   for block in np.split(flat, range(UPDATE_BLOCK, flat.size, UPDATE_BLOCK)))
+
+
 def check_finite(params: list, what: str) -> None:
     """Raise NumericError naming `what` if one of collect_params(params)
     holds a NaN or an inf."""
-    # a block's dot product with zeros is NaN iff the block holds a NaN or an
-    # inf (0 * inf = NaN; every other product is exactly 0, so nothing
-    # overflows): one BLAS pass over each array, against one UPDATE_BLOCK of
-    # zeros
-    with np.errstate(invalid="ignore"):
-        for i, a in enumerate(collect_params(params)):
-            flat = a.reshape(-1)
-            zeros = np.zeros(min(flat.size, UPDATE_BLOCK), dtype=flat.dtype)
-            for b0 in range(0, flat.size, UPDATE_BLOCK):
-                block = flat[b0:b0 + UPDATE_BLOCK]
-                if not np.isfinite(np.dot(block, zeros[:block.size])):
-                    raise NumericError(f"{what}: non-finite value in trained "
-                                       f"parameter {i}")
+    for i, a in enumerate(collect_params(params)):
+        if not all_finite(a):
+            raise NumericError(f"{what}: non-finite value in trained parameter {i}")
 
 
 @dataclass

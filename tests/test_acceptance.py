@@ -167,12 +167,7 @@ class TestCriterion4SyntheticEndToEnd:
 class TestCriterion5PaperNumbers:
     @pytest.fixture(scope="class")
     def geo(self):
-        ds = data.load_series_matrix(os.environ[GEO_ENV])
-        labels_path = os.environ.get(GEO_LABELS_ENV)
-        if labels_path:
-            from derc.cli import _load_labels
-
-            ds.labels = _load_labels(labels_path, ds.n_samples)
+        ds = data.load_series_matrix(os.environ[GEO_ENV], os.environ.get(GEO_LABELS_ENV))
         if ds.labels is None:
             pytest.skip("labels file required for the paper-number criteria")
         return ds

@@ -429,6 +429,11 @@ REPEATED_SAMPLE = (b'!series_matrix_table_begin\n"ID_REF"\t"GSM1"\t"GSM2"\t"GSM2
                    b'"cg1"\t0.1\t0.2\t0.7\t0.8\n"cg2"\t0.5\t0.3\t0.4\t0.6\n'
                    b'!series_matrix_table_end\n')
 
+# three samples, the probe cg2 all missing
+ALL_MISSING_PROBE = (b'!series_matrix_table_begin\n"ID_REF"\t"GSM1"\t"GSM2"\t"GSM3"\n'
+                     b'"cg1"\t0.1\t0.2\t0.7\n"cg2"\tnull\tnull\tnull\n'
+                     b'!series_matrix_table_end\n')
+
 # bad input -> (argv builder, exit code, substrings of the one stderr line)
 BAD_INPUTS = {
     "missing-file": (_missing_file, 2, ["nope.csv"]),
@@ -590,6 +595,14 @@ BAD_INPUTS = {
                            ["labels.txt", "integer 0/1"]),
     "labels-not-binary": (_prescreen_labels("0\n1\n2\n" + "0\n" * 37), 2,
                           ["labels.txt", "binary 0/1"]),
+    "labels-plus-sign": (_prescreen_labels("+1\n" + "0\n" * 39), 2,
+                         ["labels.txt", "line 1", "binary 0/1", "'+1'"]),
+    "labels-underscore": (_prescreen_labels("0\n0_1\n" + "1\n" * 38), 2,
+                          ["labels.txt", "line 2", "binary 0/1", "'0_1'"]),
+    # the all-missing probe is dropped, and logged, only once the labels fit
+    "series-matrix-dropped-probe-labels-too-few": (_prescreen_file(
+        "series_matrix.txt", ALL_MISSING_PROBE, "0\n1\n"), 2,
+        ["labels.txt", "2 labels for 3 samples"]),
     "csv-empty": (_prescreen_file("e.csv", b""), 2, ["e.csv", "empty file"]),
     "csv-infinite-cell": (_prescreen_file("inf.csv", b"f1,f2\n0.5,0.2\n0.1,-inf\n"), 2,
                           ["inf.csv", "non-finite cell", "sample 1, feature 1", "-inf"]),
@@ -623,13 +636,16 @@ BAD_INPUTS = {
 
 class TestErrors:
     @pytest.mark.parametrize("case", BAD_INPUTS)
-    def test_bad_input_one_line_error(self, case, tmp_path, capsys):
+    def test_bad_input_one_line_error(self, case, tmp_path, capsys, caplog):
         make_argv, code, needles = BAD_INPUTS[case]
         argv = make_argv(tmp_path)
         capsys.readouterr()  # drop what building the inputs printed
+        caplog.clear()
         assert run(argv) == code
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
+        # outside pytest a logged warning would be a second stderr line
+        assert caplog.messages == []
         assert "Traceback" not in err
         for needle in needles:
             assert needle in err
@@ -667,6 +683,11 @@ class TestErrors:
         for suffix in (".csv", "_screen.csv", "_kept.txt"):
             assert ((tmp_path / f"own{suffix}").read_bytes()
                     == (tmp_path / f"file{suffix}").read_bytes())
+
+    def test_dropped_probe_is_logged_on_success(self, tmp_path, caplog):
+        argv = _prescreen_file("series_matrix.txt", ALL_MISSING_PROBE, "0\n1\n1\n")(tmp_path)
+        assert run(argv) == 0
+        assert caplog.messages == ["dropped 1 all-missing features: cg2"]
 
     def test_usage_error_exit_1(self):
         assert run(["prescreen"]) == 1

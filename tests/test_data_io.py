@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -37,10 +39,25 @@ class TestSeriesMatrix:
         # non-missing entries untouched
         assert ds.values[0, 0] == 0.2 and ds.values[2, 0] == 0.4
 
-    def test_all_missing_feature_dropped(self, tmp_path):
+    def test_all_missing_feature_dropped(self, tmp_path, caplog):
         text = GEO_SMALL.replace("0.1\t0.2\t0.3", "NA\tnull\t")
         ds = data.load_series_matrix(write(tmp_path, "m.txt", text))
         assert ds.feature_ids == ["cg0002"]
+        assert caplog.messages == ["dropped 1 all-missing features: cg0001"]
+
+    @pytest.mark.parametrize("labels, need_labels, match", [
+        ("0\n1\n", False, "l.txt: 2 labels for 3 samples"),
+        ("0\n1\n+1\n", False, "l.txt: line 3"),
+        (None, True, "m.txt: labels are required"),
+    ], ids=["too-few", "bad-token", "none"])
+    def test_failing_labels_log_no_dropped_feature(self, tmp_path, caplog, labels,
+                                                   need_labels, match):
+        # a load that fails prints its one error alone
+        text = GEO_SMALL.replace("0.1\t0.2\t0.3", "NA\tnull\t")
+        labels_path = None if labels is None else write(tmp_path, "l.txt", labels)
+        with pytest.raises(ValidationError, match=match):
+            data.load_series_matrix(write(tmp_path, "m.txt", text), labels_path, need_labels)
+        assert caplog.messages == []
 
     def test_missing_begin_marker(self, tmp_path):
         text = GEO_SMALL.replace("!series_matrix_table_begin\n", "")
@@ -175,6 +192,28 @@ class TestImputeFeatureMeans:
         assert got[1:] == want[1:]
         assert want[2] == ["cg4", "cg17", "cg59"]
         assert not np.isnan(got[0]).any()
+
+
+class TestLabels:
+    """A labels file and a CSV label column read one grammar: 0 or 1, with
+    surrounding whitespace and nothing else."""
+
+    @pytest.mark.parametrize("token", ["+1", "01", "0_1", "-0", "1.0", "2", "yes", "１"])
+    def test_both_reject_the_same_tokens(self, tmp_path, token):
+        labels = write(tmp_path, "l.txt", f"0\n{token}\n")
+        got = re.escape(f"got '{token}'")
+        with pytest.raises(ValidationError, match=f"l.txt: line 2: .*binary 0/1.*{got}"):
+            data.load_labels(labels, 2)
+        csv = write(tmp_path, "d.csv", f"f1,label\n0.1,0\n0.3,{token}\n")
+        with pytest.raises(ValidationError, match=f"d.csv: row 1: .*{got}"):
+            data.load_csv(csv)
+
+    def test_both_accept_padded_digits(self, tmp_path):
+        labels = write(tmp_path, "l.txt", "label\n 0 \n\n\t1\nid,1\n")
+        assert data.load_labels(labels, 3).tolist() == [0, 1, 1]
+        csv = write(tmp_path, "d.csv", "f1,label\n0.1, 0 \n0.3,\t1\n0.2,1\n")
+        assert data.load_csv(csv).labels.tolist() == [0, 1, 1]
+        assert data.load_csv(csv, labels).labels.tolist() == [0, 1, 1]
 
 
 class TestCsv:

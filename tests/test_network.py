@@ -152,6 +152,74 @@ class TestCheckFinite:
                              np.ones((3, nw.UPDATE_BLOCK // 2))], "stage")
 
 
+class TestAllFinite:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finds_a_nan_or_an_inf_at_either_end(self, dtype, bad):
+        x = np.full(nw.UPDATE_BLOCK + 1, np.finfo(dtype).max, dtype=dtype)
+        assert nw.all_finite(x)
+        for at in (0, nw.UPDATE_BLOCK - 1, nw.UPDATE_BLOCK):
+            y = x.copy()
+            y[at] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert not nw.all_finite(y)
+
+    def test_integer_and_empty_arrays_are_finite(self):
+        big = np.iinfo(np.int64).max
+        assert nw.all_finite(np.array([big, -big - 1, 0]))
+        assert nw.all_finite(np.arange(7, dtype=np.uint8).reshape(7, 1))
+        for empty in (np.empty(0), np.empty((0, 3)), np.empty((2, 0), dtype=np.float32)):
+            assert nw.all_finite(empty)
+
+    def test_reads_an_f_ordered_array_without_a_copy(self):
+        x = np.asfortranarray(np.random.default_rng(0).uniform(size=(300, 400)))
+        assert x.flags.f_contiguous and not x.flags.c_contiguous
+        x[-1, -1] = np.nan  # the last value read
+        result = []
+        peak = traced_peak(lambda: result.append(nw.all_finite(x)))
+        assert result == [False]
+        assert peak <= 8 * nw.UPDATE_BLOCK + 4096 < x.nbytes
+
+
+class TestProductBlocks:
+    """_product_blocks: the one rule for a blocked a.T @ b's row blocks."""
+
+    # a product of one column is a GEMV whole and in blocks, whose rows round
+    # by their place in the call; from two columns on every block is a GEMM
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5, 7, 9, 33])
+    @pytest.mark.parametrize("width", [2, 3, 8, 50])
+    @pytest.mark.parametrize("block", [1, 6, 16, 100, nw.FOLD_BLOCK])
+    def test_blocks_cover_rows_once_and_match_the_whole_product(self, n_rows, width, block):
+        rng = np.random.default_rng([n_rows, width, block])
+        a, b = rng.normal(size=(8, n_rows)), rng.normal(size=(8, width))
+        whole = a.T @ b
+        rows, scratch = [], set()
+        for r, out in nw._product_blocks(a, b, block):
+            rows.append((r.start, r.stop))
+            scratch.add(id(out.base))
+            assert out.tobytes() == whole[r].tobytes()
+            # a lone row would be a GEMV, rounded unlike the whole GEMM
+            assert r.stop - r.start > 1 or n_rows == 1
+            widest = out.base.size
+        starts, stops = zip(*rows)
+        assert starts[0] == 0 and stops[-1] == n_rows and starts[1:] == stops[:-1]
+        assert len(scratch) == 1
+        assert widest == max(r1 - r0 for r0, r1 in rows) * width
+
+    @pytest.mark.parametrize("n_rows", [6, 7, 8])
+    def test_last_row_joins_the_block_before(self, n_rows):
+        a, b = np.ones((2, n_rows)), np.ones((2, 4))
+        spans = [(r.start, r.stop) for r, _ in nw._product_blocks(a, b, block=8)]
+        assert spans == {6: [(0, 2), (2, 4), (4, 6)], 7: [(0, 2), (2, 4), (4, 7)],
+                         8: [(0, 2), (2, 4), (4, 6), (6, 8)]}[n_rows]
+
+    def test_given_scratch_is_used(self):
+        scratch = np.empty(64)
+        blocks = list(nw._product_blocks(np.ones((3, 10)), np.ones((3, 4)), 8, scratch))
+        assert all(out.base is scratch for _, out in blocks)
+
+
 class TestDivergence:
     """sgd_epochs stops a run whose epoch mean rises DIVERGENCE_FACTOR-fold
     over the lowest earlier one, while every loss is still finite."""
