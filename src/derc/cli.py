@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import logging
 import os
 import sys
 import typing
@@ -36,17 +37,24 @@ class CliParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_dataset(path, need_labels=False, labels_path=None) -> data_io.Dataset:
-    path = str(path)
+def _load_dataset(args) -> data_io.Dataset:
+    """The --data cohort; a command with a --labels flag needs labels, the
+    file's or the CSV's. The dropped feature ids go on args, for main."""
+    path = str(args.data)
     series = path.endswith(".txt") or "series_matrix" in os.path.basename(path)
-    load = data_io.load_series_matrix if series else data_io.load_csv
-    return load(path, labels_path, need_labels)
+    ds = (data_io.load_series_matrix if series else data_io.load_csv)(path)
+    if getattr(args, "labels", None) is not None:
+        ds.labels = data_io.load_labels(args.labels, ds.n_samples)
+    if "labels" in args and ds.labels is None:
+        raise ValidationError(f"{path}: labels are required (label column or --labels file)")
+    args.dropped = ds.dropped_feature_ids
+    return ds
 
 
 def _model_and_data(args, what: str):
     """The --model's params and the --data Dataset, checked to be as wide as its input."""
     params, _, _ = data_io.load_model(args.model)
-    ds = _load_dataset(args.data)
+    ds = _load_dataset(args)
     if params.input_dim != ds.n_features:
         raise ValidationError(f"{what}: model {args.model} expects {params.input_dim} "
                               f"features, data {args.data} has {ds.n_features}")
@@ -74,7 +82,7 @@ def _stage_config(cls, args, **fixed):
 
 
 def cmd_prescreen(args):
-    ds = _load_dataset(args.data, need_labels=True, labels_path=args.labels)
+    ds = _load_dataset(args)
     if ds.n_samples < 3:
         raise ValidationError(f"{args.data}: {ds.n_samples} samples; correlation "
                               f"pruning needs at least 3 samples")
@@ -94,7 +102,8 @@ def cmd_prescreen(args):
     data_io.save_table(args.out_report, "feature_id,status,p_value", rows)
     data_io.save_table(args.out_kept, None, [(fid,) for fid in report.kept_feature_ids])
 
-    write_manifest(args.out_data, "prescreen", [args.data], settings)
+    write_manifest(args.out_data, "prescreen", [p for p in (args.data, args.labels) if p],
+                   settings)
     print(f"kept {len(report.kept_feature_ids)} of {ds.n_features} features "
           f"({len(report.removed_by_correlation)} by correlation, "
           f"{len(report.removed_by_class_test)} by class test)")
@@ -108,7 +117,7 @@ def _int_list(raw: str) -> list[int]:
 
 
 def cmd_pretrain(args):
-    ds = _load_dataset(args.data)
+    ds = _load_dataset(args)
     pcfg, settings = _stage_config(ae.PretrainConfig, args,
                                    seed=stage_seed(args.seed, "pretrain"))
     spec = ae.AeSpec(layer_dims=args.dims)
@@ -174,18 +183,20 @@ def cmd_evaluate(args):
     pred = {}
     line_of = {}
     for no, ln in lines[1:]:
-        try:
-            sid, cid = ln.split(",")
-            cluster = int(cid)
-        except ValueError:
-            raise ParseError(f"{args.pred}: line {no}: expected "
-                             f"'sample_id,cluster' with an integer cluster, got {ln!r}")
+        sid, _, cid = ln.partition(",")
+        cid = cid.strip()
+        # ASCII digits, as train-derc writes them (int() alone would take a
+        # sign, an underscore or another script's digits), at most 18, so
+        # the id fits an int64
+        if not (cid.isascii() and cid.isdigit() and len(cid) <= 18):
+            raise ParseError(f"{args.pred}: line {no}: expected 'sample_id,cluster' with "
+                             f"a cluster id of 1 to 18 ASCII digits, got {ln!r}")
         if sid in line_of:
             raise ParseError(f"{args.pred}: line {no}: sample_id {sid!r} repeats "
                              f"line {line_of[sid]}")
-        pred[sid] = cluster
+        pred[sid] = int(cid)
         line_of[sid] = no
-    ds = _load_dataset(args.data, need_labels=True, labels_path=args.labels)
+    ds = _load_dataset(args)
     missing = [sid for sid in ds.sample_ids if sid not in pred]
     if missing:
         raise ValidationError(f"{args.pred}: missing predictions for {missing[:5]}")
@@ -331,6 +342,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"derc: out of memory: {exc}", file=sys.stderr)
         return 2
+    # noted only now, so a command that fails prints its one error alone
+    if getattr(args, "dropped", None):
+        logging.getLogger("derc").warning("dropped %d all-missing features: %s",
+                                          len(args.dropped), ", ".join(args.dropped[:10]))
     return 0
 
 

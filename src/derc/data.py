@@ -8,18 +8,15 @@ from __future__ import annotations
 
 import io
 import json
-import logging
 import struct
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .network import DenseLayer, NetworkParams, all_finite
-
-logger = logging.getLogger(__name__)
 
 MISSING_TOKENS = {"", "na", "null", "nan"}
 
@@ -40,6 +37,7 @@ class Dataset:
     feature_ids: list[str]
     sample_ids: list[str]
     labels: np.ndarray | None = None
+    dropped_feature_ids: list[str] = field(default_factory=list)
 
     @property
     def n_samples(self) -> int:
@@ -190,14 +188,11 @@ def read_text(path) -> str:
 
 
 def _cohort(path, values: np.ndarray, feature_ids: list[str], sample_ids: list[str],
-            labels: np.ndarray | None, labels_path, need_labels: bool) -> Dataset:
+            labels: np.ndarray | None) -> Dataset:
     """The Dataset a loader read from path, its missing cells imputed and
-    all-missing features dropped, with the labels of labels_path when given,
-    else labels. A table without a sample row, a feature column or a value
-    raises ValidationError, as do any rejection by Dataset.validate or
-    load_labels and, with need_labels, a cohort without labels; each message
-    names its file. Dropped features are logged only once every check has
-    passed, so a failing load prints its one error alone."""
+    all-missing features dropped into dropped_feature_ids. A table without a
+    sample row, a feature column or a value raises ValidationError, as does
+    any rejection by Dataset.validate; each message names the file."""
     n, d = values.shape
     if n == 0 or d == 0:
         raise ValidationError(f"{path}: the table holds {n} samples and {d} features")
@@ -212,24 +207,16 @@ def _cohort(path, values: np.ndarray, feature_ids: list[str], sample_ids: list[s
                               f"{values[i, j]}")
     values, feature_ids, dropped = _impute_feature_means(values, feature_ids)
     ds = Dataset(values=values, feature_ids=feature_ids, sample_ids=sample_ids,
-                 labels=labels)
+                 labels=labels, dropped_feature_ids=dropped)
     try:
         ds.validate()
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}")
-    if labels_path is not None:
-        ds.labels = load_labels(labels_path, ds.n_samples)
-    if need_labels and ds.labels is None:
-        raise ValidationError(f"{path}: labels are required (label column or --labels file)")
-    if dropped:
-        logger.warning("dropped %d all-missing features: %s",
-                       len(dropped), ", ".join(dropped[:10]))
     return ds
 
 
-def load_series_matrix(path, labels_path=None, need_labels: bool = False) -> Dataset:
-    """Parse a GEO series-matrix text file into a Dataset (samples as rows),
-    labelled from labels_path when given (see _cohort)."""
+def load_series_matrix(path) -> Dataset:
+    """Parse a GEO series-matrix text file into an unlabelled Dataset (samples as rows)."""
     lines = read_text(path).splitlines()
 
     begin = end = None
@@ -262,14 +249,13 @@ def load_series_matrix(path, labels_path=None, need_labels: bool = False) -> Dat
         rows[r] = _parse_row(parts[1:], r, 1)
     del lines
 
-    return _cohort(path, rows.T, probe_ids, sample_ids, None, labels_path, need_labels)
+    return _cohort(path, rows.T, probe_ids, sample_ids, None)
 
 
-def load_csv(path, labels_path=None, need_labels: bool = False) -> Dataset:
+def load_csv(path) -> Dataset:
     """Load a comma-separated matrix with a header of feature ids.
 
-    A final column named "label" holds binary class ids; the labels of
-    labels_path, when given, replace them (see _cohort).
+    A final column named "label" holds binary class ids (see _cohort).
     """
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
@@ -293,8 +279,7 @@ def load_csv(path, labels_path=None, need_labels: bool = False) -> Dataset:
 
     values = np.asarray(rows, dtype=float).reshape(len(rows), len(feature_ids))
     return _cohort(path, values, feature_ids, [f"s{i}" for i in range(len(rows))],
-                   np.asarray(labels, dtype=int) if has_labels else None, labels_path,
-                   need_labels)
+                   np.asarray(labels, dtype=int) if has_labels else None)
 
 
 def save_table(path, header: str | None, rows) -> None:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import io
 import json
@@ -369,13 +370,16 @@ def _bad_pred_line(line):
 
 
 def _prescreen_file(name, content, labels_text="0\n1\n"):
-    """prescreen on a data file holding content (bytes), with a labels file."""
+    """prescreen on a data file holding content (bytes), with a labels file
+    holding labels_text unless that is None."""
     def argv(tmp_path):
         path = tmp_path / name
         path.write_bytes(content)
-        labels = tmp_path / "labels.txt"
-        labels.write_text(labels_text)
-        return ["prescreen", "--data", path, "--labels", labels,
+        labels = []
+        if labels_text is not None:
+            (tmp_path / "labels.txt").write_text(labels_text)
+            labels = ["--labels", tmp_path / "labels.txt"]
+        return ["prescreen", "--data", path, *labels,
                 "--out-data", tmp_path / "f.csv", "--out-report", tmp_path / "r.csv",
                 "--out-kept", tmp_path / "k.txt"]
     return argv
@@ -390,6 +394,54 @@ def _prescreen_labels(content):
         return ["prescreen", "--data", raw, "--labels", labels,
                 "--out-data", tmp_path / "f.csv", "--out-report", tmp_path / "r.csv",
                 "--out-kept", tmp_path / "k.txt"]
+    return argv
+
+
+def _pred_first_cluster(token):
+    """evaluate on a pred file for the 40-sample cohort that gives each
+    sample its own label as cluster id, but the first sample token."""
+    def argv(tmp_path):
+        raw, ds = synth_csv(tmp_path)
+        pred = tmp_path / "pred.csv"
+        ids = [token, *map(str, ds.labels[1:])]
+        pred.write_text("sample_id,cluster\n" + "".join(
+            f"{sid},{cid}\n" for sid, cid in zip(ds.sample_ids, ids)), encoding="utf-8")
+        return ["evaluate", "--pred", pred, "--data", raw, "--out", tmp_path / "r.txt"]
+    return argv
+
+
+def _after_dropped_probe(stage, n_in=1, zero=False, centroids=None):
+    """stage (export-latent, cluster-init or train-derc) on ALL_MISSING_PROBE,
+    which loads 1 feature wide, with an AE of widths n_in-2, its encoder all
+    zeros if zero, and for train-derc a container holding centroids."""
+    def argv(tmp_path):
+        sm = tmp_path / "series_matrix.txt"
+        sm.write_bytes(ALL_MISSING_PROBE)
+        params = autoencoder.build_ae([n_in, 2], np.random.default_rng(0))
+        if zero:
+            for layer in params.encoder_layers:
+                layer.weights[:] = 0.0
+                layer.bias[:] = 0.0
+        model = tmp_path / "model.derc"
+        data.save_model(model, params)
+        flags = [stage, "--model", model, "--data", sm, "--out", tmp_path / "out"]
+        if centroids is None:
+            return flags
+        data.save_container(tmp_path / "c.derc", dict(centroids=centroids),
+                            dict(kind="centroids"))
+        return [*flags, "--centroids", tmp_path / "c.derc", "--pred", tmp_path / "p.csv"]
+    return argv
+
+
+def _evaluate_after_dropped_probe(pred_text):
+    """evaluate on ALL_MISSING_PROBE, labelled 0 1 1, with a pred file holding pred_text."""
+    def argv(tmp_path):
+        sm = tmp_path / "series_matrix.txt"
+        sm.write_bytes(ALL_MISSING_PROBE)
+        (tmp_path / "labels.txt").write_text("0\n1\n1\n")
+        (tmp_path / "pred.csv").write_text(pred_text)
+        return ["evaluate", "--pred", tmp_path / "pred.csv", "--data", sm,
+                "--labels", tmp_path / "labels.txt", "--out", tmp_path / "r.txt"]
     return argv
 
 
@@ -599,10 +651,41 @@ BAD_INPUTS = {
                          ["labels.txt", "line 1", "binary 0/1", "'+1'"]),
     "labels-underscore": (_prescreen_labels("0\n0_1\n" + "1\n" * 38), 2,
                           ["labels.txt", "line 2", "binary 0/1", "'0_1'"]),
-    # the all-missing probe is dropped, and logged, only once the labels fit
+    # the all-missing probe cg2 is dropped, and noted only once a command
+    # has succeeded, so each of these prints its one error alone
     "series-matrix-dropped-probe-labels-too-few": (_prescreen_file(
         "series_matrix.txt", ALL_MISSING_PROBE, "0\n1\n"), 2,
         ["labels.txt", "2 labels for 3 samples"]),
+    "series-matrix-dropped-probe-labels-plus-sign": (_prescreen_file(
+        "series_matrix.txt", ALL_MISSING_PROBE, "0\n1\n+1\n"), 2,
+        ["labels.txt", "line 3", "binary 0/1", "'+1'"]),
+    "series-matrix-dropped-probe-no-labels": (_prescreen_file(
+        "series_matrix.txt", ALL_MISSING_PROBE, None), 2,
+        ["series_matrix.txt", "labels are required"]),
+    "series-matrix-dropped-probe-one-class-labels": (_prescreen_file(
+        "series_matrix.txt", ALL_MISSING_PROBE, "0\n0\n0\n"), 2,
+        ["3 samples of class 0", "0 of class 1"]),
+    "series-matrix-dropped-probe-pred-misses-a-sample": (_evaluate_after_dropped_probe(
+        "sample_id,cluster\nGSM1,0\nGSM2,1\n"), 2,
+        ["pred.csv", "missing predictions", "'GSM3'"]),
+    "series-matrix-dropped-probe-model-too-wide": (_after_dropped_probe(
+        "export-latent", n_in=3), 2,
+        ["model.derc", "expects 3 features", "series_matrix.txt has 1"]),
+    "series-matrix-dropped-probe-centroids-nan": (_after_dropped_probe(
+        "train-derc", centroids=np.array([[np.nan, 0.0], [1.0, 1.0]])), 2,
+        ["c.derc", "NaN or an inf"]),
+    "series-matrix-dropped-probe-collapsed-latent": (_after_dropped_probe(
+        "cluster-init", zero=True), 3,
+        ["numeric error: degenerate cluster", "1 distinct point(s) among 3"]),
+    # a cluster id is ASCII digits, at most 18 of them
+    "pred-cluster-plus-sign": (_pred_first_cluster("+1"), 2,
+                               ["pred.csv", "line 2", "ASCII digits", "'s0,+1'"]),
+    "pred-cluster-underscore": (_pred_first_cluster("0_0"), 2,
+                                ["pred.csv", "line 2", "ASCII digits", "'s0,0_0'"]),
+    "pred-cluster-arabic-indic-digit": (_pred_first_cluster("\u0661"), 2,
+                                        ["pred.csv", "line 2", "ASCII digits", "'s0,\u0661'"]),
+    "pred-cluster-30-digits": (_pred_first_cluster("1" * 30), 2,
+                               ["pred.csv", "line 2", "1 to 18 ASCII digits"]),
     "csv-empty": (_prescreen_file("e.csv", b""), 2, ["e.csv", "empty file"]),
     "csv-infinite-cell": (_prescreen_file("inf.csv", b"f1,f2\n0.5,0.2\n0.1,-inf\n"), 2,
                           ["inf.csv", "non-finite cell", "sample 1, feature 1", "-inf"]),
@@ -850,6 +933,23 @@ class TestUtilities:
         assert manifest["blas"]["threads"] is None
         assert manifest["blas"]["name"] == blas["name"]
 
+    def test_prescreen_manifest_records_the_labels_file(self, tmp_path, monkeypatch):
+        # one matrix under two labellings in files of one name: the outputs
+        # differ, so must the manifests that record what made them
+        manifests = []
+        for name, labels in (("a", "0\n1\n" * 6), ("b", "1\n0\n" * 6)):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            write_series_matrix(Path("sm.txt"), 12, 30, seed=0)
+            Path("labels.txt").write_text(labels)
+            assert run(["prescreen", "--data", "sm.txt", "--labels", "labels.txt",
+                        *PRESCREEN_OUTPUTS]) == 0
+            manifest = json.loads(Path("f.csv.manifest.json").read_text())
+            assert manifest["inputs"] == {p: config.sha256_file(p)
+                                          for p in ("labels.txt", "sm.txt")}
+            manifests.append(manifest)
+        assert manifests[0] != manifests[1]
+
 
 # stage argv without settings -> the settings, given once as flags and once as
 # `key = value` lines of a --config file
@@ -1034,6 +1134,33 @@ class TestByteOrderMark:
         assert marked == plain
 
 
+def console_writes(source: str) -> list[int]:
+    """Lines that print, reach sys.stdout or sys.stderr, or use logging."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source)) if (
+        isinstance(node, ast.Name) and node.id in {"print", "logging", "stdout", "stderr"}
+        or isinstance(node, ast.Attribute) and node.attr in {"stdout", "stderr"}
+        or isinstance(node, ast.Import) and any(a.name == "logging" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "logging")})
+
+
+class TestOneConsole:
+    """Only cli.py writes to the console, so it alone decides what a command
+    prints, and after what."""
+
+    def test_finds_writes(self):
+        source = ("import logging\nfrom logging import warning\nimport sys\n"
+                  "def f(x):\n    print(x)\n    sys.stderr.write(x)\n    return x\n"
+                  "log = logging.getLogger(__name__)\nfrom sys import stdout\n"
+                  "stdout.write('x')\n")
+        assert console_writes(source) == [1, 2, 5, 6, 8, 10]
+
+    @pytest.mark.parametrize("module", sorted(
+        p.name for p in (ROOT / "src" / "derc").glob("*.py") if p.name != "cli.py"))
+    def test_no_write_outside_cli(self, module):
+        path = ROOT / "src" / "derc" / module
+        assert console_writes(path.read_text(encoding="utf-8")) == []
+
+
 class TestChildProcess:
     def test_pinned_and_unpinned_models_are_byte_identical(self, tmp_path):
         # each weight matrix is one rng.uniform draw (network.init_uniform),
@@ -1050,6 +1177,20 @@ class TestChildProcess:
             manifest = json.loads((tmp_path / f"{name}.derc.manifest.json").read_text())
             assert manifest["blas"]["threads"] == 1
         assert (tmp_path / "pinned.derc").read_bytes() == (tmp_path / "unpinned.derc").read_bytes()
+
+    @pytest.mark.parametrize("labels, code, err", [
+        ("0\n1\n1\n", 0, "dropped 1 all-missing features: cg2\n"),
+        ("0\n0\n0\n", 2, "derc: labels hold 3 samples of class 0 and 0 of class 1; "
+                          "the class tests need both\n"),
+    ], ids=["succeeds", "fails"])
+    def test_dropped_probe_noted_only_on_success(self, labels, code, err, tmp_path):
+        # a user sees the note on stderr after a command that succeeds, and a
+        # failing command's one error line alone
+        (tmp_path / "series_matrix.txt").write_bytes(ALL_MISSING_PROBE)
+        (tmp_path / "labels.txt").write_text(labels)
+        proc = run_child(["prescreen", "--data", "series_matrix.txt", "--labels", "labels.txt",
+                          *PRESCREEN_OUTPUTS], cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (code, err)
 
     def test_geo_series_matrix_keeps_probes(self, tmp_path, monkeypatch):
         # the benchmark's tiny GEO cohort holds null, empty and quoted cells

@@ -6,6 +6,7 @@ import pytest
 from conftest import (set_compression_method, traced_peak, write_deflated_container,
                       write_series_matrix)
 from derc import data
+from derc.cli import main
 from derc.errors import ParseError, ValidationError
 
 GEO_SMALL = """!Series_title\t"tiny"
@@ -43,20 +44,8 @@ class TestSeriesMatrix:
         text = GEO_SMALL.replace("0.1\t0.2\t0.3", "NA\tnull\t")
         ds = data.load_series_matrix(write(tmp_path, "m.txt", text))
         assert ds.feature_ids == ["cg0002"]
-        assert caplog.messages == ["dropped 1 all-missing features: cg0001"]
-
-    @pytest.mark.parametrize("labels, need_labels, match", [
-        ("0\n1\n", False, "l.txt: 2 labels for 3 samples"),
-        ("0\n1\n+1\n", False, "l.txt: line 3"),
-        (None, True, "m.txt: labels are required"),
-    ], ids=["too-few", "bad-token", "none"])
-    def test_failing_labels_log_no_dropped_feature(self, tmp_path, caplog, labels,
-                                                   need_labels, match):
-        # a load that fails prints its one error alone
-        text = GEO_SMALL.replace("0.1\t0.2\t0.3", "NA\tnull\t")
-        labels_path = None if labels is None else write(tmp_path, "l.txt", labels)
-        with pytest.raises(ValidationError, match=match):
-            data.load_series_matrix(write(tmp_path, "m.txt", text), labels_path, need_labels)
+        assert ds.dropped_feature_ids == ["cg0001"]
+        # the loader only lists the drop; derc notes it once a command succeeds
         assert caplog.messages == []
 
     def test_missing_begin_marker(self, tmp_path):
@@ -213,7 +202,15 @@ class TestLabels:
         assert data.load_labels(labels, 3).tolist() == [0, 1, 1]
         csv = write(tmp_path, "d.csv", "f1,label\n0.1, 0 \n0.3,\t1\n0.2,1\n")
         assert data.load_csv(csv).labels.tolist() == [0, 1, 1]
-        assert data.load_csv(csv, labels).labels.tolist() == [0, 1, 1]
+        # a --labels file replaces the column: prescreen's filtered CSV
+        # carries the file's labels
+        flipped = write(tmp_path, "flipped.txt", "label\n 1 \n\n\t0\nid,0\n")
+        out = tmp_path / "f.csv"
+        assert main(["prescreen", "--data", str(csv), "--labels", str(flipped),
+                     "--out-data", str(out), "--out-report", str(tmp_path / "r.csv"),
+                     "--out-kept", str(tmp_path / "k.txt")]) == 0
+        rows = out.read_text().splitlines()
+        assert [ln.split(",")[-1] for ln in rows] == ["label", "1", "0", "0"]
 
 
 class TestCsv:
