@@ -43,10 +43,11 @@ def _load_dataset(args) -> data_io.Dataset:
     path = str(args.data)
     series = path.endswith(".txt") or "series_matrix" in os.path.basename(path)
     ds = (data_io.load_series_matrix if series else data_io.load_csv)(path)
-    if getattr(args, "labels", None) is not None:
-        ds.labels = data_io.load_labels(args.labels, ds.n_samples)
-    if "labels" in args and ds.labels is None:
-        raise ValidationError(f"{path}: labels are required (label column or --labels file)")
+    if "labels" in args:
+        if args.labels is not None:
+            ds.labels = data_io.load_labels(args.labels, ds.n_samples)
+        if ds.labels is None:
+            raise ValidationError(f"{path}: labels are required (label column or --labels file)")
     args.dropped = ds.dropped_feature_ids
     return ds
 

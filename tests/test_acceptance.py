@@ -167,7 +167,9 @@ class TestCriterion4SyntheticEndToEnd:
 class TestCriterion5PaperNumbers:
     @pytest.fixture(scope="class")
     def geo(self):
-        ds = data.load_series_matrix(os.environ[GEO_ENV], os.environ.get(GEO_LABELS_ENV))
+        ds = data.load_series_matrix(os.environ[GEO_ENV])
+        if GEO_LABELS_ENV in os.environ:
+            ds.labels = data.load_labels(os.environ[GEO_LABELS_ENV], ds.n_samples)
         if ds.labels is None:
             pytest.skip("labels file required for the paper-number criteria")
         return ds
