@@ -209,28 +209,27 @@ def _rank_sum_null(n_a: int, vals: tuple[int, ...]) -> np.ndarray:
     dp[0, 0] = 1.0
     for v in vals:
         dp[1:, v:] = dp[1:, v:] + dp[:-1, :max_sum + 1 - v]
-    dist = dp[n_a]
+    dist = dp[n_a].copy()  # a view would keep the whole table alive
     dist.flags.writeable = False
     return dist
 
 
-def _exact_rank_sum_pvalue(ranks2: np.ndarray, n_a: int, w2: float) -> float:
+def _exact_rank_sum_pvalue(ranks2: np.ndarray, n_a: int, w2: int) -> float:
     """Exact two-sided p for the rank-sum statistic by subset-sum counting.
 
-    ranks2 holds doubled midranks (integers even with ties); counts the
-    number of size-n_a subsets whose doubled rank sum deviates from the
-    null mean at least as much as the observed one. The null distribution
-    is memoised on (n_a, sorted doubled ranks), so every tie-free sample of
-    one group size shares one subset-sum pass.
+    ranks2 holds the pooled sample's integer doubled midranks, in any order,
+    and w2 the doubled rank sum of the group of n_a; counts the number of
+    size-n_a subsets whose doubled rank sum deviates from the null mean at
+    least as much as the observed one. The null distribution is memoised on
+    (n_a, sorted doubled ranks), so every tie-free sample of one group size
+    shares one subset-sum pass.
     """
-    vals = np.rint(ranks2).astype(int)
-    vals.sort()
+    vals = np.sort(ranks2)
     dist = _rank_sum_null(n_a, tuple(vals.tolist()))
     n = len(vals)
     mean2 = n_a * (n + 1)  # doubled null mean of the rank sum
-    dev = abs(w2 - mean2) - 1e-9
     sums = np.arange(len(dist))
-    extreme = dist[np.abs(sums - mean2) >= dev].sum()
+    extreme = dist[np.abs(sums - mean2) >= abs(w2 - mean2)].sum()
     return float(min(extreme / comb(n, n_a), 1.0))
 
 
@@ -248,27 +247,27 @@ def wilcoxon_rank_sum(a, b) -> float:
         raise ValidationError("both groups must be non-empty")
     n = n_a + n_b
     pooled = np.concatenate((a, b))
-    order = pooled.argsort(kind="stable")
+    order = pooled.argsort()
     ordered = pooled[order]
     if ordered[0] == ordered[-1]:  # a constant sample
         return 1.0
-    # tie runs of the sorted sample: run i spans ordered[edges[i]:edges[i + 1]]
-    # and its members share the midrank (edges[i] + edges[i + 1] + 1) / 2
-    new_run = np.empty(n + 1, dtype=bool)
-    new_run[0] = new_run[n] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:n])
-    edges = new_run.nonzero()[0]
-    tie_counts = edges[1:] - edges[:-1]
-    ranks = np.empty(n)
-    ranks[order] = ((edges[:-1] + edges[1:] + 1) / 2.0).repeat(tie_counts)
-    w = np.add.reduce(ranks[:n_a])
+    # the tie run of ordered[i] spans ordered[lo[i]:hi[i]], and its members
+    # share the doubled midrank lo + hi + 1: every rank sum is an exact
+    # integer, whatever order a sort leaves within a run. Sorted keys keep
+    # the binary searches' branches predictable.
+    lo = ordered.searchsorted(ordered, "left")
+    hi = ordered.searchsorted(ordered, "right")
+    ranks2 = lo + hi + 1
+    w2 = int(np.add.reduce(ranks2, where=order < n_a))
     if n_a <= EXACT_WILCOXON_MAX and n_b <= EXACT_WILCOXON_MAX:
-        return _exact_rank_sum_pvalue(2.0 * ranks, n_a, 2.0 * w)
+        return _exact_rank_sum_pvalue(ranks2, n_a, w2)
     mean = n_a * (n + 1) / 2.0
-    tie_term = np.add.reduce(tie_counts**3 - tie_counts) / (n * (n - 1))
+    # a run of t ties adds t**3 - t to the tie term: t**2 - 1 for each member
+    t = hi - lo
+    tie_term = np.add.reduce(t * t - 1) / (n * (n - 1))
     # var > 0: a non-constant sample's tie_term is at most n - 2 (runs of n - 1 and 1)
     var = n_a * n_b / 12.0 * (n + 1 - tie_term)
-    z = (w - mean) / np.sqrt(var)
+    z = (w2 / 2.0 - mean) / np.sqrt(var)
     return float(min(2.0 * special.ndtr(-abs(z)), 1.0))
 
 

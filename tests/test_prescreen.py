@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from itertools import combinations
 from math import comb
@@ -73,7 +74,8 @@ def reference_wilcoxon_rank_sum(a, b):
     n = n_a + n_b
     w = ranks[:n_a].sum()
     if n_a <= prescreen.EXACT_WILCOXON_MAX and n_b <= prescreen.EXACT_WILCOXON_MAX:
-        return prescreen._exact_rank_sum_pvalue(2.0 * ranks, n_a, 2.0 * w)
+        return prescreen._exact_rank_sum_pvalue(np.rint(2.0 * ranks).astype(int), n_a,
+                                                int(round(2.0 * w)))
     mean = n_a * (n + 1) / 2.0
     _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = np.sum(tie_counts**3 - tie_counts) / (n * (n - 1))
@@ -303,6 +305,39 @@ SAMPLE_KINDS = {
     "zero-mean-subnormal-variance": _subnormal_variance,
 }
 CLASS_SIZES = [(5, 5), (8, 8), (20, 20), (21, 30), (114, 23)]
+
+
+def _signed_zeros_within(a, b):
+    # -0.0 and 0.0 alternate in the larger group, in both orders
+    g = a if len(a) >= len(b) else b
+    g[:len(g) // 2 + 1] = np.where(np.arange(len(g) // 2 + 1) % 2, 0.0, -0.0)
+    return a, b
+
+
+def _signed_zeros_across(a, b):
+    a[:len(a) // 2 + 1] = -0.0
+    b[:len(b) // 2 + 1] = 0.0
+    return a, b
+
+
+def _all_tied_but_one(a, b):
+    a[:], b[:] = 0.5, 0.5
+    (b if len(b) > len(a) else a)[-1] = 0.7
+    return a, b
+
+
+# rank-sum inputs the oracle grid lacks: a cell -0 passes the [0, 1] check
+# and ties with 0, and a sort may order the two either way
+WILCOXON_EDGE_KINDS = {
+    "rounded": lambda a, b: (a, b),
+    "signed-zeros-within": _signed_zeros_within,
+    "signed-zeros-across": _signed_zeros_across,
+    "signed-zeros-across-flipped": lambda a, b: _signed_zeros_across(b, a)[::-1],
+    "all-tied-but-one": _all_tied_but_one,
+}
+# the exact branch, then the normal one; one-member groups on each
+WILCOXON_EDGE_SIZES = [(1, 1), (1, 20), (20, 1), (7, 5), (20, 20),
+                       (1, 30), (30, 1), (21, 30), (114, 23)]
 
 
 def seeded_matrix_114_23():
@@ -835,6 +870,39 @@ class TestPerCallPath:
                     p = wilcoxon_rank_sum(a, b)
                     assert p == current_wilcoxon_rank_sum(a, b) == count / comb(n, n_a)
                     assert wilcoxon_rank_sum(a, b) == p  # from the memo
+
+    @pytest.mark.parametrize("n_a,n_b", WILCOXON_EDGE_SIZES)
+    @pytest.mark.parametrize("kind", WILCOXON_EDGE_KINDS)
+    def test_rank_sum_edge_cases(self, n_a, n_b, kind):
+        rng = np.random.default_rng(n_a * 100 + n_b)
+        a, b = WILCOXON_EDGE_KINDS[kind](np.round(rng.uniform(size=n_a), 1),
+                                         np.round(rng.uniform(size=n_b), 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = wilcoxon_rank_sum(a, b)
+        assert bits([p]) == bits([current_wilcoxon_rank_sum(a, b)])
+        np.testing.assert_allclose(p, reference_wilcoxon_rank_sum(a, b), rtol=1e-12, atol=0)
+
+    def test_null_cache_keeps_only_each_distribution(self):
+        # two-decimal 20/20 samples tie in new patterns, so every call misses
+        rng = np.random.default_rng(12)
+        samples = np.round(rng.beta(2.0, 5.0, size=(200, 40)), 2)
+        prescreen._rank_sum_null.cache_clear()
+        tracemalloc.start()
+        try:
+            for x in samples:
+                wilcoxon_rank_sum(x[:20], x[20:])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        info = prescreen._rank_sum_null.cache_info()
+        assert (info.misses, info.currsize) == (200, 128)
+        # 128 distributions of 1,641 counts are 1.6 MiB; their (21, 1641)
+        # tables would be 33 MiB
+        assert held < 3 * 2**20
+        dist = prescreen._rank_sum_null(20, tuple(range(2, 81, 2)))
+        assert dist.base is None and not dist.flags.writeable
+        assert dist.shape == (1641,)
 
     def test_one_class_test_per_survivor(self, monkeypatch):
         rng = np.random.default_rng(4)
