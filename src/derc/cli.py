@@ -185,7 +185,7 @@ def cmd_evaluate(args):
     line_of = {}
     for no, ln in lines[1:]:
         sid, _, cid = ln.partition(",")
-        cid = cid.strip()
+        sid, cid = sid.strip(), cid.strip()
         # ASCII digits, as train-derc writes them (int() alone would take a
         # sign, an underscore or another script's digits), at most 18, so
         # the id fits an int64

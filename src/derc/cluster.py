@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autoencoder import encode, vae_loss_and_grads
 from .errors import NumericError, ValidationError
 from .network import NetworkParams, SgdConfig, check_finite, sgd_epochs, training_layers
 
@@ -119,8 +120,6 @@ def train_derc(values: np.ndarray, params: NetworkParams,
     The layers train in the forms network.training_layers picks for values,
     and are dense again in the result.
     """
-    from .autoencoder import encode, vae_loss_and_grads
-
     cfg.validate()
     x = np.asarray(values, dtype=float)
     n = x.shape[0]

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 
+from . import __version__
 from .data import read_text
 from .errors import ParseError
 
@@ -71,8 +72,6 @@ def blas_threads() -> int | None:
 def write_manifest(out_path, stage: str, inputs: list[str], settings: dict) -> None:
     """Provenance record next to a stage output; deterministic content at a
     given BLAS thread count, which changes GEMM bits and is recorded."""
-    from . import __version__
-
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # a numpy older than show_config's dicts

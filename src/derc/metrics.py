@@ -59,19 +59,6 @@ def clustering_accuracy(y, c):
     return matches / n, dict(enumerate(cols))
 
 
-def confusion_counts(y, c, mapping: dict[int, int], positive_label: int = 1):
-    """FP/FN and the 2x2 confusion matrix after applying the mapping to c."""
-    y = np.asarray(y, dtype=int)
-    c = np.asarray(c, dtype=int)
-    vals = sorted(mapping.values())
-    if sorted(mapping.keys()) != vals or len(set(vals)) != len(vals):
-        raise ValidationError("mapping must be a bijection on cluster ids")
-    pred = np.asarray([mapping[ci] for ci in c], dtype=int)
-    confusion = np.bincount(2 * (y == positive_label) + (pred == positive_label),
-                            minlength=4).reshape(2, 2)
-    return int(confusion[0, 1]), int(confusion[1, 0]), confusion
-
-
 def evaluate(y, c, positive_label: int = 1) -> MetricsReport:
     """ACC, error rate and FP/FN; each cluster id must be a label class
     0..max(y), because FP/FN count the clusters mapped onto real classes,
@@ -87,11 +74,13 @@ def evaluate(y, c, positive_label: int = 1) -> MetricsReport:
         raise ValidationError(f"cluster ids {outside} are outside the label "
                               f"classes 0..{len(classes) - 1}")
     acc, mapping = clustering_accuracy(y, c)
-    fp, fn, _ = confusion_counts(y, c, mapping, positive_label)
+    # the mapping's keys are the cluster ids 0..k-1 in order
+    pred = np.array(list(mapping.values()))[c] == positive_label
+    truth = y == positive_label
     return MetricsReport(
         acc=acc,
         error_rate_percent=(1.0 - acc) * 100.0,
-        fp=fp,
-        fn=fn,
+        fp=int(np.sum(pred & ~truth)),
+        fn=int(np.sum(~pred & truth)),
         mapping=mapping,
     )

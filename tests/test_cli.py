@@ -950,6 +950,19 @@ class TestUtilities:
             manifests.append(manifest)
         assert manifests[0] != manifests[1]
 
+    def test_padded_pred_fields_give_the_plain_report(self, tmp_path):
+        # whitespace around the sample id is ignored, as around the cluster id
+        raw, ds = synth_csv(tmp_path)
+        reports = []
+        for name, line in (("plain", "{},{}\n"), ("padded", "{} \t, {}\n")):
+            pred = tmp_path / f"{name}.csv"
+            pred.write_text("sample_id,cluster\n" + "".join(
+                line.format(sid, i % 2) for i, sid in enumerate(ds.sample_ids)))
+            assert run(["evaluate", "--pred", pred, "--data", raw,
+                        "--out", tmp_path / f"{name}.txt"]) == 0
+            reports.append((tmp_path / f"{name}.txt").read_bytes())
+        assert reports[0] == reports[1]
+
 
 # stage argv without settings -> the settings, given once as flags and once as
 # `key = value` lines of a --config file
@@ -1159,6 +1172,37 @@ class TestOneConsole:
     def test_no_write_outside_cli(self, module):
         path = ROOT / "src" / "derc" / module
         assert console_writes(path.read_text(encoding="utf-8")) == []
+
+
+def package_imports_in_functions(source: str) -> list[int]:
+    """Lines of the imports from this package (`.` or `derc`) inside a
+    function body."""
+    return sorted({node.lineno for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if (
+        isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "derc")
+        or isinstance(node, ast.Import) and any(a.name.split(".")[0] == "derc"
+                                                for a in node.names))})
+
+
+class TestModuleLevelPackageImports:
+    """A module imports what it uses of the package at its top, so its
+    dependencies read there and load with it."""
+
+    def test_finds_imports(self):
+        source = ("from . import errors\nimport numpy\n"
+                  "def f():\n    from . import __version__\n    from .data import read_text\n"
+                  "    import derc.cli\n    from derc import errors\n"
+                  "    from scipy import special\n    import mmap\n"
+                  "class C:\n    def g(self):\n        import derc\n        return derc\n")
+        assert package_imports_in_functions(source) == [4, 5, 6, 7, 12]
+
+    @pytest.mark.parametrize("module", sorted(
+        p.name for p in (ROOT / "src" / "derc").glob("*.py")))
+    def test_no_package_import_in_a_function(self, module):
+        path = ROOT / "src" / "derc" / module
+        assert package_imports_in_functions(path.read_text(encoding="utf-8")) == []
 
 
 class TestChildProcess:

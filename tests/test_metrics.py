@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from derc.errors import ValidationError
-from derc.metrics import MAX_CLASSES, clustering_accuracy, confusion_counts, evaluate
+from derc.metrics import MAX_CLASSES, clustering_accuracy, evaluate
 
 
 class TestClusteringAccuracy:
@@ -106,21 +106,19 @@ class TestClusteringAccuracy:
             clustering_accuracy(y, c)
 
 
-class TestConfusionCounts:
+class TestFpFn:
     def test_perfect_prediction(self):
         y = np.array([0, 0, 1, 1])
-        fp, fn, confusion = confusion_counts(y, y, {0: 0, 1: 1})
-        assert fp == 0 and fn == 0
-        assert confusion[0, 0] == 2 and confusion[1, 1] == 2
+        report = evaluate(y, y)
+        assert report.fp == 0 and report.fn == 0
 
     def test_all_positive_prediction(self):
         # cohort shape 23 negatives / 114 positives
         y = np.concatenate([np.zeros(23, dtype=int), np.ones(114, dtype=int)])
         c = np.ones(137, dtype=int)
-        fp, fn, _ = confusion_counts(y, c, {0: 0, 1: 1}, positive_label=1)
-        assert fp == 23 and fn == 0
-        acc, _ = clustering_accuracy(y, c)
-        assert acc == pytest.approx(114 / 137)
+        report = evaluate(y, c, positive_label=1)
+        assert report.fp == 23 and report.fn == 0
+        assert report.acc == pytest.approx(114 / 137)
 
     def test_fp_fn_decompose_errors(self):
         rng = np.random.default_rng(4)
@@ -130,9 +128,22 @@ class TestConfusionCounts:
         mapped = np.array([report.mapping[ci] for ci in c])
         assert report.fp + report.fn == int(np.sum(mapped != y))
 
-    def test_invalid_mapping(self):
-        with pytest.raises(ValidationError):
-            confusion_counts([0, 1], [0, 1], {0: 0, 1: 0})
+    def test_brute_force_counts(self):
+        # per sample: the cluster's mapped class against the true class
+        rng = np.random.default_rng(6)
+        for k in range(1, 5):
+            for _ in range(50):
+                y = rng.integers(0, k, size=25)
+                c = rng.integers(0, k, size=25)
+                y[0] = c[0] = k - 1  # every class shows
+                for positive in range(max(1, k - 1) + 1):
+                    report = evaluate(y, c, positive_label=positive)
+                    fp = fn = 0
+                    for ci, yi in zip(c, y):
+                        pred = report.mapping[ci] == positive
+                        fp += pred and yi != positive
+                        fn += not pred and yi == positive
+                    assert (report.fp, report.fn) == (fp, fn)
 
 
 class TestReport:
