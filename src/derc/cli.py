@@ -177,6 +177,10 @@ def cmd_train_derc(args):
 
 
 def cmd_evaluate(args):
+    # the name is the first field of the report's CSV row, written unquoted
+    if any(ch in args.method for ch in ',"\r\n'):
+        raise ValidationError(f"--method {args.method!r} holds a comma, a double quote, "
+                              f"a CR or an LF, which would break the report's CSV row")
     lines = [(no, ln.strip()) for no, ln in
              enumerate(data_io.read_text(args.pred).splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != "sample_id,cluster":

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -51,11 +53,7 @@ def sha256_file(path) -> str:
 def blas_threads() -> int | None:
     """The thread count of the OpenBLAS that numpy bundles, or None where
     no such library or thread-count symbol is found."""
-    import ctypes
-    import glob
-    from pathlib import Path
-
-    for lib in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
         try:
             handle = ctypes.CDLL(lib)
         except OSError:

@@ -531,10 +531,16 @@ BAD_INPUTS = {
         ["vae_recon_weight", "[0, 1]"]),
     "pretrain-dims-input-width-unlike-data": (_pretrain_with("--dims", "20,8,2"), 2,
                                               ["input width 20", "data width 30"]),
+    "pretrain-dims-latent-not-below-input": (_pretrain_with("--dims", "30,40"), 2,
+                                             ["latent dim 40 must be smaller than "
+                                              "input dim 30"]),
     "derc-target-interval-zero": (_train_derc_with("--target-interval", "0"), 2,
                                   ["target_interval", ">= 1"]),
     "cluster-init-restarts-zero": (_cluster_init_with("--restarts", "0"), 2,
                                    ["restarts", ">= 1"]),
+    "cluster-init-k-zero": (_cluster_init_with("--k", "0"), 2, ["k must be >= 1"]),
+    "cluster-init-k-above-samples": (_cluster_init_with("--k", "41"), 2,
+                                     ["need at least k=41 samples, got 40"]),
     "prescreen-alpha-zero": (_prescreen_with("--alpha", "0"), 2, ["alpha", "(0, 1)"]),
     "prescreen-rho-threshold-zero": (_prescreen_with("--rho-threshold", "0"), 2,
                                      ["rho_threshold", "(0, 1]"]),
@@ -638,6 +644,15 @@ BAD_INPUTS = {
     "evaluate-positive-label-negative": (
         _pred_for_every_sample(2, flags=("--positive-label", "-1")), 2,
         ["positive label -1", "0..1"]),
+    # the name is the first field of the report's unquoted CSV row
+    "evaluate-method-with-comma": (_pred_for_every_sample(2, flags=("--method", "a,b")), 2,
+                                   ["--method 'a,b'", "CSV row"]),
+    "evaluate-method-with-quote": (_pred_for_every_sample(2, flags=("--method", 'a"b')), 2,
+                                   ["--method 'a\"b'", "CSV row"]),
+    "evaluate-method-with-cr": (_pred_for_every_sample(2, flags=("--method", "a\rb")), 2,
+                                ["--method 'a\\rb'", "CSV row"]),
+    "evaluate-method-with-lf": (_pred_for_every_sample(2, flags=("--method", "a\nb")), 2,
+                                ["--method 'a\\nb'", "CSV row"]),
     "series-matrix-repeated-sample": (_prescreen_file(
         "series_matrix.txt", REPEATED_SAMPLE, "0\n0\n1\n1\n"), 2,
         ["series_matrix.txt", "sample id 'GSM2'", "repeats"]),
@@ -1174,16 +1189,22 @@ class TestOneConsole:
         assert console_writes(path.read_text(encoding="utf-8")) == []
 
 
+def imports_in_functions(source: str) -> list[ast.stmt]:
+    """The import statements inside a function body, in line order."""
+    nodes = {node.lineno: node for fn in ast.walk(ast.parse(source))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return [nodes[line] for line in sorted(nodes)]
+
+
 def package_imports_in_functions(source: str) -> list[int]:
     """Lines of the imports from this package (`.` or `derc`) inside a
     function body."""
-    return sorted({node.lineno for fn in ast.walk(ast.parse(source))
-                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                   for node in ast.walk(fn) if (
+    return [node.lineno for node in imports_in_functions(source) if (
         isinstance(node, ast.ImportFrom)
         and (node.level > 0 or (node.module or "").split(".")[0] == "derc")
         or isinstance(node, ast.Import) and any(a.name.split(".")[0] == "derc"
-                                                for a in node.names))})
+                                                for a in node.names))]
 
 
 class TestModuleLevelPackageImports:
@@ -1197,12 +1218,22 @@ class TestModuleLevelPackageImports:
                   "    from scipy import special\n    import mmap\n"
                   "class C:\n    def g(self):\n        import derc\n        return derc\n")
         assert package_imports_in_functions(source) == [4, 5, 6, 7, 12]
+        assert [n.lineno for n in imports_in_functions(source)] == [4, 5, 6, 7, 8, 9, 12]
 
     @pytest.mark.parametrize("module", sorted(
         p.name for p in (ROOT / "src" / "derc").glob("*.py")))
     def test_no_package_import_in_a_function(self, module):
         path = ROOT / "src" / "derc" / module
         assert package_imports_in_functions(path.read_text(encoding="utf-8")) == []
+
+    @pytest.mark.parametrize("module", sorted(
+        p.name for p in (ROOT / "src" / "derc").glob("*.py")))
+    def test_only_scipy_special_is_imported_in_a_function(self, module):
+        # scipy.special costs about 0.2 s of a cold process's start, and only
+        # prescreen's p-values need it; every other import is at module level
+        source = (ROOT / "src" / "derc" / module).read_text(encoding="utf-8")
+        assert [(n.lineno, ast.unparse(n)) for n in imports_in_functions(source)
+                if ast.unparse(n) != "from scipy import special"] == []
 
 
 class TestChildProcess:

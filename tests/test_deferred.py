@@ -395,6 +395,37 @@ class TestDeferredLayer:
         assert layer.rows == 0 and layer.velocity is None
         assert dense.weights.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("momentum", [0.0, MOMENTUM])
+    def test_window_reads_only_rows_it_wrote(self, momentum):
+        # the window starts as whatever memory np.empty gives; filled with
+        # NaN, any read of a row not yet written would reach the outputs.
+        # Steps of 3 rows fill 3 * K of its rows and flush; the last 2 are
+        # never written. Step K + 1 forms the velocity at a momentum, and
+        # step K + 2 reads through it
+        rng = np.random.default_rng(21)
+        dense = nw.DenseLayer.create(40, 50, "sigmoid", rng)
+        layers = [nw.DeferredLayer(nw.DenseLayer(dense.weights.copy(), dense.bias.copy(),
+                                                 dense.activation),
+                                   window=3 * K + 2, momentum=momentum) for _ in range(2)]
+        for buf in (layers[1].pending, layers[1].pending_in, layers[1]._scaled_in):
+            buf.fill(np.nan)
+        opts = [nw.SgdMomentum([layer], lr=0.1, momentum=momentum) for layer in layers]
+        for _ in range(K + 2):
+            h, grad_out = rng.normal(size=(3, 40)), rng.normal(size=(3, 50))
+            seen = []
+            for layer, opt in zip(layers, opts):
+                out, cache = nw.forward_layers([layer], h)
+                grads, g_in = nw.backward_layers([layer], cache, grad_out)
+                opt.step(grads)
+                seen.append([out, g_in, layer.weights, layer.bias])
+            assert [a.tobytes() for a in seen[0]] == [a.tobytes() for a in seen[1]]
+        assert layers[1].rows == 6
+        for layer in layers:
+            layer.flush()
+        assert layers[0].weights.tobytes() == layers[1].weights.tobytes()
+        if momentum:
+            assert layers[0].velocity.tobytes() == layers[1].velocity.tobytes()
+
     def test_rejects_mismatched_momentum_and_overflow(self):
         rng = np.random.default_rng(16)
         layer = nw.DeferredLayer(nw.DenseLayer.create(40, 50, "sigmoid", rng), window=6)
@@ -449,7 +480,7 @@ class TestMemory:
         w_bytes = 8 * self.N_IN * self.N_OUT
         window = K * self.BS
         layer = nw.DeferredLayer(dense, window)
-        assert layer.pending.base is layer.pending_in.base
+        assert layer.pending.base is layer.pending_in.base is layer._scaled_in.base
         assert (layer.pending.nbytes + layer.pending_in.nbytes
                 == 8 * window * (self.N_IN + self.N_OUT) < w_bytes)
         opt = nw.SgdMomentum([layer], lr=0.1)
