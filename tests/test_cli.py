@@ -1191,10 +1191,11 @@ class TestOneConsole:
 
 def imports_in_functions(source: str) -> list[ast.stmt]:
     """The import statements inside a function body, in line order."""
-    nodes = {node.lineno: node for fn in ast.walk(ast.parse(source))
+    # a set, since a nested function's imports are walked from each enclosing one
+    nodes = {node for fn in ast.walk(ast.parse(source))
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
-    return [nodes[line] for line in sorted(nodes)]
+    return sorted(nodes, key=lambda node: (node.lineno, node.col_offset))
 
 
 def package_imports_in_functions(source: str) -> list[int]:
