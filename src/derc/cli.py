@@ -54,7 +54,7 @@ def _load_dataset(args) -> data_io.Dataset:
 
 def _model_and_data(args, what: str):
     """The --model's params and the --data Dataset, checked to be as wide as its input."""
-    params, _, _ = data_io.load_model(args.model)
+    params = data_io.load_model(args.model)
     ds = _load_dataset(args)
     if params.input_dim != ds.n_features:
         raise ValidationError(f"{what}: model {args.model} expects {params.input_dim} "

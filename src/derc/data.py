@@ -376,8 +376,11 @@ def save_model(path, params, centroids: np.ndarray | None = None,
     save_container(path, arrays, meta)
 
 
-def load_model(path):
-    """Inverse of save_model; returns (params, centroids-or-None, meta)."""
+def load_model(path) -> NetworkParams:
+    """Inverse of save_model, without the centroids (load_container reads
+    them and the meta). Each layer array is returned C-ordered and floating,
+    as training updates it in place: int or uint values as float64, a
+    C-ordered float array as it was loaded, so a model is held once."""
     arrays, meta = load_container(path)
     kind = meta.get("kind")
     if kind not in ("ae", "vae"):
@@ -408,7 +411,10 @@ def load_model(path):
     params = NetworkParams(encoder_layers=[ly for _, ly in encoder],
                            decoder_layers=[ly for _, ly in stacks["dec"]],
                            logvar_head=stacks["lv"][0][1] if kind == "vae" else None)
-    return params, arrays.get("centroids"), meta
+    for ly in params.all_layers():
+        ly.weights, ly.bias = (np.asarray(a, a.dtype if a.dtype.kind == "f" else float,
+                                          order="C") for a in (ly.weights, ly.bias))
+    return params
 
 
 def _check_chain(path, encoder: list, decoder: list, heads: list, meta: dict) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .network import all_finite
 
 DEFAULT_RESTARTS = 80  # Lloyd runs per fit; the lowest inertia wins
 MAX_ITER = 300  # Lloyd iterations per run at most
@@ -64,7 +65,8 @@ def kmeans_fit(z: np.ndarray, k: int, restarts: int = DEFAULT_RESTARTS,
                seed: int = 0) -> KmeansResult:
     """Best-of-restarts Lloyd clustering; deterministic per seed.
 
-    Raises NumericError when z holds fewer than k distinct points.
+    Raises NumericError when z holds a NaN or an inf, or fewer than k
+    distinct points.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
@@ -76,6 +78,9 @@ def kmeans_fit(z: np.ndarray, k: int, restarts: int = DEFAULT_RESTARTS,
         raise ValidationError(f"need at least k={k} samples, got {n}")
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
+    # checked first: np.unique would count an all-inf z as one distinct point
+    if not all_finite(z):
+        raise NumericError("k-means points hold a NaN or an inf")
     # fewer distinct points than k force coincident centroids and an empty
     # cluster, as a collapsed latent (every unit dead) gives
     distinct = len(np.unique(z, axis=0))

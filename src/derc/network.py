@@ -78,10 +78,13 @@ ACTIVATIONS = {
 
 
 class Layer:
-    """A layer kind's training: params are the arrays SgdMomentum updates
-    for it, update applies the ((a, b), db) gradient backward_layers gives,
-    by default each part to its array in params, and flush applies what
-    the layer holds pending, by default nothing."""
+    """A layer kind's training. weights is every kind's stored n_out x n_in
+    matrix, C-ordered and floating (data.load_model makes a loaded one so);
+    a training form (RowSpaceLayer, DeferredLayer) reads it as the base that
+    it adds its own state to. params are the arrays SgdMomentum updates for
+    the layer, update applies the ((a, b), db) gradient backward_layers
+    gives, by default each part to its array in params, and flush applies
+    what the layer holds pending, by default nothing."""
 
     @property
     def n_in(self) -> int:
@@ -101,7 +104,7 @@ class Layer:
 
 @dataclass
 class DenseLayer(Layer):
-    """Dense layer y = act(x @ W.T + b), weights stored n_out x n_in."""
+    """Dense layer y = act(x @ W.T + b), W its weights."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -155,30 +158,22 @@ class RowSpaceLayer(Layer):
     """A dense layer trained in the row space of its training matrix x.
 
     A layer that only ever reads rows of x gets SGD updates dz.T @ x[rows],
-    and momentum velocities built from them, so its weights stay
-    W = w0 + coef.T @ x, with coef of shape n_samples x n_out (Zhang et al.
-    2017, arXiv:1611.03530, sec. 5). The layer keeps the read-only w0 and
-    x @ w0.T and x @ x.T, each computed once, and trains coef in place of W:
-    a batch's gradient on coef is e.T @ dz, e its one-hot rows (one_hot),
-    which SgdMomentum.update takes as factors like any weight gradient. The
-    bias is layer's own array.
+    and momentum velocities built from them, so its effective matrix stays
+    weights + coef.T @ x, with coef of shape n_samples x n_out (Zhang et al.
+    2017, arXiv:1611.03530, sec. 5). weights is a read-only view of the
+    dense layer's matrix; the layer keeps it, x @ weights.T and x @ x.T, each
+    computed once, and trains coef in place of it: a batch's gradient on
+    coef is e.T @ dz, e its one-hot rows (one_hot), which SgdMomentum.update
+    takes as factors like any weight gradient. The bias is layer's own array.
     """
 
     def __init__(self, layer: DenseLayer, x: np.ndarray):
-        self.w0 = layer.weights.view()
-        self.w0.flags.writeable = False
+        self.weights = layer.weights.view()
+        self.weights.flags.writeable = False
         self.bias, self.activation, self.x = layer.bias, layer.activation, x
-        self.xw0 = matmul(x, self.w0.T)
+        self.xw = matmul(x, self.weights.T)
         self.gram = matmul(x, x.T)
-        self.coef = np.zeros((len(x), layer.n_out), dtype=self.w0.dtype)
-
-    @property
-    def n_in(self) -> int:
-        return self.w0.shape[1]
-
-    @property
-    def n_out(self) -> int:
-        return self.w0.shape[0]
+        self.coef = np.zeros((len(x), layer.n_out), dtype=self.weights.dtype)
 
     @property
     def params(self) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +195,8 @@ class RowSpaceLayer(Layer):
         if rows is None and a is self.x:
             rows = np.arange(len(a))
         if rows is not None:
-            return self.xw0[rows] + matmul(self.gram[rows], self.coef) + self.bias
-        return matmul(a, self.w0.T) + matmul(matmul(a, self.x.T), self.coef) + self.bias
+            return self.xw[rows] + matmul(self.gram[rows], self.coef) + self.bias
+        return matmul(a, self.weights.T) + matmul(matmul(a, self.x.T), self.coef) + self.bias
 
     def forward(self, a: np.ndarray, rows: np.ndarray | None = None):
         """(input to cache, pre-activation); with rows, the input is one_hot(rows)."""
@@ -212,12 +207,13 @@ class RowSpaceLayer(Layer):
         return (e, dz), None
 
     def fold_into(self, out: np.ndarray) -> None:
-        """Write W = w0 + coef.T @ x into out, which may be w0's own buffer.
+        """Write weights + coef.T @ x into out, which may be the buffer that
+        weights views.
 
         Rows are formed a block at a time, so no W-sized temporary exists.
         """
         for rows, block in _product_blocks(self.coef, self.x):
-            np.add(self.w0[rows], block, out=out[rows])
+            np.add(self.weights[rows], block, out=out[rows])
 
 
 class DeferredLayer(Layer):
@@ -241,8 +237,8 @@ class DeferredLayer(Layer):
     flushed window's share of it only when the next window's first step
     needs it, since right after a flush c = 0. A trainer that ends on a
     flush, or trains at m = 0, never forms it. The window holds `window`
-    rows of each factor. W is the dense layer's own array; the bias is
-    updated directly, so it alone is in params.
+    rows of each factor. W is weights, the dense layer's own array; the bias
+    is updated directly, so it alone is in params.
     """
 
     def __init__(self, layer: DenseLayer, window: int, momentum: float = 0.0):

@@ -218,8 +218,8 @@ class TestTrainDerc:
         assert not np.array_equal(params.encoder_layers[-1].weights, mu_w)
         path = tmp_path / "trained.derc"
         data.save_model(path, result.params, centroids=result.centroids)
-        loaded, _, meta = data.load_model(path)
-        assert meta["kind"] == "vae"
+        loaded = data.load_model(path)
+        assert data.load_container(path)[1]["kind"] == "vae"
         assert np.array_equal(loaded.logvar_head.weights, lv_w)
 
     def test_determinism(self):

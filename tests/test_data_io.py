@@ -418,12 +418,13 @@ class TestModelContainer:
         centroids = np.random.default_rng(1).normal(size=(2, 2))
         path = tmp_path / "model.derc"
         data.save_model(path, params, centroids=centroids, extra_meta={"note": "x"})
-        loaded, cent, meta = data.load_model(path)
+        loaded = data.load_model(path)
         for a, b in zip(params.all_layers(), loaded.all_layers()):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
             assert a.activation == b.activation
-        assert np.array_equal(cent, centroids)
+        arrays, meta = data.load_container(path)
+        assert np.array_equal(arrays["centroids"], centroids)
         assert meta["kind"] == "ae" and meta["note"] == "x"
 
     def test_vae_roundtrip(self, tmp_path):
@@ -432,10 +433,40 @@ class TestModelContainer:
         params = build_vae([6, 4, 2], np.random.default_rng(0))
         path = tmp_path / "model.derc"
         data.save_model(path, params)
-        loaded, _, meta = data.load_model(path)
+        loaded = data.load_model(path)
         x = np.random.default_rng(2).uniform(size=(3, 6))
         assert np.array_equal(encode(params, x), encode(loaded, x))
-        assert meta["kind"] == "vae"
+        assert data.load_container(path)[1]["kind"] == "vae"
+
+    def test_c_ordered_float64_arrays_are_not_copied(self, tmp_path, monkeypatch):
+        # every array derc writes reaches its layer as np.load made it
+        path = tmp_path / "model.derc"
+        data.save_model(path, self._model())
+        arrays, meta = data.load_container(path)
+        monkeypatch.setattr(data, "load_container", lambda p: (arrays, meta))
+        loaded = data.load_model(path)
+        for name, ly in zip(["enc0", "enc1", "dec0", "dec1"], loaded.all_layers()):
+            assert np.shares_memory(ly.weights, arrays[f"{name}_w"])
+            assert np.shares_memory(ly.bias, arrays[f"{name}_b"])
+
+    @pytest.mark.parametrize("stored, dtype", [
+        (np.asfortranarray, np.float64),
+        (lambda a: a.astype(np.float32), np.float32),
+        (lambda a: np.round(a * 10).astype(np.int64), np.float64),
+        (lambda a: np.asfortranarray(np.abs(np.round(a * 10)).astype(np.uint8)), np.float64),
+    ], ids=["fortran", "float32", "int64", "fortran-uint8"])
+    def test_layer_arrays_load_c_ordered_and_floating(self, tmp_path, stored, dtype):
+        # training updates the arrays in place (SgdMomentum needs C order)
+        path = tmp_path / "model.derc"
+        data.save_model(path, self._model())
+        arrays, meta = data.load_container(path)
+        data.save_container(path, {k: stored(a) for k, a in arrays.items()}, meta)
+        stored_arrays, _ = data.load_container(path)
+        loaded = data.load_model(path)
+        for name, ly in zip(["enc0", "enc1", "dec0", "dec1"], loaded.all_layers()):
+            for t, a in (("w", ly.weights), ("b", ly.bias)):
+                assert a.flags.c_contiguous and a.dtype == dtype
+                assert np.array_equal(a, stored_arrays[f"{name}_{t}"])
 
     @pytest.mark.parametrize("kind, names, stacks", [
         ("ae", ["enc0", "enc1", "dec0", "dec1"], ["enc", "dec"]),
@@ -463,7 +494,7 @@ class TestModelContainer:
         path = tmp_path / "model.derc"
         data.save_model(path, params)
         if loads:
-            loaded, _, _ = data.load_model(path)
+            loaded = data.load_model(path)
             assert np.array_equal(loaded.encoder_layers[0].weights,
                                   params.encoder_layers[0].weights)
         else:

@@ -84,6 +84,17 @@ class TestKmeansFit:
         assert result.inertia == 0.0
         assert sorted(np.bincount(result.assignments).tolist()) == [3, 3]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points(self, bad):
+        # a latent whose encoder overflows; an all-inf one is not read as one
+        # distinct point
+        z = np.random.default_rng(7).normal(size=(10, 3))
+        z[4, 1] = bad
+        with pytest.raises(NumericError, match=r"^k-means points hold a NaN or an inf$"):
+            kmeans_fit(z, k=2)
+        with pytest.raises(NumericError, match="NaN or an inf"):
+            kmeans_fit(np.full((10, 3), bad), k=2)
+
 
 class TestKmeansAssign:
     def test_self_consistency_with_fit(self):

@@ -411,9 +411,12 @@ class TestRowSpaceLayer:
             nw.forward_layers([layer], x[:len(rows)], np.array(rows))
 
     def test_w0_is_read_only(self):
-        _, layer, _, _ = self.layer()
+        # W0 is the dense layer's own matrix, held as the layer's weights
+        dense, layer, _, _ = self.layer()
+        assert np.shares_memory(layer.weights, dense.weights)
+        assert (layer.n_in, layer.n_out) == (dense.n_in, dense.n_out)
         with pytest.raises(ValueError):
-            layer.w0[0, 0] = 1.0
+            layer.weights[0, 0] = 1.0
 
     def test_fold_writes_weights_in_place_in_blocks(self):
         # W is about 9 MiB, far wider than one FOLD_BLOCK
