@@ -56,7 +56,7 @@ class AeSpec:
         return list(dims)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PretrainConfig(SgdConfig):
     epochs: int = 300
     lr: float = 1.0
@@ -64,8 +64,8 @@ class PretrainConfig(SgdConfig):
     vae_recon_weight: float = 0.8
     validation_fraction: float = 0.0
 
-    def validate(self) -> None:
-        super().validate()
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValidationError("validation_fraction must be in [0, 1)")
         if not 0.0 <= self.vae_recon_weight <= 1.0:
@@ -193,7 +193,6 @@ def _pretrain(values, spec: AeSpec, cfg: PretrainConfig, kind: str):
     batches' and the validation draws, which only a VAE makes. The layers
     train in the forms network.training_layers picks for the training split.
     """
-    cfg.validate()
     x = np.asarray(values, dtype=float)
     rng = np.random.default_rng(cfg.seed)
     build, w = (build_vae, cfg.vae_recon_weight) if kind == "vae" else (build_ae, 1.0)

@@ -7,6 +7,7 @@ Exit codes: 1 usage error, 2 parse/validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import os
@@ -79,16 +80,28 @@ def _stage_config(cls, args, **fixed):
     return cfg, settings
 
 
+@contextlib.contextmanager
+def _naming(error: type[DercError], **inputs):
+    """Re-raise an `error` raised inside with the stage's input files
+    appended, as `(--flag path, ...)`; a None input is left out. For a
+    library call whose `error`s are about its inputs' contents; a loader's
+    messages name their file already."""
+    try:
+        yield
+    except error as exc:
+        named = ", ".join(f"--{flag} {path}" for flag, path in inputs.items()
+                          if path is not None)
+        raise type(exc)(f"{exc} ({named})") from exc
+
+
 # --- subcommands -----------------------------------------------------------
 
 
 def cmd_prescreen(args):
     ds = _load_dataset(args)
-    if ds.n_samples < 3:
-        raise ValidationError(f"{args.data}: {ds.n_samples} samples; correlation "
-                              f"pruning needs at least 3 samples")
     pcfg, settings = _stage_config(ps.PrescreenConfig, args)
-    report = ps.discriminative_filter(ds, pcfg)
+    with _naming(ValidationError, data=args.data, labels=args.labels):
+        report = ps.discriminative_filter(ds, pcfg)
     data_io.save_csv(ds.subset_features(report.kept_indices), args.out_data)
 
     status = {}
@@ -136,8 +149,9 @@ def cmd_pretrain(args):
 def cmd_cluster_init(args):
     params, ds = _model_and_data(args, "cluster-init")
     z = ae.encode(params, ds.values)
-    result = km.kmeans_fit(z, k=args.k, restarts=args.restarts,
-                           seed=stage_seed(args.seed, "cluster_init"))
+    with _naming(NumericError, model=args.model, data=args.data):
+        result = km.kmeans_fit(z, k=args.k, restarts=args.restarts,
+                               seed=stage_seed(args.seed, "cluster_init"))
     data_io.save_container(args.out, dict(centroids=result.centroids),
                            dict(kind="centroids", k=args.k, inertia=result.inertia,
                                 restarts=args.restarts))
@@ -163,7 +177,8 @@ def cmd_train_derc(args):
     dcfg, settings = _stage_config(derc_cluster.DercConfig, args,
                                    k=centroids.shape[0],
                                    seed=stage_seed(args.seed, "derc"))
-    result = derc_cluster.train_derc(ds.values, params, centroids, dcfg)
+    with _naming(ValidationError, centroids=args.centroids, data=args.data):
+        result = derc_cluster.train_derc(ds.values, params, centroids, dcfg)
     data_io.save_model(args.out, result.params, centroids=result.centroids,
                        extra_meta=dict(beta=dcfg.beta))
     if args.history:

@@ -24,7 +24,7 @@ from .errors import NumericError, ValidationError
 from .network import NetworkParams, SgdConfig, check_finite, sgd_epochs, training_layers
 
 
-@dataclass
+@dataclass(frozen=True)
 class DercConfig(SgdConfig):
     epochs: int = 50
     lr: float = 0.01
@@ -36,8 +36,8 @@ class DercConfig(SgdConfig):
     # change between refreshes before stopping; None runs the full budget
     stop_delta: float | None = None
 
-    def validate(self) -> None:
-        super().validate()
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 <= self.beta < np.inf:
             raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
         if self.target_interval < 1:
@@ -120,7 +120,6 @@ def train_derc(values: np.ndarray, params: NetworkParams,
     The layers train in the forms network.training_layers picks for values,
     and are dense again in the result.
     """
-    cfg.validate()
     x = np.asarray(values, dtype=float)
     n = x.shape[0]
     if cfg.k > n:

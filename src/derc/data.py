@@ -90,7 +90,7 @@ def _require_unique(kind: str, ids: list[str]) -> None:
         seen.add(i)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a reproducible synthetic methylation-like cohort."""
 
@@ -100,7 +100,7 @@ class SynthSpec:
     class_ratio: float = 0.5
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_features < 1:
             raise ValidationError(f"n_features must be >= 1, got {self.n_features}")
         if self.n_informative < 0:
@@ -304,7 +304,6 @@ def save_csv(dataset: Dataset, path) -> None:
 
 def generate_synthetic(spec: SynthSpec) -> Dataset:
     """Deterministic synthetic cohort with class-conditional Beta features."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n, d, k = spec.n_samples, spec.n_features, spec.n_informative
     n1 = int(round(n * spec.class_ratio))

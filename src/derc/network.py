@@ -584,9 +584,9 @@ def check_finite(params: list, what: str) -> None:
             raise NumericError(f"{what}: non-finite value in trained parameter {i}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SgdConfig:
-    """Mini-batch SGD settings; each trainer's config sets epochs, lr, momentum."""
+    """Mini-batch SGD settings, checked when made; each trainer sets epochs, lr, momentum."""
 
     epochs: int
     lr: float
@@ -594,7 +594,7 @@ class SgdConfig:
     batch_size: int = 8
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be >= 1")
         # reject a step size or momentum under which SGD does not descend

@@ -33,13 +33,13 @@ PRUNE_BLOCK = 256
 EPS = np.finfo(float).eps
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrescreenConfig:
     alpha: float = 0.05
     rho_threshold: float = 0.90
     normality_alpha: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
         if not 0.0 < self.rho_threshold <= 1.0:
@@ -73,11 +73,10 @@ def correlation_prune(data: Dataset, cfg: PrescreenConfig):
     has |rho| >= threshold and p <= alpha the higher index is removed.
     Returns (kept indices, removed indices).
     """
-    cfg.validate()
     x = data.values
     n, d = x.shape
     if n < 3:
-        raise ValidationError("need at least 3 samples for correlation pruning")
+        raise ValidationError(f"{n} samples; correlation pruning needs at least 3 samples")
 
     # standardized columns in one array: constant features become zero
     # vectors (rho = 0)
@@ -309,7 +308,6 @@ def discriminative_filter(data: Dataset, cfg: PrescreenConfig) -> PrescreenRepor
     """
     if data.labels is None:
         raise ValidationError("discriminative_filter requires labels")
-    cfg.validate()
     labels = np.asarray(data.labels)
     rows_a, rows_b = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
     if len(rows_a) == 0 or len(rows_b) == 0:

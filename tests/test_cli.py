@@ -14,9 +14,10 @@ import pytest
 
 from conftest import (poison_last_step, set_compression_method, write_deflated_container,
                       write_series_matrix)
-from derc import autoencoder, cluster, config, data, prescreen
+from derc import autoencoder, cluster, config, data, network, prescreen
 from derc.autoencoder import encode
 from derc.cli import main
+from derc.errors import ValidationError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -519,7 +520,8 @@ BAD_INPUTS = {
     "prescreen-normality-alpha-above-one": (_prescreen_normality_alpha, 2,
                                             ["normality_alpha", "(0, 1)"]),
     "prescreen-one-class-labels": (_prescreen_one_class, 2,
-                                   ["40 samples of class 0", "0 of class 1"]),
+                                   ["40 samples of class 0", "0 of class 1",
+                                    "--data ", "synth.csv", "--labels ", "labels.txt"]),
     "pretrain-negative-lr": (_pretrain_with("--lr", "-1", "--momentum", "3"), 2,
                              ["lr", "> 0", "-1.0"]),
     "pretrain-momentum-above-one": (_pretrain_with("--momentum", "3"), 2,
@@ -601,10 +603,15 @@ BAD_INPUTS = {
     # finite weights whose products overflow: the latent holds infs and NaNs
     "cluster-init-non-finite-latent": (_model_with(
         "cluster-init", enc0_w=_set((slice(None), 0), 1e200), enc1_w=_set(0, 1e200)), 3,
-        ["numeric error: k-means points hold a NaN or an inf"]),
+        ["numeric error: k-means points hold a NaN or an inf",
+         "--model ", "model.derc", "--data ", "synth.csv"]),
     "cluster-init-collapsed-latent": (_collapsed_latent, 3,
                                       ["numeric error: degenerate cluster",
-                                       "1 distinct point(s) among 40", "k=2"]),
+                                       "1 distinct point(s) among 40", "k=2",
+                                       "--model ", "model.derc", "--data ", "synth.csv"]),
+    "centroids-more-than-samples": (_centroids_array(np.zeros((41, 4))), 2,
+                                    ["k=41 exceeds sample count 40",
+                                     "--centroids ", "c.derc", "--data ", "synth.csv"]),
     "csv-header-only": (_prescreen_file("h.csv", b"f1,f2\n"), 2,
                         ["h.csv", "0 samples"]),
     "series-matrix-without-probes": (_prescreen_file(
@@ -692,7 +699,8 @@ BAD_INPUTS = {
         ["series_matrix.txt", "labels are required"]),
     "series-matrix-dropped-probe-one-class-labels": (_prescreen_file(
         "series_matrix.txt", ALL_MISSING_PROBE, "0\n0\n0\n"), 2,
-        ["3 samples of class 0", "0 of class 1"]),
+        ["3 samples of class 0", "0 of class 1", "--data ", "series_matrix.txt",
+         "--labels ", "labels.txt"]),
     "series-matrix-dropped-probe-pred-misses-a-sample": (_evaluate_after_dropped_probe(
         "sample_id,cluster\nGSM1,0\nGSM2,1\n"), 2,
         ["pred.csv", "missing predictions", "'GSM3'"]),
@@ -704,7 +712,8 @@ BAD_INPUTS = {
         ["c.derc", "NaN or an inf"]),
     "series-matrix-dropped-probe-collapsed-latent": (_after_dropped_probe(
         "cluster-init", zero=True), 3,
-        ["numeric error: degenerate cluster", "1 distinct point(s) among 3"]),
+        ["numeric error: degenerate cluster", "1 distinct point(s) among 3",
+         "--model ", "model.derc", "--data ", "series_matrix.txt"]),
     # a cluster id is ASCII digits, at most 18 of them
     "pred-cluster-plus-sign": (_pred_first_cluster("+1"), 2,
                                ["pred.csv", "line 2", "ASCII digits", "'s0,+1'"]),
@@ -1090,6 +1099,87 @@ class TestConfig:
             else:
                 assert flag in options, flag
 
+    # each settings dataclass, made at valid values
+    MADE = [prescreen.PrescreenConfig(), autoencoder.PretrainConfig(), cluster.DercConfig(),
+            data.SynthSpec(), network.SgdConfig(epochs=1, lr=0.1, momentum=0.0)]
+
+    # a value past each bound a settings dataclass checks -> (its class, its message)
+    BAD_SETTINGS = {
+        "epochs-zero": (network.SgdConfig, dict(epochs=0), "epochs and batch_size must be >= 1"),
+        "batch-size-zero": (autoencoder.PretrainConfig, dict(batch_size=0),
+                            "epochs and batch_size must be >= 1"),
+        "lr-zero": (cluster.DercConfig, dict(lr=0.0), "lr must be finite and > 0, got 0.0"),
+        "lr-inf": (network.SgdConfig, dict(lr=float("inf")),
+                   "lr must be finite and > 0, got inf"),
+        "lr-nan": (autoencoder.PretrainConfig, dict(lr=float("nan")),
+                   "lr must be finite and > 0, got nan"),
+        "momentum-negative": (network.SgdConfig, dict(momentum=-0.5),
+                              "momentum must be in [0, 1), got -0.5"),
+        "momentum-one": (cluster.DercConfig, dict(momentum=1.0),
+                         "momentum must be in [0, 1), got 1.0"),
+        "validation-fraction-negative": (autoencoder.PretrainConfig,
+                                         dict(validation_fraction=-0.1),
+                                         "validation_fraction must be in [0, 1)"),
+        "validation-fraction-one": (autoencoder.PretrainConfig, dict(validation_fraction=1.0),
+                                    "validation_fraction must be in [0, 1)"),
+        "vae-recon-weight-negative": (autoencoder.PretrainConfig, dict(vae_recon_weight=-0.1),
+                                      "vae_recon_weight must be in [0, 1]"),
+        "vae-recon-weight-above-one": (autoencoder.PretrainConfig, dict(vae_recon_weight=1.5),
+                                       "vae_recon_weight must be in [0, 1]"),
+        "beta-negative": (cluster.DercConfig, dict(beta=-1.0),
+                          "beta must be finite and >= 0, got -1.0"),
+        "beta-inf": (cluster.DercConfig, dict(beta=float("inf")),
+                     "beta must be finite and >= 0, got inf"),
+        "target-interval-zero": (cluster.DercConfig, dict(target_interval=0),
+                                 "target_interval must be >= 1"),
+        "k-zero": (cluster.DercConfig, dict(k=0), "k must be >= 1"),
+        "stop-delta-negative": (cluster.DercConfig, dict(stop_delta=-0.1),
+                                "stop_delta must be in [0, 1], got -0.1"),
+        "stop-delta-above-one": (cluster.DercConfig, dict(stop_delta=1.5),
+                                 "stop_delta must be in [0, 1], got 1.5"),
+        "stop-delta-nan": (cluster.DercConfig, dict(stop_delta=float("nan")),
+                           "stop_delta must be in [0, 1], got nan"),
+        "alpha-zero": (prescreen.PrescreenConfig, dict(alpha=0), "alpha must be in (0, 1)"),
+        "alpha-one": (prescreen.PrescreenConfig, dict(alpha=1), "alpha must be in (0, 1)"),
+        "rho-threshold-zero": (prescreen.PrescreenConfig, dict(rho_threshold=0),
+                               "rho_threshold must be in (0, 1]"),
+        "rho-threshold-above-one": (prescreen.PrescreenConfig, dict(rho_threshold=1.5),
+                                    "rho_threshold must be in (0, 1]"),
+        "normality-alpha-zero": (prescreen.PrescreenConfig, dict(normality_alpha=0),
+                                 "normality_alpha must be in (0, 1)"),
+        "normality-alpha-one": (prescreen.PrescreenConfig, dict(normality_alpha=1),
+                                "normality_alpha must be in (0, 1)"),
+        "n-features-zero": (data.SynthSpec, dict(n_features=0, n_informative=0),
+                            "n_features must be >= 1, got 0"),
+        "n-informative-negative": (data.SynthSpec, dict(n_informative=-1),
+                                   "n_informative must be >= 0, got -1"),
+        "n-informative-above-n-features": (data.SynthSpec, dict(n_informative=501),
+                                           "n_informative must be <= n_features"),
+        "class-ratio-zero": (data.SynthSpec, dict(class_ratio=0.0),
+                             "class_ratio must be in (0, 1)"),
+        "class-ratio-one": (data.SynthSpec, dict(class_ratio=1.0),
+                            "class_ratio must be in (0, 1)"),
+        "one-sample": (data.SynthSpec, dict(n_samples=1),
+                       "n_samples 1 at class_ratio 0.5 gives classes of 1 and 0 samples; "
+                       "each needs at least 1"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_SETTINGS)
+    def test_bad_setting_rejected_where_made(self, case):
+        cls, bad, message = self.BAD_SETTINGS[case]
+        made = next(m for m in self.MADE if type(m) is cls)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            cls(**{**dataclasses.asdict(made), **bad})
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(made, **bad)
+
+    @pytest.mark.parametrize("made", MADE, ids=lambda m: type(m).__name__)
+    def test_settings_are_frozen_and_checked_once(self, made):
+        name = dataclasses.fields(made)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, name, getattr(made, name))
+        assert not hasattr(made, "validate")
+
     @pytest.mark.parametrize("line, key", [
         ("epochz = 1", "epochz"),        # unknown key
         ("epoch = 3", "epoch"),          # a prefix of --epochs
@@ -1289,7 +1379,8 @@ class TestChildProcess:
     @pytest.mark.parametrize("labels, code, err", [
         ("0\n1\n1\n", 0, "dropped 1 all-missing features: cg2\n"),
         ("0\n0\n0\n", 2, "derc: labels hold 3 samples of class 0 and 0 of class 1; "
-                          "the class tests need both\n"),
+                          "the class tests need both "
+                          "(--data series_matrix.txt, --labels labels.txt)\n"),
     ], ids=["succeeds", "fails"])
     def test_dropped_probe_noted_only_on_success(self, labels, code, err, tmp_path):
         # a user sees the note on stderr after a command that succeeds, and a

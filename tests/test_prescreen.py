@@ -391,7 +391,6 @@ def full_width_prune(ds, cfg):
 def current_correlation_prune(data, cfg):
     """correlation_prune as it was before it standardized in place into one
     array and reused one block buffer: the oracle for its decisions."""
-    cfg.validate()
     x = np.asarray(data.values, dtype=float)
     n, d = x.shape
     if n < 3:
