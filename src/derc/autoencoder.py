@@ -28,23 +28,27 @@ from .network import (
 DEFAULT_HIDDEN_DIMS = (2000, 500, 70, 10)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AeSpec:
     """Layer widths for the symmetric encoder/decoder stacks.
 
     layer_dims starts at the input width and ends at the latent width,
     e.g. [10153, 2000, 500, 70, 10]. The decoder mirrors the encoder and
-    ends in a sigmoid so outputs stay in the beta-value range.
+    ends in a sigmoid so outputs stay in the beta-value range. None takes
+    the data's width and DEFAULT_HIDDEN_DIMS.
     """
 
     layer_dims: list[int] | None = None
 
-    def resolve(self, d_in: int) -> list[int]:
-        dims = self.layer_dims if self.layer_dims is not None else [d_in, *DEFAULT_HIDDEN_DIMS]
-        for pos, width in enumerate(dims):
+    def __post_init__(self) -> None:
+        for pos, width in enumerate(self.layer_dims or ()):
             if width < 1:
                 raise ValidationError(f"layer width {width} at position {pos} of "
-                                      f"{list(dims)} must be >= 1")
+                                      f"{list(self.layer_dims)} must be >= 1")
+
+    def resolve(self, d_in: int) -> list[int]:
+        """The widths for data d_in wide, checked against that width."""
+        dims = self.layer_dims if self.layer_dims is not None else [d_in, *DEFAULT_HIDDEN_DIMS]
         if dims[0] != d_in:
             raise ValidationError(
                 f"spec input width {dims[0]} does not match data width {d_in}"

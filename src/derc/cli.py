@@ -80,17 +80,22 @@ def _stage_config(cls, args, **fixed):
     return cfg, settings
 
 
+def _inputs(args) -> dict[str, str]:
+    """The files the command reads, flag -> path: those its parser declares,
+    then --labels when it is given."""
+    flags = [*args.reads, *(["labels"] if getattr(args, "labels", None) else [])]
+    return {flag: getattr(args, flag) for flag in flags}
+
+
 @contextlib.contextmanager
-def _naming(error: type[DercError], **inputs):
-    """Re-raise an `error` raised inside with the stage's input files
-    appended, as `(--flag path, ...)`; a None input is left out. For a
-    library call whose `error`s are about its inputs' contents; a loader's
-    messages name their file already."""
+def _naming(error: type[DercError], args):
+    """Re-raise an `error` raised inside with the command's input files
+    appended, as `(--flag path, ...)`. For a library call whose `error`s are
+    about its inputs' contents; a loader's messages name their file already."""
     try:
         yield
     except error as exc:
-        named = ", ".join(f"--{flag} {path}" for flag, path in inputs.items()
-                          if path is not None)
+        named = ", ".join(f"--{flag} {path}" for flag, path in _inputs(args).items())
         raise type(exc)(f"{exc} ({named})") from exc
 
 
@@ -100,7 +105,7 @@ def _naming(error: type[DercError], **inputs):
 def cmd_prescreen(args):
     ds = _load_dataset(args)
     pcfg, settings = _stage_config(ps.PrescreenConfig, args)
-    with _naming(ValidationError, data=args.data, labels=args.labels):
+    with _naming(ValidationError, args):
         report = ps.discriminative_filter(ds, pcfg)
     data_io.save_csv(ds.subset_features(report.kept_indices), args.out_data)
 
@@ -116,8 +121,7 @@ def cmd_prescreen(args):
     data_io.save_table(args.out_report, "feature_id,status,p_value", rows)
     data_io.save_table(args.out_kept, None, [(fid,) for fid in report.kept_feature_ids])
 
-    write_manifest(args.out_data, "prescreen", [p for p in (args.data, args.labels) if p],
-                   settings)
+    write_manifest(args.out_data, "prescreen", _inputs(args).values(), settings)
     print(f"kept {len(report.kept_feature_ids)} of {ds.n_features} features "
           f"({len(report.removed_by_correlation)} by correlation, "
           f"{len(report.removed_by_class_test)} by class test)")
@@ -136,11 +140,12 @@ def cmd_pretrain(args):
                                    seed=stage_seed(args.seed, "pretrain"))
     spec = ae.AeSpec(layer_dims=args.dims)
     train = ae.pretrain_ae if args.kind == "ae" else ae.pretrain_vae
-    params, history = train(ds.values, spec, pcfg)
+    with _naming(ValidationError, args):
+        params, history = train(ds.values, spec, pcfg)
     data_io.save_model(args.out, params)
     if args.history:
         data_io.save_table(args.history, "epoch,train_loss,val_loss", history)
-    write_manifest(args.out, "pretrain", [args.data],
+    write_manifest(args.out, "pretrain", _inputs(args).values(),
                    dict(settings, kind=args.kind, dims=spec.resolve(ds.n_features)))
     print(f"pretrained {args.kind} for {pcfg.epochs} epochs; "
           f"final train loss {history[-1][1]:.6g}")
@@ -149,13 +154,13 @@ def cmd_pretrain(args):
 def cmd_cluster_init(args):
     params, ds = _model_and_data(args, "cluster-init")
     z = ae.encode(params, ds.values)
-    with _naming(NumericError, model=args.model, data=args.data):
+    with _naming(NumericError, args):
         result = km.kmeans_fit(z, k=args.k, restarts=args.restarts,
                                seed=stage_seed(args.seed, "cluster_init"))
     data_io.save_container(args.out, dict(centroids=result.centroids),
                            dict(kind="centroids", k=args.k, inertia=result.inertia,
                                 restarts=args.restarts))
-    write_manifest(args.out, "cluster_init", [args.model, args.data],
+    write_manifest(args.out, "cluster_init", _inputs(args).values(),
                    dict(k=args.k, restarts=args.restarts, seed=args.seed))
     print(f"k-means: k={args.k}, restarts={args.restarts}, "
           f"best inertia {result.inertia:.6g}")
@@ -177,7 +182,7 @@ def cmd_train_derc(args):
     dcfg, settings = _stage_config(derc_cluster.DercConfig, args,
                                    k=centroids.shape[0],
                                    seed=stage_seed(args.seed, "derc"))
-    with _naming(ValidationError, centroids=args.centroids, data=args.data):
+    with _naming(ValidationError, args):
         result = derc_cluster.train_derc(ds.values, params, centroids, dcfg)
     data_io.save_model(args.out, result.params, centroids=result.centroids,
                        extra_meta=dict(beta=dcfg.beta))
@@ -186,7 +191,7 @@ def cmd_train_derc(args):
                            result.history)
     data_io.save_table(args.pred, "sample_id,cluster",
                        zip(ds.sample_ids, result.cluster_ids))
-    write_manifest(args.out, "derc", [args.model, args.centroids, args.data], settings)
+    write_manifest(args.out, "derc", _inputs(args).values(), settings)
     sizes = np.bincount(result.cluster_ids, minlength=dcfg.k)
     print(f"trained DERC (beta={dcfg.beta}); cluster sizes {sizes.tolist()}")
 
@@ -241,7 +246,10 @@ def cmd_evaluate(args):
 
 def cmd_export_latent(args):
     params, ds = _model_and_data(args, "export-latent")
-    z = ae.encode(params, ds.values)
+    with _naming(NumericError, args):
+        z = ae.encode(params, ds.values)
+        if not all_finite(z):
+            raise NumericError("export-latent: the latent matrix holds a NaN or an inf")
     header = ",".join(["sample_id", *(f"z{j}" for j in range(z.shape[1]))])
     data_io.save_table(args.out, header,
                        ([sid, *row] for sid, row in zip(ds.sample_ids, z.tolist())))
@@ -263,11 +271,15 @@ def build_parser() -> CliParser:
     parser = CliParser(prog="derc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help):
+    def command(name, func, help, reads=(), writes=()):
+        # a required --<flag> for each file the command reads or writes; the
+        # reads go on args, where _inputs finds them for manifests and _naming
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, default=0, help="global seed")
-        p.set_defaults(func=func)
+        for flag in (*reads, *writes):
+            p.add_argument("--" + flag, required=True)
+        p.set_defaults(func=func, reads=reads)
         return p
 
     def settings(p, cls, *fixed):
@@ -281,55 +293,39 @@ def build_parser() -> CliParser:
                 p.add_argument("--" + f.name.replace("_", "-"),
                                type=(typing.get_args(hint) or (hint,))[0])
 
-    p = command("prescreen", cmd_prescreen, "statistical feature filtering")
-    p.add_argument("--data", required=True)
+    p = command("prescreen", cmd_prescreen, "statistical feature filtering",
+                reads=("data",), writes=("out-data", "out-report", "out-kept"))
     p.add_argument("--labels", help="labels file when the dataset has no label column")
-    p.add_argument("--out-data", required=True)
-    p.add_argument("--out-report", required=True)
-    p.add_argument("--out-kept", required=True)
     settings(p, ps.PrescreenConfig)
 
-    p = command("pretrain", cmd_pretrain, "train the AE or VAE")
+    p = command("pretrain", cmd_pretrain, "train the AE or VAE",
+                reads=("data",), writes=("out",))
     p.add_argument("kind", choices=["ae", "vae"])
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--history")
     settings(p, ae.PretrainConfig)
     p.add_argument("--dims", type=_int_list,
                    help="comma list of layer widths, input first")
 
-    p = command("cluster-init", cmd_cluster_init,
-                "K-means centroids on the latent space")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = command("cluster-init", cmd_cluster_init, "K-means centroids on the latent space",
+                reads=("model", "data"), writes=("out",))
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--restarts", type=int, default=km.DEFAULT_RESTARTS)
 
-    p = command("train-derc", cmd_train_derc, "joint clustering + reconstruction")
-    p.add_argument("--model", required=True)
-    p.add_argument("--centroids", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--pred", required=True)
+    p = command("train-derc", cmd_train_derc, "joint clustering + reconstruction",
+                reads=("model", "centroids", "data"), writes=("out", "pred"))
     p.add_argument("--history")
     settings(p, derc_cluster.DercConfig, "k")
 
-    p = command("evaluate", cmd_evaluate, "score predictions against labels")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--data", required=True)
+    p = command("evaluate", cmd_evaluate, "score predictions against labels",
+                reads=("pred", "data"), writes=("out",))
     p.add_argument("--labels")
-    p.add_argument("--out", required=True)
     p.add_argument("--method", default="derc")
     p.add_argument("--positive-label", type=int, default=1)
 
-    p = command("export-latent", cmd_export_latent, "write the latent matrix as CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    command("export-latent", cmd_export_latent, "write the latent matrix as CSV",
+            reads=("model", "data"), writes=("out",))
 
-    p = command("synth", cmd_synth, "generate a synthetic cohort")
-    p.add_argument("--out", required=True)
+    p = command("synth", cmd_synth, "generate a synthetic cohort", writes=("out",))
     settings(p, data_io.SynthSpec)
 
     return parser

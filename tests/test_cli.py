@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import importlib
+import inspect
 import io
 import json
 import os
@@ -214,6 +216,17 @@ def _model_with(stage="export-latent", **arrays):
         data.save_container(model, {**stored, **{k: f(stored[k]) for k, f in arrays.items()}},
                             meta)
         return [stage, "--model", model, "--data", raw, "--out", tmp_path / "out"]
+    return argv
+
+
+def _model_without(name):
+    """export-latent on the 30-16-4 AE with its array name removed."""
+    def argv(tmp_path):
+        raw, model = _small_model(tmp_path)
+        stored, meta = data.load_container(model)
+        del stored[name]
+        data.save_container(model, stored, meta)
+        return ["export-latent", "--model", model, "--data", raw, "--out", tmp_path / "z.csv"]
     return argv
 
 
@@ -534,17 +547,19 @@ BAD_INPUTS = {
     "derc-stop-delta-nan": (_train_derc_with("--stop-delta", "nan"), 2,
                             ["stop_delta", "[0, 1]", "nan"]),
     "pretrain-validation-holds-out-all": (_pretrain_with("--validation-fraction", "0.99"),
-                                          2, ["validation_fraction", "40 samples"]),
+                                          2, ["validation_fraction", "40 samples",
+                                              "--data ", "synth.csv"]),
     "pretrain-validation-fraction-above-one": (
         _pretrain_with("--validation-fraction", "1.5"), 2, ["validation_fraction", "[0, 1)"]),
     "pretrain-vae-recon-weight-above-one": (
         _pretrain_with("--vae-recon-weight", "2", kind="vae"), 2,
         ["vae_recon_weight", "[0, 1]"]),
     "pretrain-dims-input-width-unlike-data": (_pretrain_with("--dims", "20,8,2"), 2,
-                                              ["input width 20", "data width 30"]),
+                                              ["input width 20", "data width 30",
+                                               "--data ", "synth.csv"]),
     "pretrain-dims-latent-not-below-input": (_pretrain_with("--dims", "30,40"), 2,
                                              ["latent dim 40 must be smaller than "
-                                              "input dim 30"]),
+                                              "input dim 30", "--data ", "synth.csv"]),
     "derc-target-interval-zero": (_train_derc_with("--target-interval", "0"), 2,
                                   ["target_interval", ">= 1"]),
     "cluster-init-restarts-zero": (_cluster_init_with("--restarts", "0"), 2,
@@ -572,6 +587,8 @@ BAD_INPUTS = {
                            ["model.derc", "dec1_b", "complex128", "not real numbers"]),
     "model-weight-nan": (_model_with("cluster-init", enc0_w=_one_nan), 2,
                          ["model.derc", "enc0_w", "NaN or an inf"]),
+    "model-lacks-an-array": (_model_without("enc1_b"), 2,
+                             ["model.derc", "ae model container lacks 'enc1_b'"]),
     "model-bias-too-short": (_model_with(dec0_b=lambda b: b[:1]), 2,
                              ["model.derc", "dec0_b", "(1,)", "16 outputs"]),
     "model-encoder-misses-latent-dim": (
@@ -604,6 +621,10 @@ BAD_INPUTS = {
     "cluster-init-non-finite-latent": (_model_with(
         "cluster-init", enc0_w=_set((slice(None), 0), 1e200), enc1_w=_set(0, 1e200)), 3,
         ["numeric error: k-means points hold a NaN or an inf",
+         "--model ", "model.derc", "--data ", "synth.csv"]),
+    "export-latent-non-finite-latent": (_model_with(
+        enc0_w=_set((slice(None), 0), 1e200), enc1_w=_set(0, 1e200)), 3,
+        ["numeric error: export-latent: the latent matrix holds a NaN or an inf",
          "--model ", "model.derc", "--data ", "synth.csv"]),
     "cluster-init-collapsed-latent": (_collapsed_latent, 3,
                                       ["numeric error: degenerate cluster",
@@ -777,8 +798,9 @@ class TestErrors:
         assert run(argv) == 2
         assert sorted(tmp_path.iterdir()) == before
 
-    def test_non_finite_latent_writes_no_centroids(self, tmp_path):
-        argv = BAD_INPUTS["cluster-init-non-finite-latent"][0](tmp_path)
+    @pytest.mark.parametrize("stage", ["cluster-init", "export-latent"])
+    def test_non_finite_latent_writes_no_centroids(self, stage, tmp_path):
+        argv = BAD_INPUTS[f"{stage}-non-finite-latent"][0](tmp_path)
         assert run(argv) == 3
         assert not (tmp_path / "out").exists()
 
@@ -1101,7 +1123,8 @@ class TestConfig:
 
     # each settings dataclass, made at valid values
     MADE = [prescreen.PrescreenConfig(), autoencoder.PretrainConfig(), cluster.DercConfig(),
-            data.SynthSpec(), network.SgdConfig(epochs=1, lr=0.1, momentum=0.0)]
+            data.SynthSpec(), network.SgdConfig(epochs=1, lr=0.1, momentum=0.0),
+            autoencoder.AeSpec([30, 16, 4])]
 
     # a value past each bound a settings dataclass checks -> (its class, its message)
     BAD_SETTINGS = {
@@ -1162,7 +1185,20 @@ class TestConfig:
         "one-sample": (data.SynthSpec, dict(n_samples=1),
                        "n_samples 1 at class_ratio 0.5 gives classes of 1 and 0 samples; "
                        "each needs at least 1"),
+        "layer-width-zero": (autoencoder.AeSpec, dict(layer_dims=[30, 0, 4]),
+                             "layer width 0 at position 1 of [30, 0, 4] must be >= 1"),
+        "layer-width-negative": (autoencoder.AeSpec, dict(layer_dims=[30, 16, -4]),
+                                 "layer width -4 at position 2 of [30, 16, -4] must be >= 1"),
     }
+
+    def test_every_settings_class_is_made(self):
+        # a class of the package named *Config or *Spec is a settings class
+        classes = {cls for path in (ROOT / "src" / "derc").glob("[!_]*.py")
+                   for _, cls in inspect.getmembers(
+                       importlib.import_module(f"derc.{path.stem}"), inspect.isclass)
+                   if cls.__module__.startswith("derc")
+                   and cls.__name__.endswith(("Config", "Spec"))}
+        assert classes and classes <= {type(m) for m in self.MADE}
 
     @pytest.mark.parametrize("case", BAD_SETTINGS)
     def test_bad_setting_rejected_where_made(self, case):

@@ -26,6 +26,10 @@ class TestSoftAssign:
                            np.zeros((1, 3)))
         np.testing.assert_allclose(q, 1.0)
 
+    def test_width_mismatch(self):
+        with pytest.raises(ValidationError, match="widths differ"):
+            cl.soft_assign(np.zeros((2, 3)), np.zeros((2, 2)))
+
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         q = cl.soft_assign(rng.normal(size=(50, 4)), rng.normal(size=(3, 4)))
@@ -87,6 +91,13 @@ class TestClusterKlLoss:
 
         err = finite_diff(loss_fn, [z, mu], [dz, dmu], eps=1e-6)
         assert err <= 1e-5
+
+    def test_zero_q_with_positive_p(self):
+        # an infinitely far centroid gets q = 0; inf, not a large finite
+        # value, so that no square overflows with a warning
+        with pytest.raises(NumericError, match="KL undefined"):
+            cl.cluster_kl_loss(np.array([[0.5, 0.5]]), np.array([[0.0]]),
+                               np.array([[0.0], [np.inf]]))
 
 
 class TestDercBatchLoss:
@@ -202,6 +213,12 @@ class TestTrainDerc:
         ds, params, km = two_blob_setup(seed=5, n=10)
         with pytest.raises(ValidationError):
             cl.train_derc(ds.values[:1], params, np.zeros((2, 4)),
+                          cl.DercConfig(k=2, epochs=1))
+
+    def test_centroid_count_unlike_k(self):
+        ds, params, _ = two_blob_setup(seed=5, n=10)
+        with pytest.raises(ValidationError, match="^centroid count 3 does not match k=2$"):
+            cl.train_derc(ds.values, params, np.zeros((3, 4)),
                           cl.DercConfig(k=2, epochs=1))
 
     def test_vae_trains_on_mean_encoding(self, tmp_path):

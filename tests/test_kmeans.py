@@ -71,6 +71,8 @@ class TestKmeansFit:
             kmeans_fit(z, k=4)
         with pytest.raises(ValidationError):
             kmeans_fit(z, k=0)
+        with pytest.raises(ValidationError, match="^data must be 2-D$"):
+            kmeans_fit(np.zeros(3), k=1)
 
     def test_fewer_distinct_points_than_k(self):
         # a collapsed latent: every sample at the origin

@@ -278,6 +278,8 @@ class TestForward:
         layer = nw.DenseLayer.create(4, 2, "relu", np.random.default_rng(0))
         with pytest.raises(ValidationError):
             nw.forward_layers([layer], np.ones((3, 5)))
+        with pytest.raises(ValidationError, match="^batch must be 2-D"):
+            nw.forward_layers([layer], np.ones(4))
 
     @pytest.mark.parametrize("name", ["tanh", ["relu"], None], ids=["tanh", "list", "null"])
     def test_unknown_activation_rejected_when_made(self, name):
@@ -541,6 +543,14 @@ class TestSgdMomentum:
         opt = nw.SgdMomentum([np.zeros((3, 4))], lr=0.1)
         with pytest.raises(ValidationError):
             opt.step([(np.ones((2, 4)), np.ones((2, 3)))])
+        with pytest.raises(ValidationError, match=r"^gradient shape \(4, 3\) does not match"):
+            opt.step([np.ones((4, 3))])
+        with pytest.raises(ValidationError, match="^gradient list does not match"):
+            opt.step([np.ones((3, 4)), np.ones(4)])
+
+    def test_fortran_ordered_parameter_rejected(self):
+        with pytest.raises(ValidationError, match="C-contiguous"):
+            nw.SgdMomentum([np.zeros((3, 4), order="F")], lr=0.1)
 
     def test_vanilla_step(self):
         p = np.array([0.0])

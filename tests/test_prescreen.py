@@ -644,6 +644,11 @@ class TestClassTest:
             with pytest.raises(ValidationError, match="at least 2 samples"):
                 welch_ttest(a, b)
 
+    @pytest.mark.parametrize("a, b", [([], [1.0, 2.0, 3.0]), ([1.0, 2.0], [])])
+    def test_wilcoxon_needs_both_groups(self, a, b):
+        with pytest.raises(ValidationError, match="^both groups must be non-empty$"):
+            wilcoxon_rank_sum(a, b)
+
     def test_shift_invariance(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(size=30)
