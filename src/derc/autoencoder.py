@@ -41,6 +41,9 @@ class AeSpec:
     layer_dims: list[int] | None = None
 
     def __post_init__(self) -> None:
+        if self.layer_dims is not None and len(self.layer_dims) < 2:
+            raise ValidationError(f"layer_dims {list(self.layer_dims)} must hold at least "
+                                  f"two widths, the input and the latent")
         for pos, width in enumerate(self.layer_dims or ()):
             if width < 1:
                 raise ValidationError(f"layer width {width} at position {pos} of "

@@ -153,6 +153,11 @@ def cmd_pretrain(args):
 
 def cmd_cluster_init(args):
     params, ds = _model_and_data(args, "cluster-init")
+    # kmeans_fit checks this too, but the sample count is the data's, so here
+    # it names the files, while its k and restarts messages stay bare
+    with _naming(ValidationError, args):
+        if args.k > ds.n_samples:
+            raise ValidationError(f"need at least k={args.k} samples, got {ds.n_samples}")
     z = ae.encode(params, ds.values)
     with _naming(NumericError, args):
         result = km.kmeans_fit(z, k=args.k, restarts=args.restarts,

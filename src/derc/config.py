@@ -15,7 +15,6 @@ from .errors import ParseError
 
 # fixed stage ids; the per-stage seed is SeedSequence(global_seed, spawn_key=(id,))
 STAGE_IDS = {
-    "prescreen": 0,
     "pretrain": 1,
     "cluster_init": 2,
     "derc": 3,

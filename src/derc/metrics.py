@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from .errors import ValidationError
-
-MAX_CLASSES = 8  # 8! = 40,320 mappings to try
 
 
 @dataclass
@@ -36,27 +33,21 @@ def _label_arrays(y, c):
 
 
 def clustering_accuracy(y, c):
-    """Best match rate over all one-to-one cluster-to-label mappings.
+    """Match rate of the cluster ids as given or swapped, whichever is higher.
 
-    Returns (acc, mapping). Every mapping of the k = max id + 1 classes is
-    tried, so k may be at most MAX_CLASSES. Ties prefer the mapping that
-    fixes the most clusters, then the first in lexicographic order.
+    Labels and cluster ids must be 0 or 1. Returns (acc, mapping): the
+    identity on the ids 0..max id, or {0: 1, 1: 0} when the swapped ids
+    match more samples; a tie keeps the ids as given.
     """
     y, c = _label_arrays(y, c)
+    top = int(max(y.max(), c.max()))
+    if min(y.min(), c.min()) < 0 or top > 1:
+        raise ValidationError("labels and cluster ids must be 0 or 1")
     n = len(y)
-    if min(c.min(), y.min()) < 0:
-        raise ValidationError("labels and cluster ids must be non-negative")
-    k = int(max(c.max(), y.max())) + 1
-    if k > MAX_CLASSES:
-        raise ValidationError(f"{k} classes; at most {MAX_CLASSES} can be scored")
-
-    counts = np.bincount(c * k + y, minlength=k * k).reshape(k, k)
-    # scale so any real count difference dominates the identity tie-break bonus
-    score = (counts * (k + 1) + np.eye(k, dtype=np.int64)).tolist()
-    cols = max(permutations(range(k)),
-               key=lambda p: sum(row[j] for row, j in zip(score, p)))
-    matches = int(counts[np.arange(k), cols].sum())
-    return matches / n, dict(enumerate(cols))
+    same = int(np.sum(y == c))
+    if n - same > same:
+        return (n - same) / n, {0: 1, 1: 0}
+    return same / n, {j: j for j in range(top + 1)}
 
 
 def evaluate(y, c, positive_label: int = 1) -> MetricsReport:

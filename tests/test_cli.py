@@ -566,7 +566,8 @@ BAD_INPUTS = {
                                    ["restarts", ">= 1"]),
     "cluster-init-k-zero": (_cluster_init_with("--k", "0"), 2, ["k must be >= 1"]),
     "cluster-init-k-above-samples": (_cluster_init_with("--k", "41"), 2,
-                                     ["need at least k=41 samples, got 40"]),
+                                     ["need at least k=41 samples, got 40 (--model ",
+                                      "model.derc, --data ", "synth.csv)"]),
     "prescreen-alpha-zero": (_prescreen_with("--alpha", "0"), 2, ["alpha", "(0, 1)"]),
     "prescreen-rho-threshold-zero": (_prescreen_with("--rho-threshold", "0"), 2,
                                      ["rho_threshold", "(0, 1]"]),
@@ -1185,6 +1186,12 @@ class TestConfig:
         "one-sample": (data.SynthSpec, dict(n_samples=1),
                        "n_samples 1 at class_ratio 0.5 gives classes of 1 and 0 samples; "
                        "each needs at least 1"),
+        "layer-dims-empty": (autoencoder.AeSpec, dict(layer_dims=[]),
+                             "layer_dims [] must hold at least two widths, the input "
+                             "and the latent"),
+        "layer-dims-one-width": (autoencoder.AeSpec, dict(layer_dims=[30]),
+                                 "layer_dims [30] must hold at least two widths, the input "
+                                 "and the latent"),
         "layer-width-zero": (autoencoder.AeSpec, dict(layer_dims=[30, 0, 4]),
                              "layer width 0 at position 1 of [30, 0, 4] must be >= 1"),
         "layer-width-negative": (autoencoder.AeSpec, dict(layer_dims=[30, 16, -4]),
@@ -1363,6 +1370,19 @@ class TestModuleLevelPackageImports:
         source = (ROOT / "src" / "derc" / module).read_text(encoding="utf-8")
         assert [(n.lineno, ast.unparse(n)) for n in imports_in_functions(source)
                 if ast.unparse(n) != "from scipy import special"] == []
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml claims Python >= 3.10, so no file may use grammar that
+    # came later, such as except* or a type parameter list
+    failed = []
+    for path in sorted(p for top in ("src", "tests", "benchmarks")
+                       for p in (ROOT / top).rglob("*.py")):
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
+        except SyntaxError as exc:
+            failed.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert failed == []
 
 
 class TestStoredLayerArrays:
