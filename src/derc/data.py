@@ -74,7 +74,7 @@ class Dataset:
     def subset_features(self, indices: np.ndarray | list[int]) -> "Dataset":
         indices = np.asarray(indices, dtype=int)
         return Dataset(
-            values=self.values[:, indices].copy(),
+            values=self.values[:, indices],
             feature_ids=[self.feature_ids[i] for i in indices],
             sample_ids=list(self.sample_ids),
             labels=None if self.labels is None else self.labels.copy(),

@@ -15,9 +15,9 @@ from .errors import NumericError, ValidationError
 
 INIT_SCALE = 1.0 / 3.0  # s in the uniform bound l = sqrt(3 * s / n_input)
 # elements per optimizer update block: 256 KiB of float64, small enough that
-# the scratch product and the slices it touches stay in cache
+# the block product and the slices it touches stay in cache
 UPDATE_BLOCK = 1 << 15
-# elements of the scratch product when a row-space layer's weights are
+# elements of the block product when a row-space layer's weights are
 # formed or a deferred layer's pending updates applied: 2 MiB of float64,
 # wide enough for an efficient GEMM
 FOLD_BLOCK = 1 << 18
@@ -137,20 +137,19 @@ class DenseLayer(Layer):
         return (dz, a_in), matmul(dz, self.weights)
 
 
-def _product_blocks(a: np.ndarray, b: np.ndarray, block: int = FOLD_BLOCK,
-                    scratch: np.ndarray | None = None):
+def _product_blocks(a: np.ndarray, b: np.ndarray, block: int = FOLD_BLOCK):
     """Yield (rows, out) with out = (a.T @ b)[rows], in row blocks of about
-    `block` elements formed in scratch, by default an array made to hold the
-    largest block, so the product never exists whole. No block is a lone row
-    unless the product has one: numpy forms a one-row product by GEMV, which
-    rounds unlike the GEMM of the whole product."""
+    `block` elements formed in one buffer made to hold the largest block, so
+    the product never exists whole. No block is a lone row unless the product
+    has one: numpy forms a one-row product by GEMV, which rounds unlike the
+    GEMM of the whole product."""
     n_rows, d = a.shape[1], b.shape[1]
     step = max(2, block // d)
     bounds = [0, *range(step, n_rows - 1, step), n_rows]
-    if scratch is None:
-        scratch = np.empty(max(np.diff(bounds)) * d, np.result_type(a, b))
-    for r0, r1 in zip(bounds, bounds[1:]):
-        out = scratch[:(r1 - r0) * d].reshape(r1 - r0, d)
+    spans = list(zip(bounds, bounds[1:]))
+    buf = np.empty(max(r1 - r0 for r0, r1 in spans) * d, np.result_type(a, b))
+    for r0, r1 in spans:
+        out = buf[:(r1 - r0) * d].reshape(r1 - r0, d)
         yield slice(r0, r1), matmul(a[:, r0:r1].T, b, out=out)
 
 
@@ -339,7 +338,7 @@ class DeferredLayer(Layer):
                                                self._scaled_pending_in(self._b())):
                 self.weights[rows] -= block
                 if self.velocity is not None:
-                    # block is the product's scratch, free once applied
+                    # block is the generator's buffer, free once applied
                     self.weights[rows] += np.multiply(self.velocity[rows], c, out=block)
             if self.momentum:
                 self.unformed = (self.rows, self.steps)
@@ -484,11 +483,10 @@ class SgdMomentum:
 
     params are layers, each applying its own gradient (Layer.update), and
     arrays such as DERC's centroids. Arrays are updated in place by update,
-    about UPDATE_BLOCK elements at a time, through one reusable scratch
-    buffer, so a step allocates nothing and leaves the gradients untouched.
-    A gradient is a dense array, or for a 2-D array the factors (a, b) of
-    a.T @ b: then each block of rows of the product is formed in the
-    scratch buffer and applied at once, so the dense gradient never exists.
+    which leaves the gradients untouched. A gradient is a dense array,
+    scaled whole, or for a 2-D array the factors (a, b) of a.T @ b: then
+    each _product_blocks row block of the product is formed, scaled in
+    place and applied at once, so the dense gradient never exists.
     With momentum 0 the velocity would always equal -lr*g, so none is kept
     (velocity is None) and the update is p <- p - lr*g; else velocity holds
     one array for each of collect_params(params).
@@ -504,11 +502,6 @@ class SgdMomentum:
         self.momentum = momentum
         self.velocity = [np.zeros_like(p) for p in arrays] if momentum else None
         self._velocity_of = dict(zip(map(id, arrays), self.velocity or ()))
-        # a row block (_product_blocks) holds at most UPDATE_BLOCK + n_cols
-        # elements, or three rows where two rows exceed UPDATE_BLOCK
-        widest = max((p.shape[1] for p in arrays if p.ndim == 2), default=0)
-        self._scratch = np.empty(max(UPDATE_BLOCK + widest, 3 * widest),
-                                 np.result_type(*arrays))
 
     def step(self, grads: list) -> None:
         if len(grads) != len(self.params):
@@ -526,21 +519,16 @@ class SgdMomentum:
         if isinstance(g, tuple):
             a, b = g
             _check_factors(a, b, p.shape)
-            for rows, g_rows in _product_blocks(a, b, UPDATE_BLOCK, self._scratch):
-                self._apply(p, v, rows, g_rows)
+            for rows, g_rows in _product_blocks(a, b, UPDATE_BLOCK):
+                self._apply(p, v, rows, np.multiply(g_rows, self.lr, out=g_rows))
         else:
             if g.shape != p.shape:
                 raise ValidationError(
                     f"gradient shape {g.shape} does not match parameter {p.shape}")
-            p, g = p.reshape(-1), g.reshape(-1)
-            v = None if v is None else v.reshape(-1)
-            for start in range(0, p.size, UPDATE_BLOCK):
-                block = slice(start, start + UPDATE_BLOCK)
-                self._apply(p, v, block, g[block])
+            self._apply(p, v, ..., g * self.lr)
 
-    def _apply(self, p, v, block, g) -> None:
-        """Update p[block], v[block] by their gradient g; lr*g goes to scratch."""
-        t = np.multiply(g, self.lr, out=self._scratch[:g.size].reshape(g.shape))
+    def _apply(self, p, v, block, t) -> None:
+        """Update p[block], v[block] by t, their gradient times lr."""
         p = p[block]
         if v is None:
             p -= t

@@ -1385,6 +1385,25 @@ def test_sources_parse_as_python_3_10():
     assert failed == []
 
 
+def test_names_the_benchmark_traces_exist():
+    # benchmarks/worker.py patches functions by name on their module and
+    # methods in their class's own __dict__; read its tables without
+    # importing it, so a rename here fails in this suite too
+    tree = ast.parse((ROOT / "benchmarks" / "worker.py").read_text(encoding="utf-8"))
+    tables = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and len(node.targets) == 1
+              and getattr(node.targets[0], "id", None) in ("TRACED_FUNCTIONS",
+                                                           "TRACED_METHODS")}
+    functions, methods = tables["TRACED_FUNCTIONS"], tables["TRACED_METHODS"]
+    assert functions and methods
+    for mod_name, attr in functions:
+        module = importlib.import_module(f"derc.{mod_name}")
+        assert callable(getattr(module, attr, None)), f"derc.{mod_name}.{attr}"
+    for mod_name, cls_name, attr in methods:
+        cls = getattr(importlib.import_module(f"derc.{mod_name}"), cls_name)
+        assert callable(cls.__dict__.get(attr)), f"derc.{mod_name}.{cls_name}.{attr}"
+
+
 class TestStoredLayerArrays:
     """A model's layer arrays train as their C-ordered float64 copy, in
     whatever memory order and real dtype the container stores them."""

@@ -183,6 +183,26 @@ class TestImputeFeatureMeans:
         assert not np.isnan(got[0]).any()
 
 
+class TestSubsetFeatures:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_subset_is_one_new_copy(self, order):
+        # a GEO series matrix loads F-ordered, a CSV C-ordered
+        rng = np.random.default_rng(5)
+        values = np.asarray(rng.uniform(size=(137, 3000)), order=order)
+        ds = data.Dataset(values=values, feature_ids=[f"cg{i}" for i in range(3000)],
+                          sample_ids=[f"s{i}" for i in range(137)],
+                          labels=rng.integers(0, 2, size=137))
+        kept = np.sort(rng.choice(3000, size=1500, replace=False))
+        subsets = []
+        peak = traced_peak(lambda: subsets.append(ds.subset_features(kept)))
+        sub = subsets[0]
+        assert sub.values.tobytes() == values[:, kept].tobytes()
+        assert sub.feature_ids == [ds.feature_ids[i] for i in kept]
+        assert not np.shares_memory(sub.values, values)
+        assert not np.shares_memory(sub.labels, ds.labels)
+        assert peak <= sub.values.nbytes + 64 * 1024
+
+
 class TestLabels:
     """A labels file and a CSV label column read one grammar: 0 or 1, with
     surrounding whitespace and nothing else."""

@@ -214,11 +214,6 @@ class TestProductBlocks:
         assert spans == {6: [(0, 2), (2, 4), (4, 6)], 7: [(0, 2), (2, 4), (4, 7)],
                          8: [(0, 2), (2, 4), (4, 6), (6, 8)]}[n_rows]
 
-    def test_given_scratch_is_used(self):
-        scratch = np.empty(64)
-        blocks = list(nw._product_blocks(np.ones((3, 10)), np.ones((3, 4)), 8, scratch))
-        assert all(out.base is scratch for _, out in blocks)
-
 
 class TestDivergence:
     """sgd_epochs stops a run whose epoch mean rises DIVERGENCE_FACTOR-fold
@@ -531,6 +526,20 @@ class TestSgdMomentum:
                 for v, ref in zip(opt.velocity, ref_velocity):
                     assert np.array_equal(v, ref)
 
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_step_holds_at_most_one_block(self, momentum):
+        # a 3000 x 400 weight (9.6 MB) and its bias: the factored gradient is
+        # formed a row block at a time and the dense one scaled whole, so no
+        # weight-sized temporary exists
+        rng = np.random.default_rng(12)
+        n_out, n_in, batch = 3000, 400, 8
+        params = [rng.normal(size=(n_out, n_in)), rng.normal(size=n_out)]
+        opt = nw.SgdMomentum(params, lr=0.05, momentum=momentum)
+        grads = [(rng.normal(size=(batch, n_out)), rng.normal(size=(batch, n_in))),
+                 rng.normal(size=n_out)]
+        peak = traced_peak(lambda: opt.step(grads))
+        assert peak <= 8 * (nw.UPDATE_BLOCK + n_in) + 8 * n_out + 4096 < params[0].nbytes
+
     @pytest.mark.parametrize("e, dz", [(np.eye(3)[[0, 1]], np.ones((2, 5))),
                                        (np.eye(3)[[0, 1]], np.ones((3, 4)))],
                              ids=["width", "count"])
@@ -635,14 +644,16 @@ class TestDtypeBoundary:
         # deferred output layer (batch 2: 18 pending steps of 2 x (64 + 600)
         # rows are fewer cells than its 64 x 600 weights), and through one
         # clustering batch, computes every array in float32, the optimizer's
-        # scratch and velocities too, and forms every product of float32
-        # operands
+        # velocities and every block buffer too, and forms every product of
+        # float32 operands
         f32 = np.dtype(np.float32)
-        operands = []
+        operands, outs = [], []
         seam = nw.matmul
 
         def recording_matmul(a, b, out=None):
             operands.append((a.dtype, b.dtype))
+            if out is not None:
+                outs.append(out.dtype)
             return seam(a, b, out=out)
 
         monkeypatch.setattr(nw, "matmul", recording_matmul)
@@ -674,7 +685,7 @@ class TestDtypeBoundary:
             grads.extend(gradient_arrays(g))
             opt = nw.SgdMomentum([*params.all_layers(), centroids], cfg.lr, momentum)
             opt.step(g)
-            trained = [*nw.collect_params(opt.params), opt._scratch, *(opt.velocity or ())]
+            trained = [*nw.collect_params(opt.params), *(opt.velocity or ())]
             # mid-window: the step's rows are pending, weighted by b_ts
             assert deferred.rows == 2
             windows = [deferred.pending, deferred.pending_in, deferred._scaled_in,
@@ -685,6 +696,7 @@ class TestDtypeBoundary:
         dense = nw.collect_params(params.all_layers())
         assert {a.dtype for a in [*grads, *trained, *windows, *dense]} == {f32}
         assert len(operands) > 200 and set(operands) == {(f32, f32)}
+        assert outs and set(outs) == {f32}
 
 
 LAYER_TYPES = {"DenseLayer", "RowSpaceLayer", "DeferredLayer"}
