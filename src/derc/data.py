@@ -123,9 +123,11 @@ def _parse_cell(token: str, row: int, col: int) -> float:
     if token.lower() in MISSING_TOKENS:
         return np.nan
     try:
-        return float(token)
+        if token.isascii() and "_" not in token:  # float() reads 0_1 and non-ASCII digits
+            return float(token)
     except ValueError:
-        raise ParseError(f"non-numeric cell at table row {row}, column {col}: {token!r}")
+        pass
+    raise ParseError(f"non-numeric cell at table row {row}, column {col}: {token!r}")
 
 
 def _parse_row(cells: list[str], row: int, first_col: int):
@@ -138,6 +140,29 @@ def _parse_row(cells: list[str], row: int, first_col: int):
         return np.array(cells, dtype=float)
     except ValueError:
         return [_parse_cell(tok, row, first_col + c) for c, tok in enumerate(cells)]
+
+
+def _parse_table(path, lines: list[str], sep: str, width: int, cells: slice, key: int):
+    """The cells slice of each line's width parts, parsed into one preallocated
+    matrix and numbered by file column, and each line's parts[key] as written."""
+    cols = range(width)[cells]
+    values, keys = np.empty((len(lines), len(cols))), []
+    try:
+        for r, line in enumerate(lines):
+            parts = line.split(sep)
+            if len(parts) != width:
+                raise ParseError(f"table row {r} has {len(parts)} columns, expected {width}")
+            keys.append(parts[key])
+            row = parts[cells]
+            # numpy's bulk parse reads what _parse_cell refuses; an id may trip the line test
+            if (line.isascii() and "_" not in line
+                    or all(t.isascii() and "_" not in t for t in row)):
+                values[r] = _parse_row(row, r, cols.start)
+            else:
+                values[r] = [_parse_cell(t, r, cols.start + c) for c, t in enumerate(row)]
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}")
+    return values, keys
 
 
 def _impute_feature_means(values: np.ndarray, feature_ids: list[str]):
@@ -234,52 +259,27 @@ def load_series_matrix(path) -> Dataset:
         )
 
     header = [t.strip().strip('"') for t in lines[begin + 1].split("\t")]
-    sample_ids = header[1:]
-    probe_ids: list[str] = []
-    # file orientation is probe x sample; each row is parsed straight into
-    # one matrix, which is transposed to samples-as-rows once the text is gone
-    rows = np.empty((end - begin - 2, len(sample_ids)))
-    for r, line in enumerate(lines[begin + 2:end]):
-        parts = line.split("\t")
-        if len(parts) != len(header):
-            raise ParseError(
-                f"{path}: table row {r} has {len(parts)} columns, expected {len(header)}"
-            )
-        probe_ids.append(parts[0].strip().strip('"'))
-        rows[r] = _parse_row(parts[1:], r, 1)
+    # file orientation is probe x sample, transposed once the text is gone
+    rows, probe_ids = _parse_table(path, lines[begin + 2:end], "\t", len(header),
+                                   slice(1, None), 0)
     del lines
-
-    return _cohort(path, rows.T, probe_ids, sample_ids, None)
+    return _cohort(path, rows.T, [p.strip().strip('"') for p in probe_ids], header[1:], None)
 
 
 def load_csv(path) -> Dataset:
-    """Load a comma-separated matrix with a header of feature ids.
-
-    A final column named "label" holds binary class ids (see _cohort).
-    """
+    """Load a comma-separated matrix with a header of feature ids, each stripped of
+    surrounding double quotes; a final column named "label" holds binary class ids."""
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty file")
-    header = [t.strip() for t in lines[0].split(",")]
+    header = [t.strip().strip('"') for t in lines[0].split(",")]
     has_labels = header[-1] == "label"
     feature_ids = header[:-1] if has_labels else header
-
-    rows = []
-    labels = []
-    for r, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ParseError(
-                f"{path}: row {r} has {len(parts)} columns, expected {len(header)}"
-            )
-        if has_labels:
-            labels.append(_label(parts[-1], path, f"row {r}"))
-            parts = parts[:-1]
-        rows.append(_parse_row(parts, r, 0))
-
-    values = np.asarray(rows, dtype=float).reshape(len(rows), len(feature_ids))
-    return _cohort(path, values, feature_ids, [f"s{i}" for i in range(len(rows))],
-                   np.asarray(labels, dtype=int) if has_labels else None)
+    values, last = _parse_table(path, lines[1:], ",", len(header),
+                                slice(0, len(feature_ids)), -1)
+    labels = (np.array([_label(t, path, f"row {r}") for r, t in enumerate(last)], dtype=int)
+              if has_labels else None)
+    return _cohort(path, values, feature_ids, [f"s{i}" for i in range(len(values))], labels)
 
 
 def save_table(path, header: str | None, rows) -> None:

@@ -746,7 +746,13 @@ BAD_INPUTS = {
     "pred-cluster-30-digits": (_pred_first_cluster("1" * 30), 2,
                                ["pred.csv", "line 2", "1 to 18 ASCII digits"]),
     "csv-empty": (_prescreen_file("e.csv", b""), 2, ["e.csv", "empty file"]),
-    "csv-infinite-cell": (_prescreen_file("inf.csv", b"f1,f2\n0.5,0.2\n0.1,-inf\n"), 2,
+    # numpy and float() read 0_1 as 1.0
+    "csv-cell-underscore": (_prescreen_file("u.csv", b"f1,f2\n0.5,0_1\n0.1,0.2\n"), 2,
+                            ["u.csv", "table row 0, column 1", "'0_1'"]),
+    "series-matrix-cell-underscore": (_prescreen_file(
+        "series_matrix.txt", SERIES_HEADER + b'"cg1"\t0.1\t0_1\n!series_matrix_table_end\n'),
+        2, ["series_matrix.txt", "table row 0, column 2", "'0_1'"]),
+    "csv-infinite-cell":(_prescreen_file("inf.csv", b"f1,f2\n0.5,0.2\n0.1,-inf\n"), 2,
                           ["inf.csv", "non-finite cell", "sample 1, feature 1", "-inf"]),
     "series-matrix-row-misses-a-column": (_prescreen_file(
         "series_matrix.txt", SERIES_HEADER + b'"cg1"\t0.1\n!series_matrix_table_end\n'), 2,
@@ -1014,6 +1020,27 @@ class TestUtilities:
                                           for p in ("labels.txt", "sm.txt")}
             manifests.append(manifest)
         assert manifests[0] != manifests[1]
+
+    def test_quoted_csv_header_gives_the_plain_prescreen(self, tmp_path, monkeypatch):
+        # a weak class signal, which a "label" column read as a feature
+        # would outrank; R's write.csv quotes the header
+        rng = np.random.default_rng(0)
+        labels = np.repeat([0, 1], 20)
+        values = rng.beta(2.0, 2.0, size=(40, 100))
+        values[labels == 1, :3] = np.minimum(values[labels == 1, :3] + 0.15, 1.0)
+        rows = [",".join(map(str, row)) + f",{y}" for row, y in zip(values.tolist(), labels)]
+        ids = [*(f"f{j}" for j in range(100)), "label"]
+        outputs = []
+        for name, header in (("plain", ids), ("quoted", [f'"{i}"' for i in ids])):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            Path("d.csv").write_text("\n".join([",".join(header), *rows]) + "\n")
+            Path("labels.txt").write_text("".join(f"{y}\n" for y in labels))
+            assert run(["prescreen", "--data", "d.csv", "--labels", "labels.txt",
+                        *PRESCREEN_OUTPUTS]) == 0
+            outputs.append([Path(p).read_bytes() for p in ("f.csv", "r.csv", "k.txt")])
+        assert b"label" not in outputs[0][2]
+        assert outputs[1] == outputs[0]
 
     def test_padded_pred_fields_give_the_plain_report(self, tmp_path):
         # whitespace around the sample id is ignored, as around the cluster id

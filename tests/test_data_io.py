@@ -1,4 +1,6 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +153,18 @@ class TestSeriesMatrixBuffer:
         peak = traced_peak(lambda: loaded.append(data.load_series_matrix(path)))
         assert peak < 3 * loaded[0].values.nbytes
 
+    def test_csv_peak_without_row_arrays(self, tmp_path):
+        # the text and lines, then one matrix and its imputed copy: near 3.8
+        # matrices; a list of row arrays and its np.asarray copy made 5.0
+        values = np.random.default_rng(0).beta(2.0, 2.0, size=(40, 2000))
+        path = write(tmp_path, "d.csv", "\n".join(
+            [",".join(f"f{j}" for j in range(2000)) + ",label",
+             *(",".join(f"{v:.6f}" for v in row) + f",{i % 2}"
+               for i, row in enumerate(values))]) + "\n")
+        loaded = []
+        peak = traced_peak(lambda: loaded.append(data.load_csv(path)))
+        assert peak < 4.4 * loaded[0].values.nbytes
+
 
 def reference_impute_feature_means(values, feature_ids):
     """The per-column loop over every feature that imputation must reproduce."""
@@ -234,10 +248,13 @@ class TestLabels:
 
 
 class TestCsv:
-    def test_with_labels(self, tmp_path):
-        p = write(tmp_path, "d.csv", "f1,f2,label\n0.1,0.2,0\n0.3,0.4,1\n")
+    # R's write.csv quotes the header
+    @pytest.mark.parametrize("header", ["f1,f2,label", '"f1","f2","label"'])
+    def test_with_labels(self, tmp_path, header):
+        p = write(tmp_path, "d.csv", f"{header}\n0.1,0.2,0\n0.3,0.4,1\n")
         ds = data.load_csv(p)
         assert ds.values.shape == (2, 2)
+        assert ds.feature_ids == ["f1", "f2"]
         assert ds.labels.tolist() == [0, 1]
 
     def test_without_labels(self, tmp_path):
@@ -390,13 +407,32 @@ class TestBulkParse:
         assert bulk.feature_ids == cell.feature_ids
         assert bulk.values.tobytes() == cell.values.tobytes()
 
+    # numpy and float() read 0_1 as 1.0 and the Arabic-Indic \u0662e-1 as 0.2
+    @pytest.mark.parametrize("cell, shown", [('"0.x"', "0.x"), ("0_1", "0_1"),
+                                             ("\u0662e-1", "\u0662e-1")],
+                             ids=["quoted-word", "underscore", "arabic-indic-digit"])
     @pytest.mark.parametrize("fmt, col", [("series", 3), ("csv", 2)])
-    def test_bad_cell_in_numeric_row(self, tmp_path, fmt, col):
+    def test_bad_cell_in_numeric_row(self, tmp_path, fmt, col, cell, shown):
         path, load = write_table(tmp_path, fmt, [["0.1", "0.2", "0.3"],
-                                                 ["0.4", "0.5", '"0.x"']])
-        with pytest.raises(ParseError,
-                           match=f"non-numeric cell at table row 1, column {col}: '0.x'"):
+                                                 ["0.4", "0.5", cell]])
+        with pytest.raises(ParseError, match=f"{path.name}: non-numeric cell at table "
+                                             f"row 1, column {col}: '{shown}'"):
             load(path)
+
+    def test_probe_id_with_underscore_parses_in_bulk(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "m.txt", GEO_SMALL.replace('"cg0001"', '"cg00000029_TC21"'))
+        monkeypatch.setattr(data, "_parse_cell", None)  # no row falls back
+        ds = data.load_series_matrix(path)
+        assert ds.feature_ids == ["cg00000029_TC21", "cg0002"]
+        assert ds.values[:, 0].tolist() == [0.1, 0.2, 0.3]
+
+    def test_parse_row_called_only_by_parse_table(self):
+        # one row parser serves both loaders
+        tree = ast.parse(Path(data.__file__).read_text(encoding="utf-8"))
+        callers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "_parse_row"]
+        assert callers == ["_parse_table"]
 
 
 class TestSynthetic:
